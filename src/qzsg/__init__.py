@@ -35,7 +35,6 @@ from .geometry import (
     FROBENIUS,
     VN_ENTROPY,
     Regularizer,
-    dual_proximal_accumulate,
     logit_map,
     orth_project_spectraplex,
     simplex_project,
@@ -73,7 +72,6 @@ __all__ = [
     "VN_ENTROPY",
     "builtin_game",
     "build_payoff_observable",
-    "dual_proximal_accumulate",
     "duality_gap",
     "expected_utility",
     "ExperimentSpec",

@@ -31,6 +31,11 @@ def simplex_project(v) -> np.ndarray:
     css = np.cumsum(u)
     counts = np.arange(1, v.size + 1)
     support = np.nonzero(u - (css - 1.0) / counts > 0.0)[0]
+    if support.size == 0:
+        # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
+        raise linalg.NumericalError(
+            f"simplex projection lost its support to rounding (max entry {u[0]:.3e})"
+        )
     rho = int(support[-1])
     theta = (css[rho] - 1.0) / (rho + 1)
     return np.maximum(v - theta, 0.0)
@@ -128,6 +133,36 @@ class Regularizer:
             return logit_map(linalg.herm_log(x) + eta * g)
         return orth_project_spectraplex(x + eta * g)
 
+    def start(self, x) -> np.ndarray:
+        """Initial stepper state for a start at the density matrix X.
+
+        Entropy: the zero dual matrix, which plays the maximally mixed state
+        whatever X is.  Frobenius: X itself.
+        """
+        if self.kind == VN_ENTROPY_ID:
+            return np.zeros_like(x)
+        return x
+
+    def play(self, state) -> np.ndarray:
+        """The density matrix a stepper state stands for: Λ(D), or X itself."""
+        if self.kind == VN_ENTROPY_ID:
+            return logit_map(state)
+        return state
+
+    def advance(self, state, g, eta: float) -> np.ndarray:
+        """Bregman proximal step of a stepper state along the ascent direction G.
+
+        Entropy: D' = D + eta G in the dual (log) domain, so log X is never
+        formed.  play(D') reproduces proximal_map(play(D), G, eta) because the
+        logit map is invariant to the trace-normalization shift hiding in
+        log Λ(D).  Frobenius: proximal_map(X, G, eta).
+        """
+        if self.kind == VN_ENTROPY_ID:
+            if not (eta > 0.0 and math.isfinite(eta)):
+                raise ValueError(f"eta must be positive and finite, got {eta!r}")
+            return state + eta * g
+        return self.proximal_map(state, g, eta)
+
 
 VN_ENTROPY = Regularizer(VN_ENTROPY_ID, "schatten1")
 FROBENIUS = Regularizer(FROBENIUS_ID, "frobenius")
@@ -144,13 +179,3 @@ def from_id(reg_id: str) -> Regularizer:
             f"unknown regularizer {reg_id!r}; expected one of {sorted(_BY_ID)}"
         ) from None
 
-
-def dual_proximal_accumulate(dual, grads, eta: float):
-    """Accumulate an entropy proximal step in the dual (log) domain: D' = D + eta G.
-
-    Materializing Λ(D') reproduces proximal_map(Λ(D), G, eta) because the logit
-    map is invariant to the trace-normalization shift hiding in log Λ(D).
-    """
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"eta must be positive and finite, got {eta!r}")
-    return tuple(d + eta * g for d, g in zip(dual, grads, strict=True))

@@ -13,10 +13,13 @@ Three update rules share one driver:
   multiplicative weights; with the Frobenius regularizer it is optimistic
   projected gradient.
 
-Entropy-regularized updates run in the dual (log) domain: states are carried
-as accumulated dual matrices and materialized through the logit map, which
-avoids taking logarithms of nearly singular iterates.  All solvers start from
-the maximally mixed profile and report the uniform average of the played
+Mirror prox and its optimistic variant share one step body over the
+regularizer's stepper state (Regularizer.start/play/advance): the entropy
+state is the accumulated dual matrix, played through the logit map, so no
+logarithm of a nearly singular iterate is taken; the Frobenius state is the
+primal point, advanced by projection.  The two variants differ only in the
+gradient they extrapolate with and the point they play.  All solvers start
+from the maximally mixed profile and report the uniform average of the played
 iterates, whose duality gap is the convergence certificate.
 """
 
@@ -189,8 +192,6 @@ def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
 class MdaStepper:
     """Dual averaging: W += F(Ψ_t); Ψ_{t+1} = mirror(eta_t W)."""
 
-    gradient_calls_per_iter = 1
-
     def __init__(self, game, reg, eta_fn, psi0):
         self.game = game
         self.reg = reg
@@ -212,103 +213,58 @@ class MdaStepper:
 
 
 class MmpStepper:
-    """Mirror prox: extrapolate from Ψ_t with F(Ψ_t), correct with F(Φ_{t+1}).
+    """Mirror prox: extrapolate from the state with F(Ψ_t), advance the state
+    with the fresh gradient at the extrapolated point, and play the corrected
+    point.
 
-    Entropy mode keeps Ψ_t in the dual domain, so log Ψ_t is never formed.
+    The state is the regularizer's (see Regularizer.start/play/advance): the
+    accumulated dual matrix for the entropy, the primal point for Frobenius.
     """
 
-    gradient_calls_per_iter = 2
+    optimistic = False
 
     def __init__(self, game, reg, eta_fn, psi0):
         self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
-        self.entropy = reg.kind == geometry.VN_ENTROPY_ID
-        self.momentum = psi0
-        if self.entropy:
-            self.dual = (np.zeros_like(psi0.alice), np.zeros_like(psi0.bob))
-
-    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        eta = self.eta_fn(t)
-        g1 = payoff_gradient(self.game, psi)
-        if self.entropy:
-            half = geometry.dual_proximal_accumulate(self.dual, g1, eta)
-            phi = JointState(geometry.logit_map(half[0]), geometry.logit_map(half[1]))
-            g2 = payoff_gradient(self.game, phi)
-            self.dual = geometry.dual_proximal_accumulate(self.dual, g2, eta)
-            nxt = JointState(
-                geometry.logit_map(self.dual[0]), geometry.logit_map(self.dual[1])
-            )
-        else:
-            phi = JointState(
-                self.reg.proximal_map(psi.alice, g1.alice, eta),
-                self.reg.proximal_map(psi.bob, g1.bob, eta),
-            )
-            g2 = payoff_gradient(self.game, phi)
-            nxt = JointState(
-                self.reg.proximal_map(psi.alice, g2.alice, eta),
-                self.reg.proximal_map(psi.bob, g2.bob, eta),
-            )
-        self.momentum = phi
-        return nxt, 2
-
-
-class OmmpStepper:
-    """Optimistic mirror prox: extrapolate from the momentum point Φ_t with the
-    stored gradient, then advance the momentum with one fresh gradient.
-
-    Entropy mode carries Φ_t as an accumulated dual matrix (optimistic matrix
-    multiplicative weights); Frobenius mode keeps it primal (optimistic
-    projected gradient).
-    """
-
-    gradient_calls_per_iter = 1
-
-    def __init__(self, game, reg, eta_fn, psi0):
-        self.game = game
-        self.reg = reg
-        self.eta_fn = eta_fn
-        self.entropy = reg.kind == geometry.VN_ENTROPY_ID
-        if self.entropy:
-            self.dual = (np.zeros_like(psi0.alice), np.zeros_like(psi0.bob))
-        else:
-            self._momentum = psi0
+        self.state = JointState(reg.start(psi0.alice), reg.start(psi0.bob))
         self.last_gradient = None
 
-    @property
-    def momentum(self) -> JointState:
-        """Current momentum profile Φ_t, materialized on demand in entropy mode."""
-        if self.entropy:
-            return JointState(
-                geometry.logit_map(self.dual[0]), geometry.logit_map(self.dual[1])
-            )
-        return self._momentum
+    def _play(self, state: JointState) -> JointState:
+        return JointState(self.reg.play(state.alice), self.reg.play(state.bob))
+
+    def _advance(self, g, eta: float) -> JointState:
+        return JointState(
+            self.reg.advance(self.state.alice, g.alice, eta),
+            self.reg.advance(self.state.bob, g.bob, eta),
+        )
 
     def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        calls = 0
-        if self.last_gradient is None:
-            self.last_gradient = payoff_gradient(self.game, psi)
+        calls = 1  # the fresh gradient at the extrapolated point
+        g = self.last_gradient
+        if g is None:
+            g = payoff_gradient(self.game, psi)
             calls += 1
         eta = self.eta_fn(t)
-        if self.entropy:
-            ahead = geometry.dual_proximal_accumulate(self.dual, self.last_gradient, eta)
-            nxt = JointState(geometry.logit_map(ahead[0]), geometry.logit_map(ahead[1]))
-            fresh = payoff_gradient(self.game, nxt)
-            calls += 1
-            self.dual = geometry.dual_proximal_accumulate(self.dual, fresh, eta)
-        else:
-            nxt = JointState(
-                self.reg.proximal_map(self._momentum.alice, self.last_gradient.alice, eta),
-                self.reg.proximal_map(self._momentum.bob, self.last_gradient.bob, eta),
-            )
-            fresh = payoff_gradient(self.game, nxt)
-            calls += 1
-            self._momentum = JointState(
-                self.reg.proximal_map(self._momentum.alice, fresh.alice, eta),
-                self.reg.proximal_map(self._momentum.bob, fresh.bob, eta),
-            )
-        self.last_gradient = fresh
-        return nxt, calls
+        ahead = self._play(self._advance(g, eta))
+        fresh = payoff_gradient(self.game, ahead)
+        self.state = self._advance(fresh, eta)
+        if self.optimistic:
+            self.last_gradient = fresh
+            return ahead, calls
+        return self._play(self.state), calls
+
+
+class OmmpStepper(MmpStepper):
+    """Optimistic mirror prox: extrapolate with the stored gradient instead of
+    F(Ψ_t), so each iteration after the first takes one fresh gradient, and
+    play the extrapolated point.
+
+    With the entropy this is optimistic matrix multiplicative weights; with
+    Frobenius it is optimistic projected gradient.
+    """
+
+    optimistic = True
 
 
 _STEPPERS = {"mda": MdaStepper, "mmp": MmpStepper, "ommp": OmmpStepper}
@@ -368,9 +324,11 @@ def run(
         sum_b += psi.bob
         try:
             psi, fresh = stepper.step(t, psi)
-        except (np.linalg.LinAlgError, linalg.NumericalError) as exc:
+        except (np.linalg.LinAlgError, linalg.NumericalError, ValueError) as exc:
+            # cfg is validated above and a game when it is built, so a
+            # ValueError here is a kernel meeting a non-finite or degenerate iterate
             raise linalg.NumericalError(
-                f"eigensolver failed to converge at iteration {t + 1}"
+                f"step failed at iteration {t + 1}: {exc}"
             ) from exc
         calls += fresh
         done = t + 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ from .solvers import ALIASES, SolverConfig, run
 PAPER_EXP2_SCHEDULE = (1, 3, 13, 51, 189, 703, 2610, 9687, 35949, 49999)
 
 GAP_LOG_FLOOR = 1e-300
+
+# exp() saturates here, so a CI spanning floored and O(1) gaps stays finite
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 REPORT_FORMAT_VERSION = 1
 
@@ -141,7 +145,8 @@ def _stats(values: list) -> dict:
         half = float(student_t.ppf(0.975, arr.size - 1)) * float(
             np.std(logs, ddof=1)
         ) / math.sqrt(arr.size)
-        lo, hi = math.exp(log_mean - half), math.exp(log_mean + half)
+        lo = math.exp(log_mean - half)
+        hi = math.exp(min(log_mean + half, _LOG_FLOAT_MAX))
     return {
         "mean": float(np.mean(arr)),
         "geomean": geomean,

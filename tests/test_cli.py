@@ -162,6 +162,21 @@ def test_solve_numerical_failure_exit_code(monkeypatch, capsys):
     assert "iteration 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("algorithm,step", [("ommwu", "1e308"), ("omeg", "1e300")])
+def test_solve_overflowing_step_is_numerical_failure(tmp_path, capsys, algorithm, step):
+    # the ommwu dual overflows to inf; omeg's projection loses its simplex support
+    game = tmp_path / "g.json"
+    assert run_cli("generate", "-n", "1", "-m", "1", "--seed", "3", "-o", str(game)) == 0
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli("solve", "--game", str(game), "--algorithm", algorithm,
+                       "--step-size", step, "--iters", "20")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: step failed at iteration" in err
+    assert "eigensolver" not in err
+
+
 # ---------------------------------------------------------------- compare
 
 

@@ -9,7 +9,6 @@ from qzsg.geometry import (
     FROBENIUS,
     VN_ENTROPY,
     Regularizer,
-    dual_proximal_accumulate,
     from_id,
     logit_map,
     orth_project_spectraplex,
@@ -260,25 +259,27 @@ def test_entropy_proximal_matches_classical_mwu():
 
 
 def test_dual_accumulate_consistent_with_proximal():
-    # materializing the accumulated dual reproduces the primal proximal step
+    # playing the advanced dual state reproduces the primal proximal step
     rng = np.random.default_rng(24)
     for _ in range(25):
-        d = (random_hermitian(4, rng),)
-        g = (random_hermitian(4, rng),)
+        d = random_hermitian(4, rng)
+        g = random_hermitian(4, rng)
         eta = float(rng.uniform(0.05, 1.0))
-        via_dual = logit_map(dual_proximal_accumulate(d, g, eta)[0])
-        via_primal = VN_ENTROPY.proximal_map(logit_map(d[0]), g[0], eta)
+        via_dual = VN_ENTROPY.play(VN_ENTROPY.advance(d, g, eta))
+        via_primal = VN_ENTROPY.proximal_map(VN_ENTROPY.play(d), g, eta)
         assert np.max(np.abs(via_dual - via_primal)) < 1e-9
 
 
 def test_dual_accumulate_basics():
-    zero = (np.zeros((2, 2)),)
-    out = dual_proximal_accumulate(zero, zero, 0.5)
-    assert np.array_equal(out[0], np.zeros((2, 2)))
+    zero = VN_ENTROPY.start(np.diag([0.9, 0.1]).astype(complex))
+    assert np.array_equal(zero, np.zeros((2, 2)))
+    assert np.allclose(VN_ENTROPY.play(zero), np.eye(2) / 2.0, atol=1e-15)
+    out = VN_ENTROPY.advance(zero, zero, 0.5)
+    assert np.array_equal(out, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="eta"):
-        dual_proximal_accumulate(zero, zero, 0.0)
+        VN_ENTROPY.advance(zero, zero, 0.0)
     with pytest.raises(ValueError):
-        dual_proximal_accumulate((np.zeros((2, 2)),), (), 0.5)
+        VN_ENTROPY.advance(zero, np.zeros((3, 3)), 0.5)
 
 
 # ---------------------------------------------------------------- registry

@@ -14,7 +14,7 @@ from qzsg.game import (
     uniform_state,
     zero_game,
 )
-from qzsg.game import assert_density_matrix
+from qzsg.game import assert_density_matrix, random_density
 from qzsg.solvers import (
     ALIASES,
     SolverConfig,
@@ -294,6 +294,101 @@ def test_mmp_and_ommp_converge_on_random_game():
         assert res.trace[-1].gap_avg < 0.1, alias
 
 
+# ---------------------------------------------------------------- transcriptions
+# Bit-exact pins of each stepper against its update written out by hand, from
+# a non-uniform start on a 1+2 game.
+
+
+def random_start(game, seed):
+    generator = np.random.default_rng(seed)
+    return JointState(
+        random_density(game.dim_alice, generator),
+        random_density(game.dim_bob, generator),
+    )
+
+
+def assert_stepper_matches(alias, transcription, calls, iters=60):
+    game = random_game(1, 2, seed=15)
+    eta = 0.3
+    psi = random_start(game, 16)
+    stepper = make_stepper(game, SolverConfig.from_alias(alias), eta, psi)
+    expected = transcription(game, eta, psi)
+    for t in range(iters):
+        psi, fresh = stepper.step(t, psi)
+        want = next(expected)
+        assert np.array_equal(psi.alice, want.alice), (alias, t)
+        assert np.array_equal(psi.bob, want.bob), (alias, t)
+        assert fresh == calls(t), (alias, t)
+
+
+def test_mmp_entropy_matches_dual_transcription():
+    # the dual state starts at zero and advances by eta times the corrector
+    def transcription(game, eta, psi):
+        dual = JointState(np.zeros_like(psi.alice), np.zeros_like(psi.bob))
+        while True:
+            g1 = payoff_gradient(game, psi)
+            phi = JointState(
+                geometry.logit_map(dual.alice + eta * g1.alice),
+                geometry.logit_map(dual.bob + eta * g1.bob),
+            )
+            g2 = payoff_gradient(game, phi)
+            dual = JointState(dual.alice + eta * g2.alice, dual.bob + eta * g2.bob)
+            psi = JointState(geometry.logit_map(dual.alice), geometry.logit_map(dual.bob))
+            yield psi
+
+    assert_stepper_matches("mmp-entropy", transcription, lambda t: 2)
+
+
+def test_mmp_frobenius_matches_projected_transcription():
+    def transcription(game, eta, psi):
+        project = geometry.orth_project_spectraplex
+        while True:
+            g1 = payoff_gradient(game, psi)
+            phi = JointState(
+                project(psi.alice + eta * g1.alice), project(psi.bob + eta * g1.bob)
+            )
+            g2 = payoff_gradient(game, phi)
+            psi = JointState(
+                project(psi.alice + eta * g2.alice), project(psi.bob + eta * g2.bob)
+            )
+            yield psi
+
+    assert_stepper_matches("mmp-frobenius", transcription, lambda t: 2)
+
+
+def test_omeg_matches_projected_transcription():
+    def transcription(game, eta, psi):
+        project = geometry.orth_project_spectraplex
+        momentum = psi
+        last = payoff_gradient(game, psi)
+        while True:
+            nxt = JointState(
+                project(momentum.alice + eta * last.alice),
+                project(momentum.bob + eta * last.bob),
+            )
+            last = payoff_gradient(game, nxt)
+            momentum = JointState(
+                project(momentum.alice + eta * last.alice),
+                project(momentum.bob + eta * last.bob),
+            )
+            yield nxt
+
+    assert_stepper_matches("omeg", transcription, lambda t: 2 if t == 0 else 1)
+
+
+def test_mda_frobenius_matches_projected_closed_form():
+    def transcription(game, eta, psi):
+        project = geometry.orth_project_spectraplex
+        w_a, w_b = np.zeros_like(psi.alice), np.zeros_like(psi.bob)
+        while True:
+            grad = payoff_gradient(game, psi)
+            w_a, w_b = w_a + grad.alice, w_b + grad.bob
+            psi = JointState(project(eta * w_a), project(eta * w_b))
+            yield psi
+
+    assert_stepper_matches("mda-frobenius", transcription, lambda t: 1)
+
+
 def test_ommp_momentum_is_materialized_dual_state():
     game = random_game(1, 1, seed=13)
     cfg = SolverConfig(algorithm="ommp")
@@ -301,8 +396,8 @@ def test_ommp_momentum_is_materialized_dual_state():
     stepper = make_stepper(game, cfg, 0.3, psi)
     for t in range(5):
         psi, _ = stepper.step(t, psi)
-    mom = stepper.momentum
-    assert np.array_equal(mom.alice, geometry.logit_map(stepper.dual[0]))
+    mom = JointState(*(geometry.VN_ENTROPY.play(d) for d in stepper.state))
+    assert np.array_equal(mom.alice, geometry.logit_map(stepper.state.alice))
     assert_density_matrix(mom.alice)
     assert_density_matrix(mom.bob)
 
@@ -316,7 +411,7 @@ def test_ommp_frobenius_keeps_primal_momentum():
     assert calls == 2  # warm-up evaluates the stored gradient too
     psi, calls = stepper.step(1, psi)
     assert calls == 1
-    assert_density_matrix(stepper.momentum.alice)
+    assert_density_matrix(stepper.state.alice)
 
 
 # ---------------------------------------------------------------- failures

@@ -98,6 +98,28 @@ def test_stats_floors_exact_zeros():
     assert math.isfinite(s["ci95_low"]) and math.isfinite(s["ci95_high"])
 
 
+def test_suite_with_non_positive_last_gap_has_finite_aggregates():
+    # qzsg compare -n 1 -m 1 --games 2 --algorithms mmwu-sd,ommwu,omeg
+    #     --iters 100 --schedule paper-exp2 --seed 1001
+    # omeg's last-iterate gap reaches <= 0 there, next to gaps of order 1
+    spec = ExperimentSpec(
+        n=1, m=1, games=2, master_seed=1001,
+        algorithms=("mmwu-sd", "ommwu", "omeg"), iters=100,
+        checkpoints=tuple(t for t in PAPER_EXP2_SCHEDULE if t <= 100),
+    )
+    report = run_suite(spec, max_workers=1)
+    assert report["failures"] == 0
+    assert any(
+        cp["gap_last"] <= 0.0
+        for r in report["runs"] if r["algorithm"] == "omeg"
+        for cp in r["checkpoints"]
+    )
+    for agg in report["aggregates"]:
+        for key in ("gap_avg", "gap_last"):
+            assert all(math.isfinite(v) for v in agg[key].values()), agg
+    json.dumps(report, allow_nan=False)
+
+
 # ---------------------------------------------------------------- execute_run
 
 
