@@ -241,10 +241,12 @@ def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> Q
         raw.append(g.conj().T @ g + ridge)
     total = linalg.hermitianize(sum(raw))
     inv_sqrt = linalg.spectral_fn(total, lambda w: w**-0.5)
-    povm = [linalg.hermitianize(inv_sqrt @ a @ inv_sqrt) for a in raw]
+    # normalize in place, so each raw element is freed as it is replaced
+    for i, a in enumerate(raw):
+        raw[i] = linalg.hermitianize(inv_sqrt @ a @ inv_sqrt)
     gen_util = rng.stream(seed, rng.STREAM_UTILITIES)
     utilities = gen_util.uniform(-1.0, 1.0, size=outcomes)
-    return QuantumGame.from_povm(n, m, povm, utilities, seed=seed)
+    return QuantumGame.from_povm(n, m, raw, utilities, seed=seed)
 
 
 def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:

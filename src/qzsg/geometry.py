@@ -41,25 +41,31 @@ def simplex_project(v) -> np.ndarray:
     return np.maximum(v - theta, 0.0)
 
 
-def logit_map(y) -> np.ndarray:
-    """Λ(Y) = exp(Y)/tr[exp(Y)] for Hermitian Y, stabilized by a λ_max shift.
-
-    The shift multiplies numerator and denominator by the same scalar, so the
-    output is exact while every intermediate stays in [0, 1].
-    """
-    spec = linalg.hermitian_eig(y)
+def _logit_of(spec: linalg.Spectrum) -> np.ndarray:
     e = np.exp(spec.eigenvalues - spec.eigenvalues[0])
     v = spec.eigenvectors
     rho = (v * e) @ v.conj().T
     return linalg.hermitianize(rho / e.sum())
 
 
-def orth_project_spectraplex(y) -> np.ndarray:
-    """Euclidean projection onto the density-matrix set: project the spectrum."""
-    spec = linalg.hermitian_eig(y)
+def _project_of(spec: linalg.Spectrum) -> np.ndarray:
     lam = simplex_project(spec.eigenvalues)
     v = spec.eigenvectors
     return linalg.hermitianize((v * lam) @ v.conj().T)
+
+
+def logit_map(y) -> np.ndarray:
+    """Λ(Y) = exp(Y)/tr[exp(Y)] for Hermitian Y, stabilized by a λ_max shift.
+
+    The shift multiplies numerator and denominator by the same scalar, so the
+    output is exact while every intermediate stays in [0, 1].
+    """
+    return _logit_of(linalg.hermitian_eig(y))
+
+
+def orth_project_spectraplex(y) -> np.ndarray:
+    """Euclidean projection onto the density-matrix set: project the spectrum."""
+    return _project_of(linalg.hermitian_eig(y))
 
 
 @dataclass(frozen=True)
@@ -133,35 +139,52 @@ class Regularizer:
             return logit_map(linalg.herm_log(x) + eta * g)
         return orth_project_spectraplex(x + eta * g)
 
+    def trusted_mirror_map(self, y: np.ndarray) -> np.ndarray:
+        """`mirror_map` without input checks, for the solver loop.
+
+        Y must be exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
+        `hermitianize` output, or a real-weighted sum of such outputs.  On
+        such Y the result equals `mirror_map(Y)` bit for bit.
+        """
+        spec = linalg.trusted_hermitian_eig(y)
+        if self.kind == VN_ENTROPY_ID:
+            return _logit_of(spec)
+        return _project_of(spec)
+
     def start(self, x) -> np.ndarray:
         """Initial stepper state for a start at the density matrix X.
 
         Entropy: the zero dual matrix, which plays the maximally mixed state
-        whatever X is.  Frobenius: X itself.
+        whatever X is.  Frobenius: the Hermitian part of X.  X is validated
+        here, once: this is the only way outside state enters a stepper, and
+        play/advance trust every state and gradient to be exactly Hermitian.
         """
+        x = linalg.hermitianize(linalg.assert_hermitian(x, "state"))
         if self.kind == VN_ENTROPY_ID:
             return np.zeros_like(x)
         return x
 
-    def play(self, state) -> np.ndarray:
+    def play(self, state: np.ndarray) -> np.ndarray:
         """The density matrix a stepper state stands for: Λ(D), or X itself."""
         if self.kind == VN_ENTROPY_ID:
-            return logit_map(state)
+            return self.trusted_mirror_map(state)
         return state
 
-    def advance(self, state, g, eta: float) -> np.ndarray:
+    def advance(self, state: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
         """Bregman proximal step of a stepper state along the ascent direction G.
 
         Entropy: D' = D + eta G in the dual (log) domain, so log X is never
         formed.  play(D') reproduces proximal_map(play(D), G, eta) because the
         logit map is invariant to the trace-normalization shift hiding in
-        log Λ(D).  Frobenius: proximal_map(X, G, eta).
+        log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
+        eta) without its input checks.  G must be exactly Hermitian, as
+        payoff gradients are.
         """
+        if not (eta > 0.0 and math.isfinite(eta)):
+            raise ValueError(f"eta must be positive and finite, got {eta!r}")
         if self.kind == VN_ENTROPY_ID:
-            if not (eta > 0.0 and math.isfinite(eta)):
-                raise ValueError(f"eta must be positive and finite, got {eta!r}")
             return state + eta * g
-        return self.proximal_map(state, g, eta)
+        return self.trusted_mirror_map(state + eta * g)
 
 
 VN_ENTROPY = Regularizer(VN_ENTROPY_ID, "schatten1")

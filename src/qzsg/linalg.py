@@ -118,19 +118,33 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
+def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
+    """Eigendecomposition of an exactly Hermitian matrix, eigenvalues descending.
+
+    Trusted kernel for the solver loop: H is not checked.  It must equal H†
+    bit for bit, as every `hermitianize` output does, and so does any
+    real-weighted sum of such outputs.  Non-finite input shows up as a
+    solver failure or a non-finite spectrum, both raised as NumericalError.
+    Ties keep the ascending-solver order reversed, so output is deterministic.
+    """
+    try:
+        w, v = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    if not np.all(np.isfinite(w)):
+        raise NumericalError("eigensolver returned a non-finite spectrum")
+    order = np.argsort(-w, kind="stable")
+    return Spectrum(w[order], v[:, order])
+
+
 def hermitian_eig(h) -> Spectrum:
     """Full eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
-    Ties keep the ascending-solver order reversed, so output is deterministic.
-    Reconstruction V diag(w) V† matches the input to ~1e-10 relative error.
+    Validates H, then decomposes its Hermitian part with
+    `trusted_hermitian_eig`.  Reconstruction V diag(w) V† matches the input
+    to ~1e-10 relative error.
     """
-    h = assert_hermitian(h)
-    try:
-        w, v = np.linalg.eigh(hermitianize(h))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], v[:, order])
+    return trusted_hermitian_eig(hermitianize(assert_hermitian(h)))
 
 
 def spectral_fn(h, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:

@@ -18,9 +18,12 @@ regularizer's stepper state (Regularizer.start/play/advance): the entropy
 state is the accumulated dual matrix, played through the logit map, so no
 logarithm of a nearly singular iterate is taken; the Frobenius state is the
 primal point, advanced by projection.  The two variants differ only in the
-gradient they extrapolate with and the point they play.  All solvers start
-from the maximally mixed profile and report the uniform average of the played
-iterates, whose duality gap is the convergence certificate.
+gradient they extrapolate with and the point they play.  Every state and
+gradient inside the loop is exactly Hermitian, so the steppers use the
+regularizer's trusted kernels; outside state is validated once, by
+Regularizer.start.  All solvers start from the maximally mixed profile and
+report the uniform average of the played iterates, whose duality gap is the
+convergence certificate.
 """
 
 from __future__ import annotations
@@ -206,8 +209,8 @@ class MdaStepper:
         self.dual = (self.dual[0] + grad.alice, self.dual[1] + grad.bob)
         eta = self.eta_fn(t)
         nxt = JointState(
-            self.reg.mirror_map(eta * self.dual[0]),
-            self.reg.mirror_map(eta * self.dual[1]),
+            self.reg.trusted_mirror_map(eta * self.dual[0]),
+            self.reg.trusted_mirror_map(eta * self.dual[1]),
         )
         return nxt, 1
 
@@ -323,10 +326,18 @@ def run(
         sum_a += psi.alice
         sum_b += psi.bob
         try:
-            psi, fresh = stepper.step(t, psi)
-        except (np.linalg.LinAlgError, linalg.NumericalError, ValueError) as exc:
-            # cfg is validated above and a game when it is built, so a
-            # ValueError here is a kernel meeting a non-finite or degenerate iterate
+            # overflow raises at once, before it can turn the state into NaN
+            with np.errstate(over="raise", invalid="raise"):
+                psi, fresh = stepper.step(t, psi)
+        except (
+            np.linalg.LinAlgError,
+            linalg.NumericalError,
+            ValueError,
+            FloatingPointError,
+        ) as exc:
+            # cfg is validated above and a game when it is built, so a ValueError
+            # or FloatingPointError here is a kernel meeting a non-finite,
+            # overflowing or degenerate iterate
             raise linalg.NumericalError(
                 f"step failed at iteration {t + 1}: {exc}"
             ) from exc

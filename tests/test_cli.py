@@ -1,6 +1,6 @@
 import json
+import warnings
 
-import numpy as np
 import pytest
 
 from qzsg import cli, properties, solvers, suite
@@ -162,15 +162,20 @@ def test_solve_numerical_failure_exit_code(monkeypatch, capsys):
     assert "iteration 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("algorithm,step", [("ommwu", "1e308"), ("omeg", "1e300")])
+@pytest.mark.parametrize("algorithm,step", [
+    ("ommwu", "1e308"), ("mmwu", "1e308"), ("mmp-entropy", "1e308"), ("omeg", "1e300"),
+])
 def test_solve_overflowing_step_is_numerical_failure(tmp_path, capsys, algorithm, step):
-    # the ommwu dual overflows to inf; omeg's projection loses its simplex support
+    # the entropy duals overflow, which raises at once instead of warning and
+    # carrying NaN on; omeg's projection loses its simplex support
     game = tmp_path / "g.json"
     assert run_cli("generate", "-n", "1", "-m", "1", "--seed", "3", "-o", str(game)) == 0
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli("solve", "--game", str(game), "--algorithm", algorithm,
                        "--step-size", step, "--iters", "20")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure: step failed at iteration" in err

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qzsg import geometry, linalg
 from qzsg.geometry import (
@@ -280,6 +283,64 @@ def test_dual_accumulate_basics():
         VN_ENTROPY.advance(zero, zero, 0.0)
     with pytest.raises(ValueError):
         VN_ENTROPY.advance(zero, np.zeros((3, 3)), 0.5)
+
+
+# ---------------------------------------------------------------- boundary
+
+
+def exactly_hermitian(dim):
+    # hermitianize outputs are Hermitian bit for bit, as every solver-loop matrix is
+    parts = arrays(np.float64, (dim, dim, 2), elements=st.floats(-1e3, 1e3))
+    return parts.map(lambda a: linalg.hermitianize(a[..., 0] + 1j * a[..., 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 4, 8]).flatmap(
+        lambda d: st.tuples(exactly_hermitian(d), exactly_hermitian(d))
+    ),
+    st.floats(1e-3, 10.0),
+)
+def test_trusted_maps_equal_public_maps_on_exactly_hermitian_input(yg, eta):
+    y, g = yg
+    assert np.array_equal(VN_ENTROPY.play(y), logit_map(y))
+    assert np.array_equal(VN_ENTROPY.trusted_mirror_map(y), VN_ENTROPY.mirror_map(y))
+    assert np.array_equal(FROBENIUS.trusted_mirror_map(y), orth_project_spectraplex(y))
+    x = orth_project_spectraplex(y)
+    assert np.array_equal(
+        FROBENIUS.advance(FROBENIUS.start(x), g, eta), FROBENIUS.proximal_map(x, g, eta)
+    )
+
+
+NOT_HERMITIAN = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
+NON_FINITE = [np.diag([math.nan, 1.0]).astype(complex), np.diag([math.inf, 0.0]).astype(complex)]
+
+
+@pytest.mark.parametrize(
+    "bad,match",
+    [(NOT_HERMITIAN, "not Hermitian")] + [(m, "non-finite") for m in NON_FINITE],
+)
+def test_public_maps_and_start_reject_bad_input(bad, match):
+    x = np.eye(2, dtype=complex) / 2.0
+    for call in (
+        lambda: logit_map(bad),
+        lambda: orth_project_spectraplex(bad),
+        lambda: linalg.hermitian_eig(bad),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
+    for reg in (VN_ENTROPY, FROBENIUS):
+        for call in (
+            lambda: reg.mirror_map(bad),
+            lambda: reg.proximal_map(bad, x, 0.5),
+            lambda: reg.proximal_map(x, bad, 0.5),
+            lambda: reg.bregman(bad, x),
+            lambda: reg.bregman(x, bad),
+            lambda: reg.dgf_value(bad),
+            lambda: reg.start(bad),
+        ):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 # ---------------------------------------------------------------- registry

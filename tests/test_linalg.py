@@ -86,6 +86,29 @@ def test_eig_failure_raises_numerical_error(monkeypatch):
         hermitian_eig(Z)
 
 
+def test_trusted_eig_equals_public_on_exactly_hermitian_input():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 4, 8):
+        h = random_hermitian(dim, rng)
+        trusted, public = linalg.trusted_hermitian_eig(h), hermitian_eig(h)
+        assert np.array_equal(trusted.eigenvalues, public.eigenvalues)
+        assert np.array_equal(trusted.eigenvectors, public.eigenvectors)
+
+
+def test_trusted_eig_raises_numerical_errors(monkeypatch):
+    # eigh returns NaN eigenvalues for these rather than raising
+    for bad in (np.diag([np.nan, 1.0]), np.diag([np.inf, 1.0]), np.full((2, 2), np.nan)):
+        with pytest.raises(NumericalError, match="non-finite spectrum"):
+            linalg.trusted_hermitian_eig(bad.astype(complex))
+
+    def broken(_):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(NumericalError, match="failed to converge"):
+        linalg.trusted_hermitian_eig(Z)
+
+
 def test_spectral_fn_exp_of_zero_is_identity():
     assert np.array_equal(spectral_fn(np.zeros((3, 3)), np.exp), np.eye(3))
 

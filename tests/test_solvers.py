@@ -389,6 +389,35 @@ def test_mda_frobenius_matches_projected_closed_form():
     assert_stepper_matches("mda-frobenius", transcription, lambda t: 1)
 
 
+def test_ommwu_matches_optimistic_dual_transcription():
+    # the dual state extrapolates with the stored gradient; the extrapolated point is played
+    def transcription(game, eta, psi):
+        dual = JointState(np.zeros_like(psi.alice), np.zeros_like(psi.bob))
+        last = payoff_gradient(game, psi)
+        while True:
+            nxt = JointState(
+                geometry.logit_map(dual.alice + eta * last.alice),
+                geometry.logit_map(dual.bob + eta * last.bob),
+            )
+            last = payoff_gradient(game, nxt)
+            dual = JointState(dual.alice + eta * last.alice, dual.bob + eta * last.bob)
+            yield nxt
+
+    assert_stepper_matches("ommwu", transcription, lambda t: 2 if t == 0 else 1)
+
+
+def test_mmwu_matches_logit_closed_form():
+    def transcription(game, eta, psi):
+        w_a, w_b = np.zeros_like(psi.alice), np.zeros_like(psi.bob)
+        while True:
+            grad = payoff_gradient(game, psi)
+            w_a, w_b = w_a + grad.alice, w_b + grad.bob
+            psi = JointState(geometry.logit_map(eta * w_a), geometry.logit_map(eta * w_b))
+            yield psi
+
+    assert_stepper_matches("mmwu", transcription, lambda t: 1)
+
+
 def test_ommp_momentum_is_materialized_dual_state():
     game = random_game(1, 1, seed=13)
     cfg = SolverConfig(algorithm="ommp")
@@ -431,6 +460,31 @@ def test_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", flaky)
     with pytest.raises(linalg.NumericalError, match="iteration"):
         run(game, SolverConfig(algorithm="mda", step_size=0.5, max_iters=10))
+
+
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, alias):
+    # the solver loop checks no input; the NaN surfaces as a non-finite spectrum
+    game = random_game(1, 1, seed=14)
+    cfg = SolverConfig.from_alias(alias, step_size=0.5, max_iters=10)
+    k = 4
+    before = run(game, SolverConfig.from_alias(alias, step_size=0.5, max_iters=k - 1))
+    real_gradient = solvers.payoff_gradient
+    calls = {"n": 0}
+
+    def poisoned(game, state):
+        g = real_gradient(game, state)
+        calls["n"] += 1
+        if calls["n"] == before.gradient_calls + 1:  # the first gradient of iteration k
+            return type(g)(g.alice * math.nan, g.bob)
+        return g
+
+    monkeypatch.setattr(solvers, "payoff_gradient", poisoned)
+    # ommwu's first gradient of iteration k >= 2 is the fresh one, which only
+    # enters the dual state; the state is first decomposed when played at k + 1
+    failing = k + 1 if alias == "ommwu" else k
+    with pytest.raises(linalg.NumericalError, match=f"iteration {failing}: .*non-finite"):
+        run(game, cfg)
 
 
 def test_gap_eigensolver_failure_names_checkpoint(monkeypatch):
