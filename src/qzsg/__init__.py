@@ -19,6 +19,7 @@ from .game import (
     game_from_json_dict,
     game_to_json_dict,
     linearity_check,
+    lipschitz_constant,
     lipschitz_estimate,
     load_game,
     matching_pennies,
@@ -80,6 +81,7 @@ __all__ = [
     "hermitian_eig",
     "hermitianize",
     "linearity_check",
+    "lipschitz_constant",
     "lipschitz_estimate",
     "load_game",
     "logit_map",

@@ -15,6 +15,7 @@ nonnegative everywhere and zero exactly at Nash equilibria.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -293,6 +294,34 @@ def lipschitz_estimate(
         if den > 1e-14:
             best = max(best, num / den)
     return best
+
+
+def lipschitz_constant(game: QuantumGame) -> float:
+    """Exact sup of ||F(X) - F(Y)||_F / ||X - Y||_F over profiles X != Y.
+
+    Both gradient components are linear: M_A sends vec(b) to F_alice(b) and
+    M_B sends vec(a) to F_bob(a).  Differences of density matrices are
+    traceless, so each map is restricted by the projector
+    P_d = I - vec(I) vec(I)ᵀ / d, and gamma = max(σ₁(M_A P_B), σ₁(M_B P_A)).
+    In Pauli coefficients (U = sum c_PQ P ⊗ Q, identity first) this is
+    sqrt(dA dB) max(σ₁(C[:, 1:]), σ₁(C[1:, :])), the supremum that
+    `lipschitz_estimate(game, "fro-fro")` samples.
+    """
+    da, db = game.dim_alice, game.dim_bob
+    blocks = game._udag_blocks
+    m_alice = blocks.transpose(0, 2, 3, 1).reshape(da * da, db * db)
+    m_bob = blocks.transpose(1, 3, 2, 0).reshape(db * db, da * da)
+    return max(_traceless_input_norm(m_alice, db), _traceless_input_norm(m_bob, da))
+
+
+def _traceless_input_norm(m: np.ndarray, dim: int) -> float:
+    """σ₁(m P_dim): the spectral norm of m on vectorized traceless matrices."""
+    unit_identity = np.eye(dim).reshape(-1) / math.sqrt(dim)
+    restricted = m - np.outer(m @ unit_identity, unit_identity)
+    # σ₁² is the top eigenvalue of the Gram matrix; LAPACK's SVD driver, unlike
+    # eigvalsh, raises the process's peak RSS by about 0.3 MB on first use
+    top = np.linalg.eigvalsh(restricted @ restricted.conj().T)[-1]
+    return math.sqrt(max(float(top), 0.0))
 
 
 def linearity_check(game: QuantumGame, s1: JointState, s2: JointState, lam: float) -> float:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qzsg import linalg
 from qzsg.game import (
@@ -15,6 +17,7 @@ from qzsg.game import (
     game_from_json_dict,
     game_to_json_dict,
     linearity_check,
+    lipschitz_constant,
     lipschitz_estimate,
     load_game,
     matching_pennies,
@@ -262,6 +265,42 @@ def test_lipschitz_estimate_deterministic_and_validated():
         lipschitz_estimate(game, "nuc-nuc")
     with pytest.raises(ValueError, match="samples"):
         lipschitz_estimate(game, "fro-fro", samples=0)
+
+
+def pauli_lipschitz_constant(game):
+    # U = sum c_PQ P ⊗ Q with the identity first in each factor's Pauli basis
+    coeffs = linalg.pauli_decompose(game.payoff_observable, game.n + game.m)
+    c = np.array([
+        [coeffs[p + q].real for q in linalg.pauli_strings(game.m)]
+        for p in linalg.pauli_strings(game.n)
+    ])
+    scale = np.sqrt(game.dim_alice * game.dim_bob)
+    return scale * max(np.linalg.norm(c[:, 1:], 2), np.linalg.norm(c[1:, :], 2))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_lipschitz_constant_matches_pauli_form(n, m):
+    game = random_game(n, m, seed=10 * n + m)
+    expected = pauli_lipschitz_constant(game)
+    assert lipschitz_constant(game) == pytest.approx(expected, rel=1e-12)
+
+
+def test_lipschitz_constant_of_builtin_games():
+    # U = Z ⊗ Z: F_alice(b) = Z tr(Z b), so the constant is ||Z||_F^2
+    assert lipschitz_constant(matching_pennies()) == pytest.approx(2.0, rel=1e-12)
+    assert lipschitz_constant(zero_game()) == 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
+    st.integers(2, 16),
+    st.integers(0, 2**31 - 1),
+)
+def test_lipschitz_estimate_never_exceeds_exact_constant(qubits, outcomes, seed):
+    game = random_game(*qubits, outcomes=outcomes, seed=seed)
+    est = lipschitz_estimate(game, "fro-fro", samples=50, seed=seed)
+    assert est <= lipschitz_constant(game) + 1e-9
 
 
 def test_linearity_of_feedback():

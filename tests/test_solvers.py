@@ -7,7 +7,6 @@ from qzsg import geometry, linalg, solvers
 from qzsg.game import (
     JointState,
     duality_gap,
-    lipschitz_estimate,
     matching_pennies,
     payoff_gradient,
     random_game,
@@ -120,12 +119,15 @@ def test_resolve_step_size():
     assert resolve_step_size(game, SolverConfig(step_size=0.125)) == 0.125
     # entropy auto: 1 / (2 |U|_inf)
     assert resolve_step_size(game, SolverConfig(step_size="auto")) == 0.5
-    # frobenius auto: sampled estimate with the 1.1 safety margin
-    cfg = SolverConfig(regularizer="frobenius", step_size="auto", seed=4)
-    est = lipschitz_estimate(game, "fro-fro", solvers.AUTO_LIPSCHITZ_SAMPLES, 4)
-    assert resolve_step_size(game, cfg) == pytest.approx(1.0 / (2.2 * est))
+    # frobenius auto: U = Z ⊗ Z, so F_alice(b) = Z tr(Z b) and the exact
+    # constant is ||Z||_F^2 = 2, giving 1 / (2 * 2); no seed is drawn from
+    for seed in (0, 4, 123):
+        cfg = SolverConfig(regularizer="frobenius", step_size="auto", seed=seed)
+        assert resolve_step_size(game, cfg) == pytest.approx(0.25, rel=1e-12)
     # the zero observable admits any step
     assert resolve_step_size(zero_game(), SolverConfig(step_size="auto")) == 1.0
+    frobenius_auto = SolverConfig(regularizer="frobenius", step_size="auto")
+    assert resolve_step_size(zero_game(), frobenius_auto) == 1.0
 
 
 # ---------------------------------------------------------------- run protocol
@@ -480,10 +482,7 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
         return g
 
     monkeypatch.setattr(solvers, "payoff_gradient", poisoned)
-    # ommwu's first gradient of iteration k >= 2 is the fresh one, which only
-    # enters the dual state; the state is first decomposed when played at k + 1
-    failing = k + 1 if alias == "ommwu" else k
-    with pytest.raises(linalg.NumericalError, match=f"iteration {failing}: .*non-finite"):
+    with pytest.raises(linalg.NumericalError, match=f"iteration {k}: .*non-finite"):
         run(game, cfg)
 
 
