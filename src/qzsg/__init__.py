@@ -28,6 +28,7 @@ from .game import (
     payoff_gradient_alice,
     payoff_gradient_bob,
     random_game,
+    random_outcomes,
     save_game,
     uniform_state,
     zero_game,
@@ -95,6 +96,7 @@ __all__ = [
     "payoff_gradient_alice",
     "payoff_gradient_bob",
     "random_game",
+    "random_outcomes",
     "run",
     "run_suite",
     "save_game",

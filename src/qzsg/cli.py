@@ -99,14 +99,18 @@ def _cmd_generate(args) -> int:
     outcomes = args.outcomes
     if outcomes is not None and outcomes < 2:
         raise CliError("outcomes must be ≥ 2")
-    game = game_mod.random_game(args.alice_qubits, args.bob_qubits, outcomes, args.seed)
+    gen_args = (args.alice_qubits, args.bob_qubits, outcomes, args.seed)
+    game = game_mod.random_game(*gen_args)
     game_mod.save_game(game, args.output)
-    min_eigs = [float(np.linalg.eigvalsh(p)[0]) for p in game.povm]
+    # the game keeps no element, so the summary replays the element stream
+    min_eigs = [
+        float(np.linalg.eigvalsh(p)[0]) for _, p in game_mod.random_outcomes(*gen_args)
+    ]
     summary = {
         "path": args.output,
         "n": game.n,
         "m": game.m,
-        "outcomes": len(game.povm),
+        "outcomes": game.outcomes,
         "seed": game.seed,
         "u_inf_norm": game.u_inf_norm,
         "povm_min_eigenvalue": min(min_eigs),
@@ -119,7 +123,7 @@ def _cmd_generate(args) -> int:
         print(f"|U|_inf = {_format_float(game.u_inf_norm)}")
         rank = "all full rank" if summary["povm_full_rank"] else "rank deficient"
         print(
-            f"POVM: {len(game.povm)} elements, {rank} "
+            f"POVM: {game.outcomes} elements, {rank} "
             f"(min eigenvalue {_format_float(summary['povm_min_eigenvalue'])})"
         )
     return EXIT_OK
@@ -313,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--iters", type=_positive_int, default=None)
     p_solve.add_argument("--target-gap", type=float, default=None)
     p_solve.add_argument("--check-interval", type=_positive_int, default=None)
-    p_solve.add_argument("--seed", type=_seed, default=None)
+    p_solve.add_argument("--seed", type=_seed, default=None,
+                         help="recorded in the output, not used: no solver draws "
+                              "random numbers")
     p_solve.add_argument("--output", "-o", default=None,
                          help="prefix for <prefix>.csv and <prefix>.json")
     p_solve.add_argument("--format", choices=("text", "json", "csv"), default="text")

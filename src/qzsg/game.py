@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ DENSITY_EIG_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-9
 RANK_RIDGE = 1e-6
 
-GAME_FORMAT_VERSION = 1
+GAME_FORMAT_VERSION = 2
 
 BUILTIN_PREFIX = "builtin:"
 
@@ -82,17 +82,28 @@ def build_payoff_observable(povm, utilities) -> np.ndarray:
     return linalg.hermitianize(u_obs)
 
 
+def _check_sums_to_identity(total: np.ndarray) -> None:
+    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
+    if defect > POVM_SUM_TOL:
+        raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumGame:
-    """An (n, m)-qubit zero-sum game with its cached payoff observable."""
+    """An (n, m)-qubit zero-sum game, stored as its payoff observable U.
+
+    Every solver, gradient and gap reads only U, so the POVM a game came from
+    is not kept: `outcomes` records its size and `povm` is always empty.
+    """
 
     n: int
     m: int
-    povm: tuple
-    utilities: tuple
     payoff_observable: np.ndarray
     u_inf_norm: float
+    outcomes: int
     seed: int | None = None
+
+    povm = ()
 
     @property
     def dim_alice(self) -> int:
@@ -110,13 +121,31 @@ class QuantumGame:
         )
 
     @classmethod
-    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
-        """Validate a POVM game and cache its payoff observable and norm."""
+    def from_observable(cls, n, m, u_obs, outcomes, seed=None) -> "QuantumGame":
+        """Wrap a payoff observable: checks its size, finiteness and Hermiticity."""
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
-        povm = tuple(linalg.assert_hermitian(p, "POVM element") for p in povm)
-        utilities = tuple(float(u) for u in utilities)
+        if u_obs.shape != (dim, dim):
+            raise ValueError(
+                f"payoff observable of shape {u_obs.shape} does not match {n}+{m} qubits"
+            )
+        return cls(
+            n=int(n),
+            m=int(m),
+            payoff_observable=u_obs,
+            u_inf_norm=linalg.spectral_norm(u_obs),
+            outcomes=int(outcomes),
+            seed=None if seed is None else int(seed),
+        )
+
+    @classmethod
+    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
+        """Validate every element of a POVM game and keep its payoff observable."""
+        if n < 1 or m < 1:
+            raise ValueError("qubit counts must be >= 1")
+        dim = 2 ** (n + m)
+        povm = [linalg.assert_hermitian(p, "POVM element") for p in povm]
         u_obs = build_payoff_observable(povm, utilities)
         if u_obs.shape[0] != dim:
             raise ValueError(
@@ -128,19 +157,8 @@ class QuantumGame:
             if w_min < -DENSITY_EIG_TOL:
                 raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
             total += p
-        defect = float(np.max(np.abs(total - np.eye(dim))))
-        if defect > POVM_SUM_TOL:
-            raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
-        u_norm = linalg.spectral_norm(u_obs)
-        return cls(
-            n=int(n),
-            m=int(m),
-            povm=povm,
-            utilities=utilities,
-            payoff_observable=u_obs,
-            u_inf_norm=u_norm,
-            seed=None if seed is None else int(seed),
-        )
+        _check_sums_to_identity(total)
+        return cls.from_observable(n, m, u_obs, len(povm), seed)
 
 
 def uniform_state(game: QuantumGame) -> JointState:
@@ -219,13 +237,20 @@ def random_direction(dim: int, generator: np.random.Generator) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
-def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> QuantumGame:
-    """Random full-rank POVM game, deterministic in `seed`.
+def random_outcomes(
+    n: int, m: int, outcomes: int | None = None, seed: int = 0
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The (utility, POVM element) pairs of `random_game(n, m, outcomes, seed)`.
 
     Raw elements A_w = G†G + 1e-6 I from complex Gaussians G are normalized by
     the sandwich S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, which makes them sum
     to the identity while staying positive definite.  Utilities are uniform on
     [-1, 1].  Default outcome count is 4^(n+m).
+
+    S is summed here, keeping no element, left to right in outcome order: the
+    bits of every random game depend on that order.  The returned iterator
+    replays the same Philox stream and yields each normalized element in
+    turn, so at most one element is alive at a time.
     """
     if n < 1 or m < 1:
         raise ValueError("qubit counts must be >= 1")
@@ -234,20 +259,46 @@ def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> Q
     if outcomes < 2:
         raise ValueError("outcomes must be ≥ 2")
     dim = 2 ** (n + m)
-    gen_povm = rng.stream(seed, rng.STREAM_POVM)
     ridge = RANK_RIDGE * np.eye(dim)
-    raw = []
-    for _ in range(outcomes):
-        g = rng.complex_normal(gen_povm, (dim, dim))
-        raw.append(g.conj().T @ g + ridge)
-    total = linalg.hermitianize(sum(raw))
-    inv_sqrt = linalg.spectral_fn(total, lambda w: w**-0.5)
-    # normalize in place, so each raw element is freed as it is replaced
-    for i, a in enumerate(raw):
-        raw[i] = linalg.hermitianize(inv_sqrt @ a @ inv_sqrt)
+
+    def raw_elements():
+        gen_povm = rng.stream(seed, rng.STREAM_POVM)
+        for _ in range(outcomes):
+            g = rng.complex_normal(gen_povm, (dim, dim))
+            yield g.conj().T @ g + ridge
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for a in raw_elements():
+        total += a
+    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
     gen_util = rng.stream(seed, rng.STREAM_UTILITIES)
     utilities = gen_util.uniform(-1.0, 1.0, size=outcomes)
-    return QuantumGame.from_povm(n, m, raw, utilities, seed=seed)
+    return (
+        (float(u), linalg.hermitianize(inv_sqrt @ a @ inv_sqrt))
+        for u, a in zip(utilities, raw_elements())
+    )
+
+
+def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> QuantumGame:
+    """Random full-rank POVM game, deterministic in `seed` (see `random_outcomes`).
+
+    U is accumulated from the streamed outcomes; no element is stored.  The
+    elements are positive definite by construction, so unlike `from_povm`
+    this checks only the utility range, the sum to the identity and U.
+    """
+    stream = random_outcomes(n, m, outcomes, seed)
+    dim = 2 ** (n + m)
+    u_obs = np.zeros((dim, dim), dtype=complex)
+    total = np.zeros((dim, dim), dtype=complex)
+    count = 0
+    for u, p in stream:
+        if not abs(u) <= 1.0:
+            raise ValueError(f"utility {u!r} outside [-1, 1]")
+        u_obs += u * p
+        total += p
+        count += 1
+    _check_sums_to_identity(total)
+    return QuantumGame.from_observable(n, m, linalg.hermitianize(u_obs), count, seed)
 
 
 def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:
@@ -368,36 +419,58 @@ def builtin_game(name: str) -> QuantumGame:
 
 
 def game_to_json_dict(game: QuantumGame) -> dict:
-    """JSON-ready dict; float round-trip is bit-exact via shortest repr."""
+    """Format v2 document: U and its provenance; float round-trip is bit-exact
+    via shortest repr."""
     return {
         "format_version": GAME_FORMAT_VERSION,
         "n": game.n,
         "m": game.m,
-        "utilities": [float(u) for u in game.utilities],
-        "povm": [linalg.matrix_to_jsonable(p) for p in game.povm],
+        "outcomes": game.outcomes,
         "seed": game.seed,
+        "payoff_observable": linalg.matrix_to_jsonable(game.payoff_observable),
     }
 
 
+_DOCUMENT_KEYS = {
+    1: {"n", "m", "utilities", "povm", "seed"},
+    2: {"n", "m", "outcomes", "seed", "payoff_observable"},
+}
+
+
 def game_from_json_dict(data: dict) -> QuantumGame:
-    """Rebuild and fully re-validate a game from its JSON dict."""
+    """Rebuild a game from a v2 document (U checked) or a v1 document (every
+    POVM element checked, through `QuantumGame.from_povm`)."""
     if not isinstance(data, dict):
         raise ValueError("game document must be a JSON object")
     version = data.get("format_version")
-    if version != GAME_FORMAT_VERSION:
+    if version not in _DOCUMENT_KEYS:
         raise ValueError(f"unsupported format_version {version!r}")
-    required = {"n", "m", "utilities", "povm", "seed"}
-    missing = required - data.keys()
+    missing = _DOCUMENT_KEYS[version] - data.keys()
     if missing:
         raise ValueError(f"game document missing keys {sorted(missing)}")
     n, m = data["n"], data["m"]
     if not isinstance(n, int) or not isinstance(m, int):
         raise ValueError("qubit counts must be integers")
-    povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]
     seed = data["seed"]
     if seed is not None and not isinstance(seed, int):
         raise ValueError("seed must be an integer or null")
-    game = QuantumGame.from_povm(n, m, povm, data["utilities"], seed=seed)
+    if version == 1:
+        povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]
+        return QuantumGame.from_povm(n, m, povm, data["utilities"], seed=seed)
+    outcomes = data["outcomes"]
+    if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
+        raise ValueError("outcomes must be a positive integer")
+    u_obs = linalg.matrix_from_jsonable(data["payoff_observable"])
+    u_obs = linalg.hermitianize(linalg.assert_hermitian(u_obs, "payoff observable"))
+    game = QuantumGame.from_observable(n, m, u_obs, outcomes, seed)
+    # -I <= U <= I for |u| <= 1; the slack covers a sum-to-identity defect of
+    # POVM_SUM_TOL per entry, so every game a constructor accepts loads back
+    bound = 1.0 + u_obs.shape[0] * POVM_SUM_TOL
+    if not game.u_inf_norm <= bound:
+        raise ValueError(
+            f"payoff observable has norm {game.u_inf_norm!r} > 1; "
+            "no POVM game with utilities in [-1, 1] has it"
+        )
     return game
 
 

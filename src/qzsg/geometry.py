@@ -154,15 +154,25 @@ class Regularizer:
     def start(self, x) -> np.ndarray:
         """Initial stepper state for a start at the density matrix X.
 
-        Entropy: the zero dual matrix, which plays the maximally mixed state
-        whatever X is.  Frobenius: the Hermitian part of X.  X is validated
-        here, once: this is the only way outside state enters a stepper, and
-        play/advance trust every state and gradient to be exactly Hermitian.
+        Entropy: the dual matrix log X, which plays X, so X must be full
+        rank; when X is exactly the maximally mixed state, the zero matrix,
+        which plays the same point without the rounding of a logarithm.
+        Frobenius: the Hermitian part of X.  X is validated here, once: this
+        is the only way outside state enters a stepper, and play/advance
+        trust every state and gradient to be exactly Hermitian.
         """
         x = linalg.hermitianize(linalg.assert_hermitian(x, "state"))
-        if self.kind == VN_ENTROPY_ID:
+        if self.kind != VN_ENTROPY_ID:
+            return x
+        dim = x.shape[0]
+        if np.array_equal(x, np.eye(dim) / dim):
             return np.zeros_like(x)
-        return x
+        w_min = linalg.hermitian_eig(x).eigenvalues[-1]
+        if w_min <= linalg.LOG_EIG_FLOOR:
+            raise ValueError(
+                f"entropy start needs a full-rank state (min eigenvalue {w_min:.3e})"
+            )
+        return linalg.herm_log(x)
 
     def play(self, state: np.ndarray) -> np.ndarray:
         """The density matrix a stepper state stands for: Λ(D), or X itself."""

@@ -1,9 +1,10 @@
 """Multi-game comparison suites with deterministic scheduling.
 
 A suite runs each named solver variant on the same set of seeded random
-games.  Per-game seeds derive from the master seed by fixed offsets, and
-results are keyed by (game index, algorithm), so the report is identical
-however the worker pool interleaves the runs.  Gap statistics aggregate in
+games.  Per-game seeds derive from the master seed by fixed offsets.  Each
+game is built once and runs every variant in turn, and results are keyed by
+(game index, algorithm), so the report is identical however the worker pool
+interleaves the games.  Gap statistics aggregate in
 the natural-log domain (gaps live on a log scale) with Student-t 95%
 confidence intervals.
 """
@@ -77,23 +78,31 @@ def suite_game_seed(master_seed: int, game_index: int) -> int:
     return rng.derive_seed(master_seed, game_index)
 
 
-def execute_run(spec: ExperimentSpec, game_index: int, alias: str) -> dict:
-    """Run one (game, algorithm) cell; exceptions are reported, not raised."""
+def _failed(base: dict, exc: Exception) -> dict:
+    return {**base, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _cell(spec: ExperimentSpec, game_index: int, alias: str) -> dict:
     seed = suite_game_seed(spec.master_seed, game_index)
-    base = {"game_index": game_index, "algorithm": alias, "seed": seed}
+    return {"game_index": game_index, "algorithm": alias, "seed": seed}
+
+
+def execute_run(spec: ExperimentSpec, game_index: int, alias: str, game) -> dict:
+    """Run one (game, algorithm) cell on the suite's game `game_index`;
+    exceptions are reported, not raised."""
+    base = _cell(spec, game_index, alias)
     try:
-        game = random_game(spec.n, spec.m, spec.outcomes, seed)
         cfg = SolverConfig.from_alias(
             alias,
             step_size=spec.step_size,
             max_iters=spec.iters,
             target_gap=spec.target_gap,
             gap_check_interval=spec.check_interval,
-            seed=seed,
+            seed=base["seed"],
         )
         result = run(game, cfg, checkpoints=spec.checkpoints)
     except Exception as exc:  # noqa: BLE001 - one bad cell must not sink the suite
-        return {**base, "status": "error", "error": f"{type(exc).__name__}: {exc}"}
+        return _failed(base, exc)
     return {
         **base,
         "status": "ok",
@@ -113,6 +122,16 @@ def execute_run(spec: ExperimentSpec, game_index: int, alias: str) -> dict:
             for row in result.trace
         ],
     }
+
+
+def execute_game(spec: ExperimentSpec, game_index: int) -> list:
+    """Build game `game_index` once and run every algorithm of the suite on it."""
+    seed = suite_game_seed(spec.master_seed, game_index)
+    try:
+        game = random_game(spec.n, spec.m, spec.outcomes, seed)
+    except Exception as exc:  # noqa: BLE001 - every cell of this game fails alike
+        return [_failed(_cell(spec, game_index, alias), exc) for alias in spec.algorithms]
+    return [execute_run(spec, game_index, alias, game) for alias in spec.algorithms]
 
 
 def worker_count(max_workers: int | None = None) -> int:
@@ -190,15 +209,13 @@ def run_suite(spec: ExperimentSpec, max_workers: int | None = None) -> dict:
     """Execute the full suite and assemble the comparison report."""
     spec.validate()
     workers = worker_count(max_workers)
-    tasks = [
-        (g, alias) for g in range(spec.games) for alias in spec.algorithms
-    ]
+    games = range(spec.games)
     if workers == 1:
-        results = [execute_run(spec, g, alias) for g, alias in tasks]
+        per_game = [execute_game(spec, g) for g in games]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute_run, spec, g, a) for g, a in tasks]
-            results = [f.result() for f in futures]
+            per_game = list(pool.map(lambda g: execute_game(spec, g), games))
+    results = [rec for recs in per_game for rec in recs]
     order = {alias: i for i, alias in enumerate(spec.algorithms)}
     results.sort(key=lambda r: (r["game_index"], order[r["algorithm"]]))
     failures = sum(1 for r in results if r["status"] != "ok")

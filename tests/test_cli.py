@@ -29,8 +29,21 @@ def test_generate_writes_valid_game(tmp_path, capsys):
     assert lines[0] == f"wrote {out}"
     assert lines[1].startswith("|U|_inf = ")
     assert "all full rank" in lines[2]
-    game = load_game(out)  # re-validates every invariant on load
+    game = load_game(out)  # checks U on load
     assert game.seed == 42 and game.n == 1 and game.m == 1
+
+
+def test_generate_writes_a_small_v2_file(tmp_path, capsys):
+    # a 2+3 game stores one 32 x 32 U, not its 1024 POVM elements (52 MB in v1)
+    out = tmp_path / "g.json"
+    assert run_cli("generate", "-n", "2", "-m", "3", "--seed", "5",
+                   "--format", "json", "-o", str(out)) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["outcomes"] == 1024 and summary["povm_full_rank"] is True
+    assert out.stat().st_size < 1_000_000
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["format_version"] == 2 and "povm" not in doc
+    assert load_game(out).u_inf_norm == summary["u_inf_norm"]
 
 
 def test_generate_is_deterministic(tmp_path):

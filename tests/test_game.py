@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from qzsg.game import (
     payoff_gradient_bob,
     random_density,
     random_game,
+    random_outcomes,
     save_game,
     uniform_state,
     zero_game,
@@ -95,7 +98,8 @@ def test_payoff_observable_norm_bounded_by_max_utility():
     # sum P = I makes |U|_inf <= max |u|
     for seed in range(5):
         game = random_game(1, 1, seed=seed)
-        assert game.u_inf_norm <= max(abs(u) for u in game.utilities) + 1e-12
+        utilities = [u for u, _ in random_outcomes(1, 1, seed=seed)]
+        assert game.u_inf_norm <= max(abs(u) for u in utilities) + 1e-12
 
 
 def test_from_povm_validates():
@@ -318,32 +322,73 @@ def test_linearity_of_feedback():
 
 
 def test_random_game_is_deterministic_in_seed():
-    g1 = random_game(1, 1, seed=42)
-    g2 = random_game(1, 1, seed=42)
-    assert g1.utilities == g2.utilities
-    assert all(np.array_equal(p, q) for p, q in zip(g1.povm, g2.povm))
-    g3 = random_game(1, 1, seed=43)
-    assert not np.array_equal(g1.povm[0], g3.povm[0])
+    o1 = list(random_outcomes(1, 1, seed=42))
+    o2 = list(random_outcomes(1, 1, seed=42))
+    assert [u for u, _ in o1] == [u for u, _ in o2]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(o1, o2))
+    o3 = list(random_outcomes(1, 1, seed=43))
+    assert not np.array_equal(o1[0][1], o3[0][1])
+    assert np.array_equal(
+        random_game(1, 1, seed=42).payoff_observable,
+        random_game(1, 1, seed=42).payoff_observable,
+    )
 
 
 def test_random_game_povm_well_formed():
     # sums to identity within 1e-8, every element PSD and full rank
     for seed in range(100):
-        game = random_game(1, 1, seed=seed)
-        total = sum(game.povm)
+        povm = [p for _, p in random_outcomes(1, 1, seed=seed)]
+        total = sum(povm)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
-        for p in game.povm:
+        for p in povm:
             assert np.linalg.eigvalsh(p)[0] > 0.0
 
 
 def test_random_game_shapes_and_ranges():
     game = random_game(2, 1, seed=0)
     assert game.dim_alice == 4 and game.dim_bob == 2
-    assert len(game.povm) == 4 ** 3
-    assert all(abs(u) <= 1.0 for u in game.utilities)
+    outcomes = list(random_outcomes(2, 1, seed=0))
+    assert len(outcomes) == game.outcomes == 4 ** 3
+    assert all(abs(u) <= 1.0 for u, _ in outcomes)
+    assert all(p.shape == (8, 8) for _, p in outcomes)
     assert game.seed == 0
     small = random_game(1, 1, outcomes=2, seed=0)
-    assert len(small.povm) == 2
+    assert small.outcomes == len(list(random_outcomes(1, 1, outcomes=2, seed=0))) == 2
+
+
+# sha256 of U's bytes and ||U||_inf, as generated before U was streamed
+RANDOM_GAME_PINS = [
+    ((1, 1, 11), "1fe3948f75e3dca84f2640fe3aa17622450adb48c3c7c5c55539b1608d4d018d",
+     0.3052964451772094),
+    ((2, 2, 1), "8b51057ef935cc7a3b2beeb048b3e56ede71547432c9ea77435460e1b1d192fb",
+     0.14995349620041337),
+    ((2, 3, 5), "bf5315a46b5a6650a4bb2a9b6f22e4f2158002541d9734c5127f5abdd0ec4270",
+     0.03792118188708264),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest, norm", RANDOM_GAME_PINS, ids=["1+1", "2+2", "2+3"]
+)
+def test_random_game_payoff_observable_is_pinned(args, digest, norm):
+    n, m, seed = args
+    game = random_game(n, m, seed=seed)
+    assert hashlib.sha256(game.payoff_observable.tobytes()).hexdigest() == digest
+    assert game.u_inf_norm == norm
+
+
+def test_random_game_keeps_no_povm_element():
+    # the 1024 elements of a 2+3 game take 16.8 MB; U alone takes 16 kB
+    random_game(1, 1, seed=0)  # first-call allocations are not the game's
+    tracemalloc.start()
+    try:
+        game = random_game(2, 3, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert game.povm == ()
+    assert game.outcomes == 4 ** 5
 
 
 def test_random_game_validates():
@@ -366,15 +411,81 @@ def test_builtin_game_resolution():
 # ---------------------------------------------------------------- (de)serialization
 
 
+def v1_document(n, m, seed):
+    # the POVM file layout before format v2, built from the streamed elements
+    outcomes = list(random_outcomes(n, m, seed=seed))
+    return {
+        "format_version": 1,
+        "n": n,
+        "m": m,
+        "utilities": [u for u, _ in outcomes],
+        "povm": [linalg.matrix_to_jsonable(p) for _, p in outcomes],
+        "seed": seed,
+    }
+
+
 def test_game_json_round_trip_is_bit_exact():
     game = random_game(1, 1, seed=11)
     doc = game_to_json_dict(game)
+    assert doc["format_version"] == 2
     # through an actual JSON encode/decode to exercise repr round-tripping
     back = game_from_json_dict(json.loads(json.dumps(doc)))
-    assert back.utilities == game.utilities
-    assert all(np.array_equal(p, q) for p, q in zip(back.povm, game.povm))
     assert np.array_equal(back.payoff_observable, game.payoff_observable)
-    assert back.seed == 11
+    assert back.u_inf_norm == game.u_inf_norm
+    assert (back.n, back.m, back.outcomes, back.seed) == (1, 1, 16, 11)
+    # a v1 document's utilities and elements survive JSON bit for bit
+    outcomes = list(random_outcomes(1, 1, seed=11))
+    v1_back = json.loads(json.dumps(v1_document(1, 1, 11)))
+    assert v1_back["utilities"] == [u for u, _ in outcomes]
+    assert all(
+        np.array_equal(linalg.matrix_from_jsonable(q), p)
+        for q, (_, p) in zip(v1_back["povm"], outcomes)
+    )
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 1, 11), (1, 2, 3), (2, 1, 4)])
+def test_v1_document_loads_to_the_streamed_game(n, m, seed):
+    game = random_game(n, m, seed=seed)
+    back = game_from_json_dict(json.loads(json.dumps(v1_document(n, m, seed))))
+    assert np.array_equal(back.payoff_observable, game.payoff_observable)
+    assert back.u_inf_norm == game.u_inf_norm
+    assert (back.outcomes, back.seed) == (game.outcomes, seed)
+
+
+def test_v1_document_keeps_full_validation():
+    doc = v1_document(1, 1, 11)
+    bad = linalg.matrix_from_jsonable(doc["povm"][0])
+    bad[0, 1] += 0.5
+    broken = {**doc, "povm": [linalg.matrix_to_jsonable(bad)] + doc["povm"][1:]}
+    with pytest.raises(ValueError, match="not Hermitian"):
+        game_from_json_dict(broken)
+
+
+def test_v2_load_rejects_bad_observables():
+    doc = game_to_json_dict(random_game(1, 1, seed=11))
+    u = linalg.matrix_from_jsonable(doc["payoff_observable"])
+
+    def with_u(matrix):
+        return {**doc, "payoff_observable": linalg.matrix_to_jsonable(matrix)}
+
+    skew = u.copy()
+    skew[0, 1] += 0.1
+    with pytest.raises(ValueError, match="not Hermitian"):
+        game_from_json_dict(with_u(skew))
+    nan = [row[:] for row in doc["payoff_observable"]]
+    nan[0] = [[float("nan"), 0.0]] + nan[0][1:]
+    with pytest.raises(ValueError, match="non-finite"):
+        game_from_json_dict(json.loads(json.dumps({**doc, "payoff_observable": nan})))
+    with pytest.raises(ValueError, match="does not match"):
+        game_from_json_dict(with_u(np.eye(8) / 2))
+    with pytest.raises(ValueError, match="square"):
+        game_from_json_dict({**doc, "payoff_observable": doc["payoff_observable"][:3]})
+    with pytest.raises(ValueError, match="norm"):
+        game_from_json_dict(with_u(1.5 * u / np.max(np.abs(np.linalg.eigvalsh(u)))))
+    with pytest.raises(ValueError, match="outcomes"):
+        game_from_json_dict({**doc, "outcomes": 0})
+    # the norm bound itself is accepted: matching pennies has ||U|| = 1
+    game_from_json_dict(game_to_json_dict(matching_pennies()))
 
 
 def test_game_json_preserves_null_seed():
@@ -403,6 +514,9 @@ def test_save_and_load_game(tmp_path):
     save_game(game, path)
     loaded = load_game(path)
     assert np.array_equal(loaded.payoff_observable, game.payoff_observable)
+    v1_path = tmp_path / "v1.json"
+    v1_path.write_text(json.dumps(v1_document(1, 1, 4)), encoding="utf-8")
+    assert np.array_equal(load_game(v1_path).payoff_observable, game.payoff_observable)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="invalid game file"):

@@ -274,7 +274,7 @@ def test_dual_accumulate_consistent_with_proximal():
 
 
 def test_dual_accumulate_basics():
-    zero = VN_ENTROPY.start(np.diag([0.9, 0.1]).astype(complex))
+    zero = VN_ENTROPY.start(np.eye(2, dtype=complex) / 2.0)
     assert np.array_equal(zero, np.zeros((2, 2)))
     assert np.allclose(VN_ENTROPY.play(zero), np.eye(2) / 2.0, atol=1e-15)
     out = VN_ENTROPY.advance(zero, zero, 0.5)

@@ -324,9 +324,9 @@ def assert_stepper_matches(alias, transcription, calls, iters=60):
 
 
 def test_mmp_entropy_matches_dual_transcription():
-    # the dual state starts at zero and advances by eta times the corrector
+    # the dual state starts at log psi0 and advances by eta times the corrector
     def transcription(game, eta, psi):
-        dual = JointState(np.zeros_like(psi.alice), np.zeros_like(psi.bob))
+        dual = JointState(linalg.herm_log(psi.alice), linalg.herm_log(psi.bob))
         while True:
             g1 = payoff_gradient(game, psi)
             phi = JointState(
@@ -394,7 +394,7 @@ def test_mda_frobenius_matches_projected_closed_form():
 def test_ommwu_matches_optimistic_dual_transcription():
     # the dual state extrapolates with the stored gradient; the extrapolated point is played
     def transcription(game, eta, psi):
-        dual = JointState(np.zeros_like(psi.alice), np.zeros_like(psi.bob))
+        dual = JointState(linalg.herm_log(psi.alice), linalg.herm_log(psi.bob))
         last = payoff_gradient(game, psi)
         while True:
             nxt = JointState(
@@ -443,6 +443,37 @@ def test_ommp_frobenius_keeps_primal_momentum():
     psi, calls = stepper.step(1, psi)
     assert calls == 1
     assert_density_matrix(stepper.state.alice)
+
+
+@pytest.mark.parametrize("alias", ["mmp-entropy", "ommwu", "mmp-frobenius", "omeg"])
+def test_mirror_prox_starts_at_a_non_uniform_psi0(alias):
+    game = random_game(1, 2, seed=15)
+    eta = 0.3
+    psi0 = random_start(game, 17)
+    stepper = make_stepper(game, SolverConfig.from_alias(alias), eta, psi0)
+    reg = stepper.reg
+    for played, want in zip(stepper.state, psi0):
+        assert np.max(np.abs(reg.play(played) - want)) < 1e-12
+
+    # the first step is the primal rule's proximal steps from psi0
+    def prox(x, g):
+        return JointState(
+            reg.proximal_map(x.alice, g.alice, eta), reg.proximal_map(x.bob, g.bob, eta)
+        )
+
+    ahead = prox(psi0, payoff_gradient(game, psi0))
+    want = ahead if stepper.optimistic else prox(psi0, payoff_gradient(game, ahead))
+    got, _ = stepper.step(0, psi0)
+    assert np.max(np.abs(got.alice - want.alice)) < 1e-10
+    assert np.max(np.abs(got.bob - want.bob)) < 1e-10
+
+
+def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
+    game = random_game(1, 1, seed=15)
+    pure = JointState(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2)
+    with pytest.raises(ValueError, match="full-rank"):
+        make_stepper(game, SolverConfig.from_alias("ommwu"), 0.3, pure)
+    make_stepper(game, SolverConfig.from_alias("omeg"), 0.3, pure)
 
 
 # ---------------------------------------------------------------- failures

@@ -13,6 +13,7 @@ from qzsg.suite import (
     ExperimentSpec,
     _stats,
     aggregate,
+    execute_game,
     execute_run,
     run_suite,
     suite_game_seed,
@@ -125,8 +126,9 @@ def test_suite_with_non_positive_last_gap_has_finite_aggregates():
 
 def test_execute_run_records_accounting():
     spec = small_spec(algorithms=("mmwu", "mmp-entropy", "ommwu"))
+    game = suite.random_game(spec.n, spec.m, spec.outcomes, suite_game_seed(0, 0))
     for alias, expected in (("mmwu", 60), ("mmp-entropy", 120), ("ommwu", 61)):
-        rec = execute_run(spec, 0, alias)
+        rec = execute_run(spec, 0, alias, game)
         assert rec["status"] == "ok"
         assert rec["gradient_calls"] == expected
         assert rec["iterations"] == 60
@@ -136,8 +138,16 @@ def test_execute_run_records_accounting():
 
 
 def test_execute_run_captures_failures():
-    spec = small_spec(outcomes=1)  # invalid outcome count surfaces per-run
-    rec = execute_run(spec, 0, "ommwu")
+    spec = small_spec(outcomes=1, algorithms=("ommwu", "mmwu"))
+    # an invalid outcome count surfaces in every cell of the game
+    recs = execute_game(spec, 0)
+    assert [r["algorithm"] for r in recs] == ["ommwu", "mmwu"]
+    assert all(r["status"] == "error" for r in recs)
+    assert all(r["error"].startswith("ValueError:") for r in recs)
+    assert all(r["seed"] == suite_game_seed(0, 0) for r in recs)
+    # a failing solve is reported in its own cell
+    game = suite.random_game(1, 1, 4, 0)
+    rec = execute_run(small_spec(step_size=-1.0), 0, "ommwu", game)
     assert rec["status"] == "error"
     assert rec["error"].startswith("ValueError:")
 
@@ -213,6 +223,23 @@ def test_run_suite_records_failures_without_aborting(monkeypatch):
     assert all("RuntimeError: synthetic game failure" == r["error"] for r in bad)
     # aggregates cover only the surviving games
     assert all(a["count"] == 2 for a in report["aggregates"])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_builds_each_game_once(monkeypatch, workers):
+    spec = small_spec(games=3, algorithms=("ommwu", "mmwu", "omeg"))
+    expected = mask_wall_times(run_suite(spec, max_workers=workers))
+    seeds = []
+    real = suite.random_game
+
+    def counted(n, m, outcomes=None, seed=0):
+        seeds.append(seed)
+        return real(n, m, outcomes, seed)
+
+    monkeypatch.setattr(suite, "random_game", counted)
+    report = mask_wall_times(run_suite(spec, max_workers=workers))
+    assert sorted(seeds) == sorted(suite_game_seed(0, g) for g in range(spec.games))
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_explicit_checkpoints_flow_into_runs():
