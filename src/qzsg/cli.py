@@ -71,14 +71,18 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _trace_csv(rows) -> str:
+    """The trace as CSV text: TRACE_HEADER, then one line per TraceRow."""
+    lines = [TRACE_HEADER] + [
+        f"{row.t},{_format_float(row.gap_avg)},{_format_float(row.gap_last)},{row.wall_time_ns}"
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
 def _write_trace_csv(path, rows) -> None:
-    lines = [TRACE_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.t},{_format_float(row.gap_avg)},{_format_float(row.gap_last)},{row.wall_time_ns}"
-        )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_trace_csv(rows))
 
 
 def _write_json(path, payload) -> None:
@@ -96,10 +100,7 @@ def _load_game(ref: str) -> game_mod.QuantumGame:
 
 
 def _cmd_generate(args) -> int:
-    outcomes = args.outcomes
-    if outcomes is not None and outcomes < 2:
-        raise CliError("outcomes must be ≥ 2")
-    gen_args = (args.alice_qubits, args.bob_qubits, outcomes, args.seed)
+    gen_args = (args.alice_qubits, args.bob_qubits, args.outcomes, args.seed)
     game = game_mod.random_game(*gen_args)
     game_mod.save_game(game, args.output)
     # the game keeps no element, so the summary replays the element stream
@@ -165,7 +166,7 @@ def _cmd_solve(args) -> int:
     result = solvers.run(game, cfg)
     summary = {
         "game": args.game,
-        "algorithm": solvers.alias_of(cfg) or cfg.algorithm,
+        "algorithm": cfg.algorithm,
         "regularizer": cfg.regularizer,
         "step_decay": cfg.step_decay,
         "step_size": result.step_size,
@@ -183,12 +184,7 @@ def _cmd_solve(args) -> int:
     if args.format == "json":
         print(json.dumps(summary))
     elif args.format == "csv":
-        print(TRACE_HEADER)
-        for row in result.trace:
-            print(
-                f"{row.t},{_format_float(row.gap_avg)},"
-                f"{_format_float(row.gap_last)},{row.wall_time_ns}"
-            )
+        sys.stdout.write(_trace_csv(result.trace))
     else:
         print(
             f"{summary['algorithm']}: {result.iterations} iterations, "

@@ -327,6 +327,18 @@ def lipschitz_estimate(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     generator = rng.stream(seed, rng.STREAM_LIPSCHITZ)
+    return sampled_lipschitz_ratio(game, generator, samples, norm_pair)
+
+
+def sampled_lipschitz_ratio(
+    game: QuantumGame,
+    generator: np.random.Generator,
+    samples: int,
+    norm_pair: str = "inf-one",
+) -> float:
+    """Largest ratio of `lipschitz_estimate` over `samples` random profile
+    pairs X, Y drawn from `generator` in the order X_alice, X_bob, Y_alice,
+    Y_bob; 0 when no pair is apart."""
     da, db = game.dim_alice, game.dim_bob
     best = 0.0
     for _ in range(samples):

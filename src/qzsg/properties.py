@@ -23,6 +23,7 @@ from .game import (
     random_density,
     random_direction,
     random_game,
+    sampled_lipschitz_ratio,
 )
 
 MONOTONICITY_TOL = 1e-9
@@ -79,19 +80,7 @@ def check_gradient_fd(game: QuantumGame, gen, samples: int) -> float:
 
 def check_lipschitz(game: QuantumGame, gen, samples: int) -> float:
     """Worst excess of the (spectral, trace)-norm ratio over ||U||_inf."""
-    worst = -np.inf
-    for _ in range(samples):
-        x = _random_joint(game, gen)
-        y = _random_joint(game, gen)
-        d_fa = payoff_gradient_alice(game, x.bob) - payoff_gradient_alice(game, y.bob)
-        d_fb = payoff_gradient_bob(game, x.alice) - payoff_gradient_bob(game, y.alice)
-        num = max(linalg.spectral_norm(d_fa), linalg.spectral_norm(d_fb))
-        den = linalg.schatten1_norm(x.alice - y.alice) + linalg.schatten1_norm(
-            x.bob - y.bob
-        )
-        if den > 1e-14:
-            worst = max(worst, num / den - game.u_inf_norm)
-    return float(worst)
+    return sampled_lipschitz_ratio(game, gen, samples) - game.u_inf_norm
 
 
 def check_linearity(game: QuantumGame, gen, samples: int) -> float:

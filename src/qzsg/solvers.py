@@ -1,6 +1,8 @@
 """Iterative equilibrium solvers over density-matrix strategies.
 
-Three update rules share one driver:
+A solver is named by its alias in ALIASES, which fixes one of three update
+rules (schemes), the regularizer and the step decay.  The rules share one
+driver:
 
 * ``mda``  -- dual averaging: play the mirror image of the accumulated
   feedback, one gradient per iteration.  With the entropy regularizer this is
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -46,10 +48,7 @@ from .game import (
     uniform_state,
 )
 
-ALGORITHMS = ("mda", "mmp", "ommp")
-STEP_DECAYS = ("none", "inverse_sqrt")
-
-# alias -> (algorithm, regularizer, step_decay)
+# alias -> (scheme, regularizer, step_decay)
 ALIASES = {
     "mmwu": ("mda", geometry.VN_ENTROPY_ID, "none"),
     "mmwu-sd": ("mda", geometry.VN_ENTROPY_ID, "inverse_sqrt"),
@@ -74,31 +73,34 @@ class TraceRow(NamedTuple):
 class SolverConfig:
     """Full specification of a solver run.
 
-    step_size is a positive float or "auto"; auto uses mu / (2 gamma) with
-    gamma = ||U||_inf for the entropy regularizer and the exact Frobenius
-    Lipschitz constant `game.lipschitz_constant` (closed form, no sampling)
-    otherwise.  step_decay "inverse_sqrt" scales the step by 1/sqrt(t+1) at
-    iteration t.  seed is recorded with the run; no solver draws from it.
+    algorithm is a solver alias, a key of ALIASES, which fixes the update
+    rule, the regularizer and the step decay.  step_size is a positive float
+    or "auto"; auto uses mu / (2 gamma) with gamma = ||U||_inf for the entropy
+    regularizer and the exact Frobenius Lipschitz constant
+    `game.lipschitz_constant` (closed form, no sampling) otherwise.  Step
+    decay "inverse_sqrt" scales the step by 1/sqrt(t+1) at iteration t.  seed
+    is recorded with the run; no solver draws from it.
     """
 
-    algorithm: str = "ommp"
-    regularizer: str = geometry.VN_ENTROPY_ID
+    algorithm: str = "ommwu"
     step_size: float | str = "auto"
-    step_decay: str = "none"
     max_iters: int = 1000
     target_gap: float = 0.0
     gap_check_interval: int = 50
     seed: int = 0
 
+    @property
+    def regularizer(self) -> str:
+        return ALIASES[self.algorithm][1]
+
+    @property
+    def step_decay(self) -> str:
+        return ALIASES[self.algorithm][2]
+
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
+        if self.algorithm not in ALIASES:
             raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}"
-            )
-        geometry.from_id(self.regularizer)
-        if self.step_decay not in STEP_DECAYS:
-            raise ValueError(
-                f"unknown step decay {self.step_decay!r}; expected one of {STEP_DECAYS}"
+                f"unknown solver alias {self.algorithm!r}; expected one of {sorted(ALIASES)}"
             )
         if self.step_size != "auto":
             step = float(self.step_size)
@@ -113,56 +115,29 @@ class SolverConfig:
 
     @classmethod
     def from_alias(cls, alias: str, **overrides) -> "SolverConfig":
-        """Build a config from a named solver variant (e.g. "ommwu", "mmwu-sd")."""
-        try:
-            algorithm, regularizer, step_decay = ALIASES[alias]
-        except KeyError:
-            raise ValueError(
-                f"unknown solver alias {alias!r}; expected one of {sorted(ALIASES)}"
-            ) from None
-        return cls(
-            algorithm=algorithm,
-            regularizer=regularizer,
-            step_decay=step_decay,
-            **overrides,
-        )
+        """Build and validate a config for a solver alias (e.g. "ommwu", "mmwu-sd")."""
+        cfg = cls(algorithm=alias, **overrides)
+        cfg.validate()
+        return cfg
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
         """Parse the external config document {"algorithm": alias, ...}."""
         if not isinstance(data, dict):
             raise ValueError("solver config must be a JSON object")
-        allowed = {
-            "algorithm",
-            "step_size",
-            "max_iters",
-            "target_gap",
-            "gap_check_interval",
-            "seed",
-        }
-        unknown = data.keys() - allowed
+        unknown = data.keys() - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown solver config keys {sorted(unknown)}")
         if "algorithm" not in data:
             raise ValueError("solver config must name an algorithm alias")
-        overrides = {k: data[k] for k in data.keys() - {"algorithm"}}
         for key in ("max_iters", "gap_check_interval", "seed"):
-            if key in overrides and (
-                isinstance(overrides[key], bool) or not isinstance(overrides[key], int)
+            if key in data and (
+                isinstance(data[key], bool) or not isinstance(data[key], int)
             ):
                 raise ValueError(f"{key} must be an integer")
-        cfg = cls.from_alias(data["algorithm"], **overrides)
+        cfg = cls(**data)
         cfg.validate()
         return cfg
-
-
-def alias_of(cfg: SolverConfig) -> str | None:
-    """Inverse of from_alias when the combination has a name."""
-    key = (cfg.algorithm, cfg.regularizer, cfg.step_decay)
-    for alias, combo in ALIASES.items():
-        if combo == key:
-            return alias
-    return None
 
 
 def default_step_size(reg: geometry.Regularizer, gamma: float) -> float:
@@ -276,13 +251,14 @@ _STEPPERS = {"mda": MdaStepper, "mmp": MmpStepper, "ommp": OmmpStepper}
 
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
-    """Instantiate the update rule named by cfg with a resolved step size."""
-    reg = geometry.from_id(cfg.regularizer)
-    if cfg.step_decay == "inverse_sqrt":
+    """Instantiate the update rule of cfg's alias with a resolved step size."""
+    scheme, reg_id, step_decay = ALIASES[cfg.algorithm]
+    reg = geometry.from_id(reg_id)
+    if step_decay == "inverse_sqrt":
         eta_fn = lambda t: eta / math.sqrt(t + 1.0)
     else:
         eta_fn = lambda t: eta
-    return _STEPPERS[cfg.algorithm](game, reg, eta_fn, psi0)
+    return _STEPPERS[scheme](game, reg, eta_fn, psi0)
 
 
 @dataclass

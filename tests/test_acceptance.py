@@ -187,7 +187,7 @@ def test_criterion_5_average_iterate_rate_envelope():
     for i in range(20):
         game = game_mod.random_game(1, 1, seed=500 + i)
         eta = 1.0 / (2.0 * game.u_inf_norm)
-        cfg = solvers.SolverConfig(algorithm="ommp", step_size=eta, max_iters=5000)
+        cfg = solvers.SolverConfig(algorithm="ommwu", step_size=eta, max_iters=5000)
         result = solvers.run(game, cfg, checkpoints=checkpoints)
         traced = {row.t for row in result.trace}
         assert traced == set(checkpoints)
@@ -208,10 +208,10 @@ def test_criterion_5_average_iterate_rate_envelope():
 def test_criterion_6_matching_pennies_reaches_analytic_nash():
     game = game_mod.matching_pennies()
 
-    cfg_o = solvers.SolverConfig(algorithm="ommp", max_iters=5000,
+    cfg_o = solvers.SolverConfig(algorithm="ommwu", max_iters=5000,
                                  target_gap=1e-3, gap_check_interval=50)
     res_o = solvers.run(game, cfg_o)
-    cfg_sd = solvers.SolverConfig(algorithm="mda", step_decay="inverse_sqrt",
+    cfg_sd = solvers.SolverConfig(algorithm="mmwu-sd",
                                   max_iters=50000, target_gap=1e-2,
                                   gap_check_interval=50)
     res_sd = solvers.run(game, cfg_sd)
@@ -291,7 +291,7 @@ def test_criterion_7_hierarchy_matches_direct_transcriptions():
     for i, (n, m) in enumerate(dims):
         game = game_mod.random_game(n, m, seed=700 + i)
         eta = 1.0 / (2.0 * game.u_inf_norm)
-        cfg = solvers.SolverConfig(algorithm="ommp", step_size=eta, max_iters=100)
+        cfg = solvers.SolverConfig(algorithm="ommwu", step_size=eta, max_iters=100)
         psi = game_mod.uniform_state(game)
         stepper = solvers.make_stepper(game, cfg, eta, psi)
         reference = _optimistic_transcription(game, eta, 100)
@@ -305,7 +305,7 @@ def test_criterion_7_hierarchy_matches_direct_transcriptions():
 
     game = game_mod.random_game(1, 1, seed=710)
     eta = 0.3
-    cfg = solvers.SolverConfig(algorithm="mda", step_size=eta, max_iters=30)
+    cfg = solvers.SolverConfig(algorithm="mmwu", step_size=eta, max_iters=30)
     psi = game_mod.uniform_state(game)
     stepper = solvers.make_stepper(game, cfg, eta, psi)
     w_a = np.zeros_like(psi.alice)

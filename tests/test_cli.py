@@ -256,6 +256,31 @@ def test_compare_unknown_alias_is_usage_error(tmp_path, capsys):
     assert "unknown solver alias" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "algorithms, step, message",
+    [
+        ("ommwu,mmp-frobenius,ommwu", "auto", "repeated solver aliases ['ommwu']"),
+        ("ommwu,mmwu", "-1", "step_size must be positive and finite"),
+        ("ommwu,mmwu", "0", "step_size must be positive and finite"),
+        ("ommwu,mmwu", "nan", "step_size must be positive and finite"),
+    ],
+    ids=["repeated-alias", "step-minus-one", "step-zero", "step-nan"],
+)
+def test_compare_rejects_bad_solver_settings_before_any_game(
+    tmp_path, monkeypatch, capsys, algorithms, step, message
+):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a game was built")
+
+    monkeypatch.setattr(suite, "random_game", unexpected)
+    out = tmp_path / "cmp"
+    code = run_cli("compare", "-n", "1", "-m", "1", "--games", "2", "--iters", "20",
+                   "--algorithms", algorithms, "--step-size", step, "-o", str(out))
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_partial_failure_exit_code(tmp_path, monkeypatch, capsys):
     poisoned = suite.suite_game_seed(0, 1)
     real = suite.random_game

@@ -17,7 +17,6 @@ from qzsg.game import assert_density_matrix, random_density
 from qzsg.solvers import (
     ALIASES,
     SolverConfig,
-    alias_of,
     default_step_size,
     make_stepper,
     resolve_step_size,
@@ -49,12 +48,8 @@ def stepper_loop(game, cfg, eta, psi, iters):
 
 def test_config_validate_rejects_bad_fields():
     SolverConfig().validate()
-    with pytest.raises(ValueError, match="unknown algorithm"):
+    with pytest.raises(ValueError, match="unknown solver alias"):
         SolverConfig(algorithm="newton").validate()
-    with pytest.raises(ValueError, match="unknown regularizer"):
-        SolverConfig(regularizer="tsallis").validate()
-    with pytest.raises(ValueError, match="step decay"):
-        SolverConfig(step_decay="linear").validate()
     for bad in (0.0, -0.5, math.inf):
         with pytest.raises(ValueError, match="step_size"):
             SolverConfig(step_size=bad).validate()
@@ -79,19 +74,19 @@ def test_alias_table():
 def test_from_alias_and_inverse():
     for alias in ALIASES:
         cfg = SolverConfig.from_alias(alias, max_iters=5)
-        assert alias_of(cfg) == alias
+        assert cfg.algorithm == alias
+        assert (cfg.regularizer, cfg.step_decay) == ALIASES[alias][1:]
         assert cfg.max_iters == 5
     with pytest.raises(ValueError, match="unknown solver alias"):
         SolverConfig.from_alias("gradient-descent")
-    assert alias_of(SolverConfig(algorithm="ommp", regularizer="frobenius",
-                                 step_decay="inverse_sqrt")) is None
 
 
 def test_from_json_dict():
     cfg = SolverConfig.from_json_dict(
         {"algorithm": "mmwu-sd", "step_size": 0.5, "max_iters": 100, "seed": 3}
     )
-    assert (cfg.algorithm, cfg.regularizer, cfg.step_decay) == ALIASES["mmwu-sd"]
+    assert cfg.algorithm == "mmwu-sd"
+    assert (cfg.regularizer, cfg.step_decay) == ALIASES["mmwu-sd"][1:]
     assert cfg.step_size == 0.5 and cfg.max_iters == 100 and cfg.seed == 3
     with pytest.raises(ValueError, match="unknown solver config keys"):
         SolverConfig.from_json_dict({"algorithm": "ommwu", "iters": 10})
@@ -122,11 +117,11 @@ def test_resolve_step_size():
     # frobenius auto: U = Z ⊗ Z, so F_alice(b) = Z tr(Z b) and the exact
     # constant is ||Z||_F^2 = 2, giving 1 / (2 * 2); no seed is drawn from
     for seed in (0, 4, 123):
-        cfg = SolverConfig(regularizer="frobenius", step_size="auto", seed=seed)
+        cfg = SolverConfig(algorithm="omeg", step_size="auto", seed=seed)
         assert resolve_step_size(game, cfg) == pytest.approx(0.25, rel=1e-12)
     # the zero observable admits any step
     assert resolve_step_size(zero_game(), SolverConfig(step_size="auto")) == 1.0
-    frobenius_auto = SolverConfig(regularizer="frobenius", step_size="auto")
+    frobenius_auto = SolverConfig(algorithm="omeg", step_size="auto")
     assert resolve_step_size(zero_game(), frobenius_auto) == 1.0
 
 
@@ -225,7 +220,7 @@ def test_step_size_recorded_in_result():
 def test_mda_equals_logit_of_accumulated_feedback():
     # the dual-averaging iterate is exactly the closed form Lambda(eta W)
     game = random_game(1, 1, seed=9)
-    cfg = SolverConfig(algorithm="mda", step_size=0.3)
+    cfg = SolverConfig(algorithm="mmwu", step_size=0.3)
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, 0.3, psi)
     w_a = np.zeros_like(psi.alice)
@@ -242,14 +237,14 @@ def test_mmwu_single_step_from_uniform():
     game = random_game(1, 1, seed=10)
     psi0 = uniform_state(game)
     grad = payoff_gradient(game, psi0)
-    res = run(game, SolverConfig(algorithm="mda", step_size=0.4, max_iters=1))
+    res = run(game, SolverConfig(algorithm="mmwu", step_size=0.4, max_iters=1))
     assert np.array_equal(res.last.alice, geometry.logit_map(0.4 * grad.alice))
     assert np.array_equal(res.last.bob, geometry.logit_map(0.4 * grad.bob))
 
 
 def test_mmwu_sd_decays_step_as_inverse_sqrt():
     game = random_game(1, 1, seed=11)
-    cfg = SolverConfig(algorithm="mda", step_decay="inverse_sqrt", step_size=0.4)
+    cfg = SolverConfig(algorithm="mmwu-sd", step_size=0.4)
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, 0.4, psi)
     w_a = np.zeros_like(psi.alice)
@@ -263,7 +258,7 @@ def test_mmwu_sd_decays_step_as_inverse_sqrt():
 def test_mda_average_gap_decreases_from_skewed_start():
     # matching pennies from a non-Nash start, constant step 0.1, T = 10000
     game = matching_pennies()
-    cfg = SolverConfig(algorithm="mda", step_size=0.1)
+    cfg = SolverConfig(algorithm="mmwu", step_size=0.1)
     avg = stepper_loop(game, cfg, 0.1, skewed_start(), 10000)
     assert duality_gap(game, avg) < 0.05
 
@@ -274,7 +269,7 @@ def test_mda_average_gap_decreases_from_skewed_start():
 def test_mmp_average_gap_bound_on_pennies():
     res = run(
         matching_pennies(),
-        SolverConfig(algorithm="mmp", step_size=0.25, max_iters=2000),
+        SolverConfig(algorithm="mmp-entropy", step_size=0.25, max_iters=2000),
     )
     assert res.trace[-1].gap_avg < 0.02
 
@@ -283,7 +278,7 @@ def test_ommwu_rate_bound_on_pennies():
     # gap(avg) <= 2 (ln 2 + ln 2) / (eta T)
     res = run(
         matching_pennies(),
-        SolverConfig(algorithm="ommp", step_size=0.25, max_iters=5000),
+        SolverConfig(algorithm="ommwu", step_size=0.25, max_iters=5000),
     )
     assert res.trace[-1].gap_avg <= 2.0 * (2.0 * math.log(2.0)) / (0.25 * 5000)
 
@@ -422,7 +417,7 @@ def test_mmwu_matches_logit_closed_form():
 
 def test_ommp_momentum_is_materialized_dual_state():
     game = random_game(1, 1, seed=13)
-    cfg = SolverConfig(algorithm="ommp")
+    cfg = SolverConfig(algorithm="ommwu")
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, 0.3, psi)
     for t in range(5):
@@ -435,7 +430,7 @@ def test_ommp_momentum_is_materialized_dual_state():
 
 def test_ommp_frobenius_keeps_primal_momentum():
     game = random_game(1, 1, seed=13)
-    cfg = SolverConfig(algorithm="ommp", regularizer="frobenius")
+    cfg = SolverConfig(algorithm="omeg")
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, 0.3, psi)
     psi, calls = stepper.step(0, psi)
@@ -492,7 +487,7 @@ def test_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", flaky)
     with pytest.raises(linalg.NumericalError, match="iteration"):
-        run(game, SolverConfig(algorithm="mda", step_size=0.5, max_iters=10))
+        run(game, SolverConfig(algorithm="mmwu", step_size=0.5, max_iters=10))
 
 
 @pytest.mark.parametrize("alias", sorted(ALIASES))

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import t as student_t
 
 from qzsg import rng, suite
+from qzsg.solvers import SolverConfig
 from qzsg.suite import (
     GAP_LOG_FLOOR,
     PAPER_EXP2_SCHEDULE,
@@ -63,6 +64,29 @@ def test_spec_validation():
         small_spec(outcomes=1).validate()
     with pytest.raises(ValueError, match="check_interval"):
         small_spec(check_interval=0).validate()
+    with pytest.raises(ValueError, match=r"repeated solver aliases \['ommwu'\]"):
+        small_spec(algorithms=("ommwu", "mmp-frobenius", "ommwu")).validate()
+    for step in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step_size must be positive and finite"):
+            small_spec(step_size=step).validate()
+
+
+def test_spec_solver_config_carries_the_spec_settings():
+    spec = small_spec(algorithms=("mmwu-sd", "omeg"), step_size=0.2, target_gap=1e-3)
+    assert spec.solver_config("omeg") == SolverConfig.from_alias(
+        "omeg", step_size=0.2, max_iters=60, target_gap=1e-3, gap_check_interval=30
+    )
+
+
+def test_run_suite_rejects_a_bad_spec_before_building_a_game(monkeypatch):
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a game was built")
+
+    monkeypatch.setattr(suite, "random_game", unexpected)
+    with pytest.raises(ValueError, match="repeated solver aliases"):
+        run_suite(small_spec(algorithms=("ommwu", "ommwu")), max_workers=1)
+    with pytest.raises(ValueError, match="step_size"):
+        run_suite(small_spec(step_size=-1.0), max_workers=1)
 
 
 def test_suite_game_seed_is_derived():
