@@ -13,7 +13,6 @@ from .game import (
     JointState,
     QuantumGame,
     builtin_game,
-    build_payoff_observable,
     duality_gap,
     expected_utility,
     game_from_json_dict,
@@ -73,7 +72,6 @@ __all__ = [
     "TraceRow",
     "VN_ENTROPY",
     "builtin_game",
-    "build_payoff_observable",
     "duality_gap",
     "expected_utility",
     "ExperimentSpec",

@@ -100,13 +100,18 @@ def _load_game(ref: str) -> game_mod.QuantumGame:
 
 
 def _cmd_generate(args) -> int:
-    gen_args = (args.alice_qubits, args.bob_qubits, args.outcomes, args.seed)
-    game = game_mod.random_game(*gen_args)
+    n, m = args.alice_qubits, args.bob_qubits
+    min_eigs = []
+
+    def recorded(outcomes):
+        # the game keeps no element: note each one's smallest eigenvalue as it streams
+        for u, p in outcomes:
+            min_eigs.append(float(np.linalg.eigvalsh(p)[0]))
+            yield u, p
+
+    stream = game_mod.random_outcomes(n, m, args.outcomes, args.seed)
+    game = game_mod.QuantumGame.from_outcomes(n, m, recorded(stream), args.seed)
     game_mod.save_game(game, args.output)
-    # the game keeps no element, so the summary replays the element stream
-    min_eigs = [
-        float(np.linalg.eigvalsh(p)[0]) for _, p in game_mod.random_outcomes(*gen_args)
-    ]
     summary = {
         "path": args.output,
         "n": game.n,
@@ -250,12 +255,7 @@ def _cmd_compare(args) -> int:
         if run_rec["status"] != "ok":
             continue
         name = f"game{run_rec['game_index']:04d}_{run_rec['algorithm']}.csv"
-        rows = [
-            solvers.TraceRow(
-                cp["t"], cp["gap_avg"], cp["gap_last"], cp["wall_time_ns"]
-            )
-            for cp in run_rec["checkpoints"]
-        ]
+        rows = [solvers.TraceRow(**cp) for cp in run_rec["checkpoints"]]
         _write_trace_csv(os.path.join(runs_dir, name), rows)
     failures = report["failures"]
     if args.format == "json":

@@ -60,34 +60,6 @@ def assert_density_matrix(x, what: str = "state") -> np.ndarray:
     return x
 
 
-def build_payoff_observable(povm, utilities) -> np.ndarray:
-    """U = sum_w u(w) P_w, validated Hermitian with |u(w)| <= 1."""
-    povm = [linalg.as_matrix(p) for p in povm]
-    utilities = [float(u) for u in utilities]
-    if len(povm) != len(utilities):
-        raise ValueError(
-            f"{len(povm)} POVM elements but {len(utilities)} utilities"
-        )
-    if not povm:
-        raise ValueError("POVM must be non-empty")
-    for u in utilities:
-        if not np.isfinite(u) or abs(u) > 1.0:
-            raise ValueError(f"utility {u!r} outside [-1, 1]")
-    dim = povm[0].shape[0]
-    u_obs = np.zeros((dim, dim), dtype=complex)
-    for u, p in zip(utilities, povm):
-        if p.shape[0] != dim:
-            raise ValueError("POVM elements have inconsistent dimensions")
-        u_obs += u * p
-    return linalg.hermitianize(u_obs)
-
-
-def _check_sums_to_identity(total: np.ndarray) -> None:
-    defect = float(np.max(np.abs(total - np.eye(total.shape[0]))))
-    if defect > POVM_SUM_TOL:
-        raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
-
-
 @dataclass(frozen=True, eq=False)
 class QuantumGame:
     """An (n, m)-qubit zero-sum game, stored as its payoff observable U.
@@ -140,25 +112,55 @@ class QuantumGame:
         )
 
     @classmethod
-    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
-        """Validate every element of a POVM game and keep its payoff observable."""
+    def from_outcomes(cls, n, m, outcomes, seed=None) -> "QuantumGame":
+        """Sum (utility, POVM element) pairs, in order, into U = sum_w u(w) P_w.
+
+        The one loop that builds a game.  It checks each utility's range and
+        each element's size, then that the elements are not empty and sum to
+        the identity; it keeps no element.  Whether each element is Hermitian
+        and positive is the caller's to check or to trust.
+        """
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
-        povm = [linalg.assert_hermitian(p, "POVM element") for p in povm]
-        u_obs = build_payoff_observable(povm, utilities)
-        if u_obs.shape[0] != dim:
-            raise ValueError(
-                f"POVM dimension {povm[0].shape[0]} does not match {n}+{m} qubits"
-            )
+        u_obs = np.zeros((dim, dim), dtype=complex)
         total = np.zeros((dim, dim), dtype=complex)
-        for p in povm:
-            w_min = float(np.linalg.eigvalsh(linalg.hermitianize(p))[0])
-            if w_min < -DENSITY_EIG_TOL:
-                raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
+        count = 0
+        for u, p in outcomes:
+            if not abs(u) <= 1.0:
+                raise ValueError(f"utility {u!r} outside [-1, 1]")
+            if p.shape != (dim, dim):
+                raise ValueError(
+                    f"POVM element of dimension {p.shape[0]} does not match {n}+{m} qubits"
+                )
+            u_obs += u * p
             total += p
-        _check_sums_to_identity(total)
-        return cls.from_observable(n, m, u_obs, len(povm), seed)
+            count += 1
+        if not count:
+            raise ValueError("POVM must be non-empty")
+        defect = float(np.max(np.abs(total - np.eye(dim))))
+        if defect > POVM_SUM_TOL:
+            raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
+        return cls.from_observable(n, m, linalg.hermitianize(u_obs), count, seed)
+
+    @classmethod
+    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
+        """Validate every element of a POVM game and keep its payoff observable."""
+        povm, utilities = list(povm), list(utilities)
+        if len(povm) != len(utilities):
+            raise ValueError(
+                f"{len(povm)} POVM elements but {len(utilities)} utilities"
+            )
+
+        def checked():
+            for u, p in zip(utilities, povm):
+                p = linalg.assert_hermitian(p, "POVM element")
+                w_min = float(np.linalg.eigvalsh(linalg.hermitianize(p))[0])
+                if w_min < -DENSITY_EIG_TOL:
+                    raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
+                yield float(u), p
+
+        return cls.from_outcomes(n, m, checked(), seed)
 
 
 def uniform_state(game: QuantumGame) -> JointState:
@@ -284,21 +286,9 @@ def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> Q
 
     U is accumulated from the streamed outcomes; no element is stored.  The
     elements are positive definite by construction, so unlike `from_povm`
-    this checks only the utility range, the sum to the identity and U.
+    this checks only what `QuantumGame.from_outcomes` checks.
     """
-    stream = random_outcomes(n, m, outcomes, seed)
-    dim = 2 ** (n + m)
-    u_obs = np.zeros((dim, dim), dtype=complex)
-    total = np.zeros((dim, dim), dtype=complex)
-    count = 0
-    for u, p in stream:
-        if not abs(u) <= 1.0:
-            raise ValueError(f"utility {u!r} outside [-1, 1]")
-        u_obs += u * p
-        total += p
-        count += 1
-    _check_sums_to_identity(total)
-    return QuantumGame.from_observable(n, m, linalg.hermitianize(u_obs), count, seed)
+    return QuantumGame.from_outcomes(n, m, random_outcomes(n, m, outcomes, seed), seed)
 
 
 def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:
@@ -460,11 +450,10 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     missing = _DOCUMENT_KEYS[version] - data.keys()
     if missing:
         raise ValueError(f"game document missing keys {sorted(missing)}")
-    n, m = data["n"], data["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    n, m, seed = data["n"], data["m"], data["seed"]
+    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (n, m)):
         raise ValueError("qubit counts must be integers")
-    seed = data["seed"]
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValueError("seed must be an integer or null")
     if version == 1:
         povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]

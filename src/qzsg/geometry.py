@@ -73,20 +73,11 @@ class Regularizer:
     """A distance-generating function together with its induced maps.
 
     `strong_convexity_modulus` is 1 for both supported kinds, each w.r.t. its
-    own norm (`norm_id`).
+    own norm: the trace norm for the entropy, the Frobenius norm otherwise.
     """
 
     kind: str
-    norm_id: str
     strong_convexity_modulus: float = 1.0
-
-    def diameter_bound(self, dim: int) -> float:
-        """Upper bound on the Bregman divergence from the uniform state."""
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
-        if self.kind == VN_ENTROPY_ID:
-            return math.log(dim)
-        return 2.0
 
     def dgf_value(self, x) -> float:
         """Value of the distance-generating function at a density matrix."""
@@ -197,8 +188,8 @@ class Regularizer:
         return self.trusted_mirror_map(state + eta * g)
 
 
-VN_ENTROPY = Regularizer(VN_ENTROPY_ID, "schatten1")
-FROBENIUS = Regularizer(FROBENIUS_ID, "frobenius")
+VN_ENTROPY = Regularizer(VN_ENTROPY_ID)
+FROBENIUS = Regularizer(FROBENIUS_ID)
 
 _BY_ID = {VN_ENTROPY_ID: VN_ENTROPY, FROBENIUS_ID: FROBENIUS}
 

@@ -179,11 +179,6 @@ def herm_log(h, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
     return hermitianize((v * np.log(clamped)) @ v.conj().T)
 
 
-def frobenius_norm(m) -> float:
-    """Frobenius norm, valid for any matrix."""
-    return float(np.linalg.norm(as_matrix(m)))
-
-
 def schatten1_norm(h) -> float:
     """Trace norm (sum of |eigenvalues|) of a Hermitian matrix."""
     return float(np.sum(np.abs(hermitian_eig(h).eigenvalues)))
@@ -193,17 +188,6 @@ def spectral_norm(h) -> float:
     """Operator norm (max |eigenvalue|) of a Hermitian matrix."""
     w = hermitian_eig(h).eigenvalues
     return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
-
-def norms(m) -> dict[str, float]:
-    """Frobenius, Schatten-1, and spectral norms of a Hermitian matrix."""
-    m = assert_hermitian(m)
-    w = hermitian_eig(m).eigenvalues
-    return {
-        "frobenius": float(np.linalg.norm(m)),
-        "schatten1": float(np.sum(np.abs(w))),
-        "spectral": float(max(abs(w[0]), abs(w[-1]))),
-    }
 
 
 def trace_inner(a, b) -> complex:

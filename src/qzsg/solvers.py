@@ -31,6 +31,7 @@ convergence certificate.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -102,15 +103,22 @@ class SolverConfig:
             raise ValueError(
                 f"unknown solver alias {self.algorithm!r}; expected one of {sorted(ALIASES)}"
             )
+        for key in ("max_iters", "gap_check_interval", "seed"):
+            if not _is_number(getattr(self, key), numbers.Integral):
+                raise ValueError(f"{key} must be an integer")
+        if not _is_number(self.target_gap, numbers.Real):
+            raise ValueError("target_gap must be a number")
         if self.step_size != "auto":
+            if not _is_number(self.step_size, numbers.Real):
+                raise ValueError("step_size must be a number or 'auto'")
             step = float(self.step_size)
             if not (step > 0.0 and math.isfinite(step)):
                 raise ValueError(f"step_size must be positive and finite, got {step!r}")
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (float(self.target_gap) >= 0.0):
+        if not (self.target_gap >= 0.0):
             raise ValueError("target_gap must be >= 0")
-        if int(self.gap_check_interval) < 1:
+        if self.gap_check_interval < 1:
             raise ValueError("gap_check_interval must be >= 1")
 
     @classmethod
@@ -130,14 +138,14 @@ class SolverConfig:
             raise ValueError(f"unknown solver config keys {sorted(unknown)}")
         if "algorithm" not in data:
             raise ValueError("solver config must name an algorithm alias")
-        for key in ("max_iters", "gap_check_interval", "seed"):
-            if key in data and (
-                isinstance(data[key], bool) or not isinstance(data[key], int)
-            ):
-                raise ValueError(f"{key} must be an integer")
         cfg = cls(**data)
         cfg.validate()
         return cfg
+
+
+def _is_number(value, kind) -> bool:
+    """Whether `value` is an instance of the numbers ABC `kind`; a bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def default_step_size(reg: geometry.Regularizer, gamma: float) -> float:

@@ -111,15 +111,7 @@ def execute_run(spec: ExperimentSpec, game_index: int, alias: str, game) -> dict
         "gradient_calls": result.gradient_calls,
         "final_gap_avg": result.trace[-1].gap_avg,
         "final_gap_last": result.trace[-1].gap_last,
-        "checkpoints": [
-            {
-                "t": row.t,
-                "gap_avg": row.gap_avg,
-                "gap_last": row.gap_last,
-                "wall_time_ns": row.wall_time_ns,
-            }
-            for row in result.trace
-        ],
+        "checkpoints": [row._asdict() for row in result.trace],
     }
 
 
@@ -184,11 +176,11 @@ def aggregate(spec: ExperimentSpec, runs: list) -> list:
         ok = [r for r in runs if r["algorithm"] == alias and r["status"] == "ok"]
         if not ok:
             continue
-        grid = sorted({cp["t"] for r in ok for cp in r["checkpoints"]})
-        for t in grid:
-            cells = [
-                cp for r in ok for cp in r["checkpoints"] if cp["t"] == t
-            ]
+        by_t = {}
+        for r in ok:
+            for cp in r["checkpoints"]:
+                by_t.setdefault(cp["t"], []).append(cp)
+        for t, cells in sorted(by_t.items()):
             out.append(
                 {
                     "algorithm": alias,

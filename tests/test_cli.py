@@ -1,11 +1,12 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from qzsg import cli, properties, solvers, suite
 from qzsg.cli import TRACE_HEADER, main
-from qzsg.game import load_game
+from qzsg.game import load_game, random_game, random_outcomes
 from qzsg.linalg import NumericalError
 
 
@@ -61,6 +62,24 @@ def test_generate_json_format(tmp_path, capsys):
     assert summary["outcomes"] == 5
     assert summary["povm_full_rank"] is True
     assert summary["u_inf_norm"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "n, m, outcomes", [(1, 2, 5), (2, 1, None)], ids=["1+2-outcomes-5", "2+1"]
+)
+def test_generate_matches_the_library(tmp_path, capsys, n, m, outcomes):
+    # generate builds U and its summary in one pass over the element stream
+    out = tmp_path / "g.json"
+    extra = [] if outcomes is None else ["--outcomes", str(outcomes)]
+    assert run_cli("generate", "-n", str(n), "-m", str(m), "--seed", "6", *extra,
+                   "--format", "json", "-o", str(out)) == 0
+    summary = json.loads(capsys.readouterr().out)
+    ref = random_game(n, m, outcomes, seed=6)
+    assert np.array_equal(load_game(out).payoff_observable, ref.payoff_observable)
+    assert summary["outcomes"] == ref.outcomes
+    assert summary["povm_min_eigenvalue"] == min(
+        float(np.linalg.eigvalsh(p)[0]) for _, p in random_outcomes(n, m, outcomes, 6)
+    )
 
 
 def test_generate_rejects_bad_outcomes(tmp_path, capsys):
@@ -164,6 +183,19 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--game", "builtin:zero", "--step-size", "fast")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("step_size", True), ("target_gap", True), ("target_gap", "1e-3")],
+    ids=["step-size-true", "target-gap-true", "target-gap-string"],
+)
+def test_solve_rejects_mistyped_config_values(tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algorithm": "ommwu", key: value}), encoding="utf-8")
+    assert run_cli("solve", "--game", "builtin:matching-pennies", "--config", str(cfg),
+                   "--iters", "10", "--format", "json") == 2
+    assert key in capsys.readouterr().err
 
 
 def test_solve_numerical_failure_exit_code(monkeypatch, capsys):

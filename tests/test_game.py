@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -12,7 +13,6 @@ from qzsg.game import (
     JointState,
     QuantumGame,
     assert_density_matrix,
-    build_payoff_observable,
     builtin_game,
     duality_gap,
     expected_utility,
@@ -78,20 +78,20 @@ def test_assert_density_matrix():
 def test_build_payoff_observable_zero_utilities():
     povm = [np.diag(row).astype(complex) for row in np.eye(4)]
     assert np.array_equal(
-        build_payoff_observable(povm, [0.0] * 4), np.zeros((4, 4))
+        QuantumGame.from_povm(1, 1, povm, [0.0] * 4).payoff_observable, np.zeros((4, 4))
     )
 
 
 def test_build_payoff_observable_validates():
     povm = [np.diag(row).astype(complex) for row in np.eye(4)]
     with pytest.raises(ValueError, match="POVM elements but"):
-        build_payoff_observable(povm, [1.0])
+        QuantumGame.from_povm(1, 1, povm, [1.0])
     with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-        build_payoff_observable(povm, [2.0, 0.0, 0.0, 0.0])
+        QuantumGame.from_povm(1, 1, povm, [2.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="non-empty"):
-        build_payoff_observable([], [])
-    with pytest.raises(ValueError, match="inconsistent"):
-        build_payoff_observable([np.eye(4), np.eye(2)], [0.5, 0.5])
+        QuantumGame.from_povm(1, 1, [], [])
+    with pytest.raises(ValueError, match="does not match"):
+        QuantumGame.from_povm(1, 1, [np.eye(4), np.eye(2)], [0.5, 0.5])
 
 
 def test_payoff_observable_norm_bounded_by_max_utility():
@@ -100,6 +100,23 @@ def test_payoff_observable_norm_bounded_by_max_utility():
         game = random_game(1, 1, seed=seed)
         utilities = [u for u, _ in random_outcomes(1, 1, seed=seed)]
         assert game.u_inf_norm <= max(abs(u) for u in utilities) + 1e-12
+
+
+def test_from_outcomes_is_the_one_sum():
+    # random_game is from_outcomes over random_outcomes; any iterable will do
+    game = QuantumGame.from_outcomes(1, 2, list(random_outcomes(1, 2, 5, seed=3)), seed=3)
+    ref = random_game(1, 2, 5, seed=3)
+    assert np.array_equal(game.payoff_observable, ref.payoff_observable)
+    assert (game.outcomes, game.seed) == (5, 3)
+    basis = [np.diag(row).astype(complex) for row in np.eye(4)]
+    with pytest.raises(ValueError, match="non-empty"):
+        QuantumGame.from_outcomes(1, 1, iter(()))
+    with pytest.raises(ValueError, match="sum to identity"):
+        QuantumGame.from_outcomes(1, 1, [(0.5, p) for p in basis[:3]])
+    with pytest.raises(ValueError, match="does not match"):
+        QuantumGame.from_outcomes(1, 1, [(0.5, np.eye(8))])
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        QuantumGame.from_outcomes(1, 1, [(float("nan"), p) for p in basis])
 
 
 def test_from_povm_validates():
@@ -506,6 +523,16 @@ def test_game_from_json_dict_validates():
         game_from_json_dict({**doc, "seed": "zero"})
     with pytest.raises(ValueError, match="JSON object"):
         game_from_json_dict([1, 2, 3])
+
+
+def test_game_documents_reject_booleans():
+    # JSON true and false are ints in Python; they must not load as 1 and 0
+    docs = (game_to_json_dict(matching_pennies()), v1_document(1, 1, 4))
+    for doc, (key, value) in itertools.product(
+        docs, [("n", True), ("m", True), ("seed", True), ("seed", False)]
+    ):
+        with pytest.raises(ValueError, match="qubit counts|seed"):
+            game_from_json_dict({**doc, key: value})
 
 
 def test_save_and_load_game(tmp_path):

@@ -135,14 +135,6 @@ def test_orth_project_idempotent_and_nonexpansive():
 # ---------------------------------------------------------------- regularizers
 
 
-def test_diameter_bounds():
-    assert VN_ENTROPY.diameter_bound(2) == pytest.approx(math.log(2))
-    assert VN_ENTROPY.diameter_bound(8) == pytest.approx(math.log(8))
-    assert FROBENIUS.diameter_bound(4) == 2.0
-    with pytest.raises(ValueError):
-        VN_ENTROPY.diameter_bound(0)
-
-
 def test_dgf_values():
     for d in (2, 4):
         assert VN_ENTROPY.dgf_value(np.eye(d) / d) == pytest.approx(-math.log(d))
@@ -356,6 +348,4 @@ def test_from_id():
 def test_registry_metadata():
     assert VN_ENTROPY.strong_convexity_modulus == 1.0
     assert FROBENIUS.strong_convexity_modulus == 1.0
-    assert VN_ENTROPY.norm_id == "schatten1"
-    assert FROBENIUS.norm_id == "frobenius"
     assert isinstance(VN_ENTROPY, Regularizer)

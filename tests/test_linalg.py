@@ -5,14 +5,12 @@ from qzsg import linalg
 from qzsg.linalg import (
     NumericalError,
     assert_hermitian,
-    frobenius_norm,
     herm_log,
     hermitian_eig,
     hermitianize,
     log_clamp_counter,
     matrix_from_jsonable,
     matrix_to_jsonable,
-    norms,
     partial_trace,
     pauli_decompose,
     pauli_matrix,
@@ -153,19 +151,10 @@ def test_partial_trace_validates():
         partial_trace(np.eye(8), 2, 4, "C")
 
 
-def test_norms_of_identity():
-    for d in (2, 4, 8):
-        n = norms(np.eye(d))
-        assert n["frobenius"] == pytest.approx(np.sqrt(d))
-        assert n["schatten1"] == pytest.approx(float(d))
-        assert n["spectral"] == 1.0
-
-
 def test_norm_helpers_agree_with_numpy():
     rng = np.random.default_rng(4)
     h = random_hermitian(5, rng)
     w = np.linalg.eigvalsh(h)
-    assert frobenius_norm(h) == pytest.approx(np.linalg.norm(h))
     assert schatten1_norm(h) == pytest.approx(np.sum(np.abs(w)))
     assert spectral_norm(h) == pytest.approx(np.max(np.abs(w)))
 
