@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -469,6 +470,62 @@ def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
     with pytest.raises(ValueError, match="full-rank"):
         make_stepper(game, SolverConfig.from_alias("ommwu"), 0.3, pure)
     make_stepper(game, SolverConfig.from_alias("omeg"), 0.3, pure)
+
+
+# ---------------------------------------------------------------- pins
+# sha256 prefixes of each run's trace floats, average and last states and
+# gradient count.  The engine may change how it steps; these bits may not.
+
+PINNED_TRAJECTORIES = {
+    ("2+2", "mda-frobenius"): "3690fd0bd8239de0",
+    ("2+2", "mmp-entropy"): "318dafe67a584419",
+    ("2+2", "mmp-frobenius"): "4f52b818a6a98b7d",
+    ("2+2", "mmwu"): "7ea676e96cb64388",
+    ("2+2", "mmwu-sd"): "68edea5e69a4f333",
+    ("2+2", "omeg"): "eb730f0c810c02cd",
+    ("2+2", "ommwu"): "4ac5032b963adeec",
+    ("1+2", "mda-frobenius"): "5c329c16dd0038ea",
+    ("1+2", "mmp-entropy"): "8ff4c96dde09431b",
+    ("1+2", "mmp-frobenius"): "7ed2c6b0cfb99293",
+    ("1+2", "mmwu"): "343283a77f7331e6",
+    ("1+2", "mmwu-sd"): "525f599bcfb65d12",
+    ("1+2", "omeg"): "a93894ffd3ef96bc",
+    ("1+2", "ommwu"): "4d6c99b9e7c7e38c",
+    ("pennies", "mda-frobenius"): "83c8b74ea3ad32cb",
+    ("pennies", "mmp-entropy"): "1b13c7ffa8934c12",
+    ("pennies", "mmp-frobenius"): "1b13c7ffa8934c12",
+    ("pennies", "mmwu"): "83c8b74ea3ad32cb",
+    ("pennies", "mmwu-sd"): "83c8b74ea3ad32cb",
+    ("pennies", "omeg"): "a32410138a384b91",
+    ("pennies", "ommwu"): "a32410138a384b91",
+}
+
+
+def trajectory_digest(game, alias):
+    res = run(game, SolverConfig.from_alias(alias, max_iters=300, gap_check_interval=10))
+    h = hashlib.sha256()
+    h.update(np.array([(r.t, r.gap_avg, r.gap_last) for r in res.trace]).tobytes())
+    for state in (res.average, res.last):
+        h.update(state.alice.tobytes())
+        h.update(state.bob.tobytes())
+    h.update(str(res.gradient_calls).encode())
+    return h.hexdigest()[:16]
+
+
+def test_trajectories_are_pinned():
+    # 2+2 steps both players as one stack, 1+2 as two stacks of one, and
+    # matching pennies starts at exact eigenvalue ties
+    games = {
+        "2+2": random_game(2, 2, seed=31),
+        "1+2": random_game(1, 2, seed=32),
+        "pennies": matching_pennies(),
+    }
+    got = {
+        (name, alias): trajectory_digest(game, alias)
+        for name, game in games.items()
+        for alias in sorted(ALIASES)
+    }
+    assert got == PINNED_TRAJECTORIES
 
 
 # ---------------------------------------------------------------- failures
