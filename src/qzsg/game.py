@@ -158,7 +158,7 @@ class QuantumGame:
                 w_min = float(np.linalg.eigvalsh(linalg.hermitianize(p))[0])
                 if w_min < -DENSITY_EIG_TOL:
                     raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
-                yield float(u), p
+                yield linalg.real_number(u, "utility"), p
 
         return cls.from_outcomes(n, m, checked(), seed)
 
@@ -186,43 +186,80 @@ def expected_utility(game: QuantumGame, state: JointState) -> float:
     return float(val.real)
 
 
+def profile_stacks(game: QuantumGame) -> tuple[np.ndarray, ...]:
+    """Uninitialized stacks of one matrix per player: one (2, d, d) stack when
+    d_A = d_B, so each kernel takes both players in one call, else two of one."""
+    da, db = game.dim_alice, game.dim_bob
+    shapes = [(2, da, da)] if da == db else [(1, da, da), (1, db, db)]
+    return tuple(np.empty(shape, dtype=complex) for shape in shapes)
+
+
+def players(stacks) -> JointState:
+    """The per-player matrices of `profile_stacks`-shaped stacks, as views."""
+    return JointState(stacks[0][0], stacks[-1][-1])
+
+
+def _player_matrix(m, dim: int, who: str) -> np.ndarray:
+    m = linalg.as_matrix(m)
+    if m.shape[0] != dim:
+        raise ValueError(f"{who} state dimension {m.shape[0]} does not match the game")
+    return m
+
+
 def payoff_gradient_alice(game: QuantumGame, bob) -> np.ndarray:
     """Gradient of Alice's payoff in Alice's strategy: tr_B[U† (I ⊗ b)]."""
-    bob = linalg.as_matrix(bob)
-    if bob.shape[0] != game.dim_bob:
-        raise ValueError(f"Bob state dimension {bob.shape[0]} does not match the game")
+    bob = _player_matrix(bob, game.dim_bob, "Bob")
     g = np.einsum("abcd,db->ac", game._udag_blocks, bob)
     return linalg.hermitianize(g)
 
 
 def payoff_gradient_bob(game: QuantumGame, alice) -> np.ndarray:
     """Gradient of Bob's payoff in Bob's strategy: -tr_A[U† (a ⊗ I)]."""
-    alice = linalg.as_matrix(alice)
-    if alice.shape[0] != game.dim_alice:
-        raise ValueError(
-            f"Alice state dimension {alice.shape[0]} does not match the game"
-        )
+    alice = _player_matrix(alice, game.dim_alice, "Alice")
     g = np.einsum("abcd,ca->bd", game._udag_blocks, alice)
     return linalg.hermitianize(-g)
 
 
+def _gradient_stacks(game: QuantumGame, state: JointState) -> tuple[np.ndarray, ...]:
+    """F(a, b) in `profile_stacks`: each player's einsum is written straight
+    into its stack, then each stack is hermitianized once.  Each matrix
+    equals `payoff_gradient_alice`/`_bob` bit for bit."""
+    alice = _player_matrix(state.alice, game.dim_alice, "Alice")
+    bob = _player_matrix(state.bob, game.dim_bob, "Bob")
+    stacks = profile_stacks(game)
+    out = players(stacks)
+    np.einsum("abcd,db->ac", game._udag_blocks, bob, out=out.alice)
+    np.negative(np.einsum("abcd,ca->bd", game._udag_blocks, alice, out=out.bob), out=out.bob)
+    return tuple(map(linalg.hermitianize, stacks))
+
+
 def payoff_gradient(game: QuantumGame, state: JointState) -> GradientPair:
-    """Joint feedback operator F(a, b) = (F_alice(b), F_bob(a))."""
-    return GradientPair(
-        payoff_gradient_alice(game, state.bob),
-        payoff_gradient_bob(game, state.alice),
-    )
+    """Joint feedback operator F(a, b) = (F_alice(b), F_bob(a)), as views
+    into `profile_stacks` (see `stacked`)."""
+    return GradientPair(*players(_gradient_stacks(game, state)))
+
+
+def stacked(game: QuantumGame, pair) -> tuple[np.ndarray, ...]:
+    """A copy of a per-player pair in `profile_stacks`, for the stack kernels."""
+    stacks = profile_stacks(game)
+    out = players(stacks)
+    out.alice[...] = pair.alice
+    out.bob[...] = pair.bob
+    return stacks
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
     """max_a u(a, b') - min_b u(a', b); zero exactly at Nash equilibria.
 
     Both extremes of a linear payoff over density matrices are attained at
-    eigenvectors, so the gap reduces to two extreme eigenvalues.
+    eigenvectors, so the gap reduces to two extreme eigenvalues, of
+    F_alice(b') and of -F_bob(a'), taken by one `eigvalsh` per stack.
     """
-    best_alice = np.linalg.eigvalsh(payoff_gradient_alice(game, state.bob))[-1]
-    worst_bob = np.linalg.eigvalsh(-payoff_gradient_bob(game, state.alice))[0]
-    return float(best_alice - worst_bob)
+    stacks = _gradient_stacks(game, state)
+    bob = players(stacks).bob
+    np.negative(bob, out=bob)
+    w = players([np.linalg.eigvalsh(s) for s in stacks])
+    return float(w.alice[-1] - w.bob[0])
 
 
 def random_density(dim: int, generator: np.random.Generator) -> np.ndarray:

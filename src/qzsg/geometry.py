@@ -27,31 +27,42 @@ def simplex_project(v) -> np.ndarray:
         raise ValueError("input must be a non-empty real vector")
     if not np.all(np.isfinite(v)):
         raise ValueError("input contains non-finite entries")
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    counts = np.arange(1, v.size + 1)
-    support = np.nonzero(u - (css - 1.0) / counts > 0.0)[0]
-    if support.size == 0:
+    return np.maximum(v - _simplex_threshold(np.sort(v)[::-1]), 0.0)
+
+
+def _simplex_threshold(u: np.ndarray) -> np.ndarray:
+    """Threshold theta of the projection of each row of u, shaped to broadcast.
+
+    Trusted kernel: each row must be finite and sorted descending, as
+    `linalg.trusted_hermitian_eig` leaves a spectrum, so it is neither
+    re-sorted nor re-checked.  Raises NumericalError when any row loses its
+    support to rounding.
+    """
+    rows = u.reshape(-1, u.shape[-1])
+    k, d = rows.shape
+    thresholds = (rows.cumsum(1) - 1.0) / np.arange(1.0, d + 1.0)
+    support = rows > thresholds  # the last index in it is rho
+    kept = support.any(1)
+    if not kept.all():
         # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
         raise linalg.NumericalError(
-            f"simplex projection lost its support to rounding (max entry {u[0]:.3e})"
+            f"simplex projection lost its support to rounding (max entry {rows[~kept, 0][0]:.3e})"
         )
-    rho = int(support[-1])
-    theta = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - theta, 0.0)
+    rho = d - 1 - support[:, ::-1].argmax(1)
+    return thresholds[np.arange(k), rho].reshape(u.shape[:-1] + (1,))
 
 
-def _logit_of(spec: linalg.Spectrum) -> np.ndarray:
-    e = np.exp(spec.eigenvalues - spec.eigenvalues[0])
-    v = spec.eigenvectors
-    rho = (v * e) @ v.conj().T
-    return linalg.hermitianize(rho / e.sum())
+def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
+    w, v = spec
+    e = np.exp(w - w[..., :1])
+    rho = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return linalg.hermitianize(rho / e.sum(axis=-1)[..., None, None])
 
 
-def _project_of(spec: linalg.Spectrum) -> np.ndarray:
-    lam = simplex_project(spec.eigenvalues)
-    v = spec.eigenvectors
-    return linalg.hermitianize((v * lam) @ v.conj().T)
+def _project_spectra(spec: linalg.Spectrum) -> np.ndarray:
+    w, v = spec
+    lam = np.maximum(w - _simplex_threshold(w), 0.0)
+    return linalg.hermitianize((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def logit_map(y) -> np.ndarray:
@@ -60,12 +71,12 @@ def logit_map(y) -> np.ndarray:
     The shift multiplies numerator and denominator by the same scalar, so the
     output is exact while every intermediate stays in [0, 1].
     """
-    return _logit_of(linalg.hermitian_eig(y))
+    return _logit_spectra(linalg.hermitian_eig(y))
 
 
 def orth_project_spectraplex(y) -> np.ndarray:
     """Euclidean projection onto the density-matrix set: project the spectrum."""
-    return _project_of(linalg.hermitian_eig(y))
+    return _project_spectra(linalg.hermitian_eig(y))
 
 
 @dataclass(frozen=True)
@@ -133,14 +144,15 @@ class Regularizer:
     def trusted_mirror_map(self, y: np.ndarray) -> np.ndarray:
         """`mirror_map` without input checks, for the solver loop.
 
-        Y must be exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
+        Y is a matrix or a (k, d, d) stack of them, mapped in one pass.  Each
+        must be exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
         `hermitianize` output, or a real-weighted sum of such outputs.  On
-        such Y the result equals `mirror_map(Y)` bit for bit.
+        such Y each result equals `mirror_map` of its matrix bit for bit.
         """
         spec = linalg.trusted_hermitian_eig(y)
         if self.kind == VN_ENTROPY_ID:
-            return _logit_of(spec)
-        return _project_of(spec)
+            return _logit_spectra(spec)
+        return _project_spectra(spec)
 
     def start(self, x) -> np.ndarray:
         """Initial stepper state for a start at the density matrix X.

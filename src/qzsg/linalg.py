@@ -8,6 +8,7 @@ checks stay sharp after long chains of floating-point arithmetic.
 
 from __future__ import annotations
 
+import numbers
 import threading
 from itertools import product
 from typing import Callable, NamedTuple
@@ -75,8 +76,8 @@ def assert_finite(m: np.ndarray, what: str = "matrix") -> None:
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A†)/2."""
-    return (a + a.conj().T) / 2.0
+    """Return the Hermitian part (A + A†)/2 of a matrix or of each matrix in a stack."""
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -119,22 +120,31 @@ def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
 
 
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition of an exactly Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
+    matrix or of each matrix in a (k, d, d) stack, in one `eigh` call.
 
-    Trusted kernel for the solver loop: H is not checked.  It must equal H†
-    bit for bit, as every `hermitianize` output does, and so does any
-    real-weighted sum of such outputs.  Non-finite input shows up as a
-    solver failure or a non-finite spectrum, both raised as NumericalError.
-    Ties keep the ascending-solver order reversed, so output is deterministic.
+    Trusted kernel for the solver loop: H must equal H† bit for bit, as every
+    `hermitianize` output and any real-weighted sum of them does; that is
+    not checked.  Non-finite input (for which `eigh` can return finite
+    eigenvalues), a solver failure and a non-finite spectrum raise
+    NumericalError.  A stable sort of -w keeps tied eigenvalues in ascending
+    solver order.
     """
+    if not np.isfinite(h).all():
+        raise NumericalError("non-finite input gives a non-finite spectrum")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericalError("eigensolver returned a non-finite spectrum")
-    order = np.argsort(-w, kind="stable")
-    return Spectrum(w[order], v[:, order])
+    if (w[..., 1:] == w[..., :-1]).any():
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+        return Spectrum(w, v)
+    # eigh sorts ascending, so without ties the stable sort is a reversal; it
+    # is copied because numpy's complex kernels round differently on strides
+    return Spectrum(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
 def hermitian_eig(h) -> Spectrum:
@@ -249,6 +259,13 @@ def matrix_to_jsonable(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
+def real_number(x, what: str) -> float:
+    """float(x) for a real number; a bool or a string such as "1" is not one."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {x!r}")
+    return float(x)
+
+
 def matrix_from_jsonable(rows) -> np.ndarray:
     """Decode the [re, im] row encoding produced by `matrix_to_jsonable`."""
     if not isinstance(rows, list) or not rows:
@@ -261,6 +278,6 @@ def matrix_from_jsonable(rows) -> np.ndarray:
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError("matrix entries must be [re, im] pairs")
-            m[i, j] = complex(float(entry[0]), float(entry[1]))
+            m[i, j] = complex(*(real_number(x, "matrix entry") for x in entry))
     assert_finite(m, "decoded matrix")
     return m

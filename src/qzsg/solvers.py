@@ -15,17 +15,16 @@ driver:
   multiplicative weights; with the Frobenius regularizer it is optimistic
   projected gradient.
 
-Mirror prox and its optimistic variant share one step body over the
-regularizer's stepper state (Regularizer.start/play/advance): the entropy
-state is the accumulated dual matrix, played through the logit map, so no
-logarithm of a nearly singular iterate is taken; the Frobenius state is the
-primal point, advanced by projection.  The two variants differ only in the
-gradient they extrapolate with and the point they play.  Every state and
-gradient inside the loop is exactly Hermitian, so the steppers use the
-regularizer's trusted kernels; outside state is validated once, by
-Regularizer.start.  All solvers start from the maximally mixed profile and
-report the uniform average of the played iterates, whose duality gap is the
-convergence certificate.
+All three rules run on one step body (`Stepper`) over the regularizer's
+stepper state (Regularizer.start/play/advance): the entropy state is the
+accumulated dual matrix, played through the logit map, so no logarithm of a
+nearly singular iterate is taken; the Frobenius state is the primal point,
+advanced by projection.  Both players are stepped as one (2, d, d) stack when
+their dimensions agree.  Every state and gradient inside the loop is exactly
+Hermitian, so the stepper uses the regularizer's trusted kernels; outside
+state is validated once, by Regularizer.start.  All solvers start from the
+maximally mixed profile and report the uniform average of the played
+iterates, whose duality gap is the convergence certificate.
 """
 
 from __future__ import annotations
@@ -46,6 +45,8 @@ from .game import (
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     payoff_gradient,
+    players,
+    stacked,
     uniform_state,
 )
 
@@ -173,100 +174,72 @@ def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
     return default_step_size(reg, gamma)
 
 
-class MdaStepper:
-    """Dual averaging: W += F(Ψ_t); Ψ_{t+1} = mirror(eta_t W)."""
+class Stepper:
+    """The step body of all three schemes, with state, gradients and played
+    profile in `game.profile_stacks`.  Mirror prox extrapolates from the
+    state with F(Ψ_t), or with the stored gradient when optimistic, then
+    advances the state with one fresh gradient at the extrapolated point.
+    Dual averaging does not extrapolate: its state is the feedback sum W and
+    it plays mirror(eta_t W)."""
 
-    def __init__(self, game, reg, eta_fn, psi0):
+    def __init__(self, game, scheme, reg, eta_fn, psi0):
         self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
-        self.dual = (
-            np.zeros_like(psi0.alice),
-            np.zeros_like(psi0.bob),
-        )
-
-    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        grad = payoff_gradient(self.game, psi)
-        self.dual = (self.dual[0] + grad.alice, self.dual[1] + grad.bob)
-        eta = self.eta_fn(t)
-        nxt = JointState(
-            self.reg.trusted_mirror_map(eta * self.dual[0]),
-            self.reg.trusted_mirror_map(eta * self.dual[1]),
-        )
-        return nxt, 1
-
-
-class MmpStepper:
-    """Mirror prox: extrapolate from the state with F(Ψ_t), advance the state
-    with the fresh gradient at the extrapolated point, and play the corrected
-    point.
-
-    The state is the regularizer's (see Regularizer.start/play/advance): the
-    accumulated dual matrix for the entropy, the primal point for Frobenius.
-    """
-
-    optimistic = False
-
-    def __init__(self, game, reg, eta_fn, psi0):
-        self.game = game
-        self.reg = reg
-        self.eta_fn = eta_fn
-        self.state = JointState(reg.start(psi0.alice), reg.start(psi0.bob))
+        self.averaging = scheme == "mda"
+        self.optimistic = scheme == "ommp"
+        start = np.zeros_like if self.averaging else reg.start
+        self.stacks = stacked(game, JointState(start(psi0.alice), start(psi0.bob)))
         self.last_gradient = None
 
-    def _play(self, state: JointState) -> JointState:
-        return JointState(self.reg.play(state.alice), self.reg.play(state.bob))
+    @property
+    def state(self) -> JointState:
+        return players(self.stacks)
 
-    def _advance(self, g, eta: float) -> JointState:
-        return JointState(
-            self.reg.advance(self.state.alice, g.alice, eta),
-            self.reg.advance(self.state.bob, g.bob, eta),
-        )
-
-    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        calls = 1  # the fresh gradient at the extrapolated point
-        g = self.last_gradient
-        if g is None:
-            g = payoff_gradient(self.game, psi)
-            calls += 1
-        eta = self.eta_fn(t)
-        ahead = self._play(self._advance(g, eta))
-        fresh = payoff_gradient(self.game, ahead)
+    def _gradient(self, psi: JointState):
+        g = stacked(self.game, payoff_gradient(self.game, psi))
         # checked here, not when next played, so the error names this
         # iteration: ommwu adds it to its dual state without decomposing it
-        if not (np.isfinite(fresh.alice).all() and np.isfinite(fresh.bob).all()):
+        if not all(np.isfinite(s).all() for s in g):
             raise linalg.NumericalError("non-finite payoff gradient")
-        self.state = self._advance(fresh, eta)
+        return g
+
+    def _advance(self, g, eta: float):
+        if self.averaging:
+            return tuple(s + gs for s, gs in zip(self.stacks, g))
+        return tuple(self.reg.advance(s, gs, eta) for s, gs in zip(self.stacks, g))
+
+    def _play(self, stacks, eta: float) -> JointState:
+        if self.averaging:
+            return players([self.reg.trusted_mirror_map(eta * s) for s in stacks])
+        return players([self.reg.play(s) for s in stacks])
+
+    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
+        eta = self.eta_fn(t)
+        calls = 1  # the fresh gradient
+        point = psi
+        if not self.averaging:
+            g = self.last_gradient
+            if g is None:
+                g = self._gradient(psi)
+                calls += 1
+            point = self._play(self._advance(g, eta), eta)
+        fresh = self._gradient(point)
+        self.stacks = self._advance(fresh, eta)
         if self.optimistic:
             self.last_gradient = fresh
-            return ahead, calls
-        return self._play(self.state), calls
-
-
-class OmmpStepper(MmpStepper):
-    """Optimistic mirror prox: extrapolate with the stored gradient instead of
-    F(Ψ_t), so each iteration after the first takes one fresh gradient, and
-    play the extrapolated point.
-
-    With the entropy this is optimistic matrix multiplicative weights; with
-    Frobenius it is optimistic projected gradient.
-    """
-
-    optimistic = True
-
-
-_STEPPERS = {"mda": MdaStepper, "mmp": MmpStepper, "ommp": OmmpStepper}
+            return point, calls
+        return self._play(self.stacks, eta), calls
 
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
     """Instantiate the update rule of cfg's alias with a resolved step size."""
     scheme, reg_id, step_decay = ALIASES[cfg.algorithm]
-    reg = geometry.from_id(reg_id)
     if step_decay == "inverse_sqrt":
         eta_fn = lambda t: eta / math.sqrt(t + 1.0)
     else:
         eta_fn = lambda t: eta
-    return _STEPPERS[scheme](game, reg, eta_fn, psi0)
+    return Stepper(game, scheme, geometry.from_id(reg_id), eta_fn, psi0)
 
 
 @dataclass

@@ -535,6 +535,20 @@ def test_game_documents_reject_booleans():
             game_from_json_dict({**doc, key: value})
 
 
+def test_game_documents_reject_non_numeric_entries():
+    # float() reads JSON true as 1.0 and "1" as 1.0; neither is a number
+    doc = game_to_json_dict(matching_pennies())
+    for entry in ([True, False], ["1", "0"]):
+        rows = [row[:] for row in doc["payoff_observable"]]
+        rows[0] = [entry] + rows[0][1:]
+        with pytest.raises(ValueError, match="matrix entry must be a number"):
+            game_from_json_dict({**doc, "payoff_observable": rows})
+    v1 = v1_document(1, 1, 4)
+    for utility in (True, "-1"):
+        with pytest.raises(ValueError, match="utility must be a number"):
+            game_from_json_dict({**v1, "utilities": [utility] + v1["utilities"][1:]})
+
+
 def test_save_and_load_game(tmp_path):
     game = random_game(1, 1, seed=4)
     path = tmp_path / "g.json"

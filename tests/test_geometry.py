@@ -335,6 +335,67 @@ def test_public_maps_and_start_reject_bad_input(bad, match):
                 call()
 
 
+# ---------------------------------------------------------------- stack kernels
+# The solver loop maps (k, d, d) stacks in one call; each slice must equal the
+# public 2-D map of its matrix bit for bit, ties included.
+
+TIED_SPECTRUM = [-1.5, 0.0, 0.25, 2.0]
+
+
+def hermitian_member(dim):
+    tied = st.lists(st.sampled_from(TIED_SPECTRUM), min_size=dim, max_size=dim)
+    return st.one_of(
+        exactly_hermitian(dim), tied.map(lambda w: np.diag(w).astype(complex))
+    )
+
+
+def hermitian_stacks():
+    return st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([2, 4, 8])).flatmap(
+        lambda kd: st.lists(hermitian_member(kd[1]), min_size=kd[0], max_size=kd[0])
+    ).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hermitian_stacks())
+def test_stack_kernels_equal_the_public_maps_slice_by_slice(y):
+    spec = linalg.trusted_hermitian_eig(y)
+    logits = VN_ENTROPY.trusted_mirror_map(y)
+    projections = FROBENIUS.trusted_mirror_map(y)
+    for i, m in enumerate(y):
+        one = linalg.hermitian_eig(m)
+        assert np.array_equal(spec.eigenvalues[i], one.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[i], one.eigenvectors)
+        assert np.array_equal(logits[i], logit_map(m))
+        assert np.array_equal(projections[i], orth_project_spectraplex(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_stacks(), st.data())
+def test_projection_stack_raises_when_one_member_loses_its_support(y, data):
+    # a spectrum of equal huge entries: each u_j - (css_j - 1)/j rounds to 0
+    i = data.draw(st.integers(0, len(y) - 1))
+    y = y.copy()
+    y[i] = 1e17 * np.eye(y.shape[1])
+    with pytest.raises(linalg.NumericalError, match="lost its support"):
+        FROBENIUS.trusted_mirror_map(y)
+    FROBENIUS.trusted_mirror_map(np.delete(y, i, axis=0))  # the others keep theirs
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_stacks(), st.data())
+def test_stack_kernels_raise_on_one_non_finite_member(y, data):
+    i = data.draw(st.integers(0, len(y) - 1))
+    y = y.copy()
+    y[i, 0, 0] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    for kernel in (
+        linalg.trusted_hermitian_eig,
+        VN_ENTROPY.trusted_mirror_map,
+        FROBENIUS.trusted_mirror_map,
+    ):
+        with pytest.raises(linalg.NumericalError):
+            kernel(y)
+
+
 # ---------------------------------------------------------------- registry
 
 
