@@ -186,17 +186,18 @@ def expected_utility(game: QuantumGame, state: JointState) -> float:
     return float(val.real)
 
 
-def profile_stacks(game: QuantumGame) -> tuple[np.ndarray, ...]:
-    """Uninitialized stacks of one matrix per player: one (2, d, d) stack when
-    d_A = d_B, so each kernel takes both players in one call, else two of one."""
+def profile_stacks(game: QuantumGame) -> list[np.ndarray]:
+    """An empty profile for the stack kernels: one (2, d, d) stack when d_A = d_B,
+    so each kernel takes both players in one call, else one matrix per player."""
     da, db = game.dim_alice, game.dim_bob
-    shapes = [(2, da, da)] if da == db else [(1, da, da), (1, db, db)]
-    return tuple(np.empty(shape, dtype=complex) for shape in shapes)
+    if da == db:
+        return [np.empty((2, da, da), dtype=complex)]
+    return [np.empty((da, da), dtype=complex), np.empty((db, db), dtype=complex)]
 
 
 def players(stacks) -> JointState:
-    """The per-player matrices of `profile_stacks`-shaped stacks, as views."""
-    return JointState(stacks[0][0], stacks[-1][-1])
+    """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
+    return JointState(*stacks) if len(stacks) == 2 else JointState(stacks[0][0], stacks[0][1])
 
 
 def _player_matrix(m, dim: int, who: str) -> np.ndarray:
@@ -209,42 +210,52 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
 def payoff_gradient_alice(game: QuantumGame, bob) -> np.ndarray:
     """Gradient of Alice's payoff in Alice's strategy: tr_B[U† (I ⊗ b)]."""
     bob = _player_matrix(bob, game.dim_bob, "Bob")
-    g = np.einsum("abcd,db->ac", game._udag_blocks, bob)
-    return linalg.hermitianize(g)
+    return linalg.hermitianize(np.einsum("abcd,db->ac", game._udag_blocks, bob))
 
 
 def payoff_gradient_bob(game: QuantumGame, alice) -> np.ndarray:
     """Gradient of Bob's payoff in Bob's strategy: -tr_A[U† (a ⊗ I)]."""
     alice = _player_matrix(alice, game.dim_alice, "Alice")
-    g = np.einsum("abcd,ca->bd", game._udag_blocks, alice)
-    return linalg.hermitianize(-g)
+    return linalg.hermitianize(-np.einsum("abcd,ca->bd", game._udag_blocks, alice))
 
 
-def _gradient_stacks(game: QuantumGame, state: JointState) -> tuple[np.ndarray, ...]:
-    """F(a, b) in `profile_stacks`: each player's einsum is written straight
-    into its stack, then each stack is hermitianized once.  Each matrix
-    equals `payoff_gradient_alice`/`_bob` bit for bit."""
+def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
+    """F(a, b) in `profile_stacks` layout, each stack hermitianized once; one
+    (2, d, d) stack is written straight by the einsums.  Each matrix equals
+    `payoff_gradient_alice`/`_bob` bit for bit."""
     alice = _player_matrix(state.alice, game.dim_alice, "Alice")
     bob = _player_matrix(state.bob, game.dim_bob, "Bob")
-    stacks = profile_stacks(game)
-    out = players(stacks)
-    np.einsum("abcd,db->ac", game._udag_blocks, bob, out=out.alice)
-    np.negative(np.einsum("abcd,ca->bd", game._udag_blocks, alice, out=out.bob), out=out.bob)
-    return tuple(map(linalg.hermitianize, stacks))
+    u = game._udag_blocks
+    if game.dim_alice != game.dim_bob:
+        stacks = [np.einsum("abcd,db->ac", u, bob), -np.einsum("abcd,ca->bd", u, alice)]
+    else:
+        stacks = profile_stacks(game)
+        np.einsum("abcd,db->ac", u, bob, out=stacks[0][0])
+        np.negative(np.einsum("abcd,ca->bd", u, alice, out=stacks[0][1]), out=stacks[0][1])
+    return [linalg.hermitianize(s) for s in stacks]
+
+
+class _GradientViews(GradientPair):
+    """A `payoff_gradient` pair, which keeps the profile it views as `stacks`."""
 
 
 def payoff_gradient(game: QuantumGame, state: JointState) -> GradientPair:
     """Joint feedback operator F(a, b) = (F_alice(b), F_bob(a)), as views
     into `profile_stacks` (see `stacked`)."""
-    return GradientPair(*players(_gradient_stacks(game, state)))
+    stacks = _gradient_stacks(game, state)
+    pair = _GradientViews(*players(stacks))
+    pair.stacks = stacks
+    return pair
 
 
-def stacked(game: QuantumGame, pair) -> tuple[np.ndarray, ...]:
-    """A copy of a per-player pair in `profile_stacks`, for the stack kernels."""
-    stacks = profile_stacks(game)
-    out = players(stacks)
-    out.alice[...] = pair.alice
-    out.bob[...] = pair.bob
+def stacked(game: QuantumGame, pair) -> list[np.ndarray]:
+    """A per-player pair in `profile_stacks`, for the stack kernels: the
+    profile a `payoff_gradient` pair views, else a copy."""
+    stacks = getattr(pair, "stacks", None)
+    if stacks is None:
+        stacks = profile_stacks(game)
+        out = players(stacks)
+        out.alice[...], out.bob[...] = pair
     return stacks
 
 

@@ -34,9 +34,8 @@ def _simplex_threshold(u: np.ndarray) -> np.ndarray:
     """Threshold theta of the projection of each row of u, shaped to broadcast.
 
     Trusted kernel: each row must be finite and sorted descending, as
-    `linalg.trusted_hermitian_eig` leaves a spectrum, so it is neither
-    re-sorted nor re-checked.  Raises NumericalError when any row loses its
-    support to rounding.
+    `linalg.trusted_hermitian_eig` leaves a spectrum; it is not re-sorted or
+    re-checked.  Raises NumericalError when any row loses its support.
     """
     rows = u.reshape(-1, u.shape[-1])
     k, d = rows.shape

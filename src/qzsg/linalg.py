@@ -75,6 +75,11 @@ def assert_finite(m: np.ndarray, what: str = "matrix") -> None:
         raise ValueError(f"{what} contains non-finite entries")
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite (without the wrapper of `.all()`)."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
 def hermitianize(a: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (A + A†)/2 of a matrix or of each matrix in a stack."""
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
@@ -124,21 +129,20 @@ def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     matrix or of each matrix in a (k, d, d) stack, in one `eigh` call.
 
     Trusted kernel for the solver loop: H must equal H† bit for bit, as every
-    `hermitianize` output and any real-weighted sum of them does; that is
-    not checked.  Non-finite input (for which `eigh` can return finite
+    `hermitianize` output and real-weighted sum of them does; that is not
+    checked.  Non-finite input (for which `eigh` can return finite
     eigenvalues), a solver failure and a non-finite spectrum raise
-    NumericalError.  A stable sort of -w keeps tied eigenvalues in ascending
-    solver order.
+    NumericalError.  Tied eigenvalues keep their ascending solver order.
     """
-    if not np.isfinite(h).all():
+    if not all_finite(h):
         raise NumericalError("non-finite input gives a non-finite spectrum")
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    if not np.isfinite(w).all():
+    if not all_finite(w):
         raise NumericalError("eigensolver returned a non-finite spectrum")
-    if (w[..., 1:] == w[..., :-1]).any():
+    if np.count_nonzero(w[..., 1:] == w[..., :-1]):  # some eigenvalue ties
         order = np.argsort(-w, axis=-1, kind="stable")
         w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
         return Spectrum(w, v)

@@ -15,16 +15,17 @@ driver:
   multiplicative weights; with the Frobenius regularizer it is optimistic
   projected gradient.
 
-All three rules run on one step body (`Stepper`) over the regularizer's
-stepper state (Regularizer.start/play/advance): the entropy state is the
+Mirror prox and its optimistic variant run on one step body (`Stepper`);
+dual averaging overrides only its step (`DualAveragingStepper`).  The state
+is the regularizer's (Regularizer.start/play/advance): for the entropy the
 accumulated dual matrix, played through the logit map, so no logarithm of a
-nearly singular iterate is taken; the Frobenius state is the primal point,
-advanced by projection.  Both players are stepped as one (2, d, d) stack when
-their dimensions agree.  Every state and gradient inside the loop is exactly
-Hermitian, so the stepper uses the regularizer's trusted kernels; outside
-state is validated once, by Regularizer.start.  All solvers start from the
-maximally mixed profile and report the uniform average of the played
-iterates, whose duality gap is the convergence certificate.
+nearly singular iterate is taken; for Frobenius the primal point, advanced
+by projection.  Both players are stepped as one (2, d, d) stack when their
+dimensions agree.  The loop uses the trusted kernels, since every state and
+gradient in it is exactly Hermitian; outside state is validated once, by
+Regularizer.start.  All solvers start from the maximally mixed profile and
+report the uniform average of the played iterates, whose duality gap is the
+convergence certificate.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .game import (
     stacked,
     uniform_state,
 )
+
+# what a kernel raises on a non-finite, overflowing or degenerate iterate
+_KERNEL_ERRORS = (np.linalg.LinAlgError, linalg.NumericalError, FloatingPointError)
 
 # alias -> (scheme, regularizer, step_decay)
 ALIASES = {
@@ -175,21 +179,17 @@ def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
 
 
 class Stepper:
-    """The step body of all three schemes, with state, gradients and played
-    profile in `game.profile_stacks`.  Mirror prox extrapolates from the
-    state with F(Ψ_t), or with the stored gradient when optimistic, then
-    advances the state with one fresh gradient at the extrapolated point.
-    Dual averaging does not extrapolate: its state is the feedback sum W and
-    it plays mirror(eta_t W)."""
+    """Mirror prox (mmp), or optimistic mirror prox (ommp) when `optimistic`,
+    on `game.profile_stacks`: extrapolate from the state with F(Ψ_t), or with
+    the stored gradient when optimistic, then advance the state with one
+    fresh gradient at the extrapolated point."""
 
-    def __init__(self, game, scheme, reg, eta_fn, psi0):
+    def __init__(self, game, reg, eta_fn, start: JointState, optimistic=False):
         self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
-        self.averaging = scheme == "mda"
-        self.optimistic = scheme == "ommp"
-        start = np.zeros_like if self.averaging else reg.start
-        self.stacks = stacked(game, JointState(start(psi0.alice), start(psi0.bob)))
+        self.optimistic = optimistic
+        self.stacks = stacked(game, start)
         self.last_gradient = None
 
     @property
@@ -197,49 +197,53 @@ class Stepper:
         return players(self.stacks)
 
     def _gradient(self, psi: JointState):
-        g = stacked(self.game, payoff_gradient(self.game, psi))
-        # checked here, not when next played, so the error names this
-        # iteration: ommwu adds it to its dual state without decomposing it
-        if not all(np.isfinite(s).all() for s in g):
-            raise linalg.NumericalError("non-finite payoff gradient")
-        return g
+        return stacked(self.game, payoff_gradient(self.game, psi))
 
     def _advance(self, g, eta: float):
-        if self.averaging:
-            return tuple(s + gs for s, gs in zip(self.stacks, g))
-        return tuple(self.reg.advance(s, gs, eta) for s, gs in zip(self.stacks, g))
+        return [self.reg.advance(s, gs, eta) for s, gs in zip(self.stacks, g)]
 
-    def _play(self, stacks, eta: float) -> JointState:
-        if self.averaging:
-            return players([self.reg.trusted_mirror_map(eta * s) for s in stacks])
+    def _play(self, stacks) -> JointState:
         return players([self.reg.play(s) for s in stacks])
 
     def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
         eta = self.eta_fn(t)
-        calls = 1  # the fresh gradient
-        point = psi
-        if not self.averaging:
-            g = self.last_gradient
-            if g is None:
-                g = self._gradient(psi)
-                calls += 1
-            point = self._play(self._advance(g, eta), eta)
+        calls = 1  # the fresh gradient at the extrapolated point
+        g = self.last_gradient
+        if g is None:
+            g = self._gradient(psi)
+            calls += 1
+        point = self._play(self._advance(g, eta))
         fresh = self._gradient(point)
         self.stacks = self._advance(fresh, eta)
-        if self.optimistic:
-            self.last_gradient = fresh
-            return point, calls
-        return self._play(self.stacks, eta), calls
+        if not self.optimistic:
+            return self._play(self.stacks), calls
+        # a non-finite gradient fails the eigendecomposition after it, but
+        # ommwu adds this one to its state without one: check it here
+        if not all(map(linalg.all_finite, fresh)):
+            raise linalg.NumericalError("non-finite payoff gradient")
+        self.last_gradient = fresh
+        return point, calls
+
+
+class DualAveragingStepper(Stepper):
+    """Dual averaging (mda) on the same stacks: the state is the feedback sum
+    W, started at zero; W += F(Ψ_t), then play mirror(eta_t W)."""
+
+    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
+        self.stacks = [s + g for s, g in zip(self.stacks, self._gradient(psi))]
+        eta = self.eta_fn(t)
+        return players([self.reg.trusted_mirror_map(eta * s) for s in self.stacks]), 1
 
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
     """Instantiate the update rule of cfg's alias with a resolved step size."""
     scheme, reg_id, step_decay = ALIASES[cfg.algorithm]
-    if step_decay == "inverse_sqrt":
-        eta_fn = lambda t: eta / math.sqrt(t + 1.0)
-    else:
-        eta_fn = lambda t: eta
-    return Stepper(game, scheme, geometry.from_id(reg_id), eta_fn, psi0)
+    sqrt_decay = step_decay == "inverse_sqrt"
+    eta_fn = (lambda t: eta / math.sqrt(t + 1.0)) if sqrt_decay else (lambda t: eta)
+    reg = geometry.from_id(reg_id)
+    if scheme == "mda":
+        return DualAveragingStepper(game, reg, eta_fn, JointState(*map(np.zeros_like, psi0)))
+    return Stepper(game, reg, eta_fn, JointState(*map(reg.start, psi0)), scheme == "ommp")
 
 
 @dataclass
@@ -275,11 +279,9 @@ def run(
     explicit = None
     if checkpoints is not None:
         explicit = {int(c) for c in checkpoints if 1 <= int(c) <= cfg.max_iters}
-    sum_a = np.zeros_like(psi.alice)
-    sum_b = np.zeros_like(psi.bob)
+    sum_a, sum_b = map(np.zeros_like, psi)
     rows: list[TraceRow] = []
-    calls = 0
-    done = 0
+    calls = done = 0
     start = time.perf_counter_ns()
     # overflow raises at once, before it can turn the state into NaN
     with np.errstate(over="raise", invalid="raise"):
@@ -288,18 +290,11 @@ def run(
             sum_b += psi.bob
             try:
                 psi, fresh = stepper.step(t, psi)
-            except (
-                np.linalg.LinAlgError,
-                linalg.NumericalError,
-                ValueError,
-                FloatingPointError,
-            ) as exc:
+            except (*_KERNEL_ERRORS, ValueError) as exc:
                 # cfg is validated above and a game when it is built, so a
                 # ValueError or FloatingPointError here is a kernel meeting a
                 # non-finite, overflowing or degenerate iterate
-                raise linalg.NumericalError(
-                    f"step failed at iteration {t + 1}: {exc}"
-                ) from exc
+                raise linalg.NumericalError(f"step failed at iteration {t + 1}: {exc}") from exc
             calls += fresh
             done = t + 1
             at_checkpoint = (
@@ -314,28 +309,20 @@ def run(
                 try:
                     gap_avg = duality_gap(game, avg)
                     gap_last = duality_gap(game, psi)
-                except (
-                    np.linalg.LinAlgError,
-                    linalg.NumericalError,
-                    FloatingPointError,
-                ) as exc:
+                except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(
                         f"duality gap failed at iteration {done}: {exc}"
                     ) from exc
                 if not (math.isfinite(gap_avg) and math.isfinite(gap_last)):
-                    raise linalg.NumericalError(
-                        f"non-finite duality gap at iteration {done}"
-                    )
+                    raise linalg.NumericalError(f"non-finite duality gap at iteration {done}")
                 rows.append(
                     TraceRow(done, gap_avg, gap_last, time.perf_counter_ns() - start)
                 )
                 if cfg.target_gap > 0.0 and gap_avg <= cfg.target_gap:
                     break
-    average = JointState(
-        linalg.hermitianize(sum_a / done), linalg.hermitianize(sum_b / done)
-    )
+    # the last iteration is always a checkpoint, so avg is the final average
     return RunResult(
-        average=average,
+        average=avg,
         last=psi,
         trace=rows,
         iterations=done,

@@ -513,7 +513,7 @@ def trajectory_digest(game, alias):
 
 
 def test_trajectories_are_pinned():
-    # 2+2 steps both players as one stack, 1+2 as two stacks of one, and
+    # 2+2 steps both players as one stack, 1+2 as one matrix per player, and
     # matching pennies starts at exact eigenvalue ties
     games = {
         "2+2": random_game(2, 2, seed=31),
