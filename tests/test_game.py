@@ -27,10 +27,12 @@ from qzsg.game import (
     payoff_gradient,
     payoff_gradient_alice,
     payoff_gradient_bob,
+    players,
     random_density,
     random_game,
     random_outcomes,
     save_game,
+    stacked,
     uniform_state,
     zero_game,
 )
@@ -219,6 +221,25 @@ def test_gradient_shapes_and_dim_checks():
         payoff_gradient_alice(game, np.eye(2) / 2.0)
     with pytest.raises(ValueError, match="does not match"):
         payoff_gradient_bob(game, np.eye(4) / 4.0)
+
+
+def test_stacked_reuses_the_profile_a_gradient_views():
+    # one (2, d, d) stack when d_A = d_B, else one matrix per player; a
+    # payoff_gradient pair is already laid out so, any other pair is copied
+    rng = np.random.default_rng(8)
+    for n, m, shapes in ((2, 2, [(2, 4, 4)]), (1, 2, [(2, 2), (4, 4)])):
+        game = random_game(n, m, seed=6)
+        pair = payoff_gradient(game, random_joint(game, rng))
+        stacks = stacked(game, pair)
+        assert [s.shape for s in stacks] == shapes
+        view = players(stacks)
+        assert np.shares_memory(view.alice, pair.alice)
+        assert np.shares_memory(view.bob, pair.bob)
+        other = type(pair)(pair.alice.copy(), pair.bob)
+        copied = players(stacked(game, other))
+        assert not np.shares_memory(copied.bob, pair.bob)
+        assert np.array_equal(copied.alice, pair.alice)
+        assert np.array_equal(copied.bob, pair.bob)
 
 
 # ---------------------------------------------------------------- duality gap
