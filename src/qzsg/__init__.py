@@ -9,7 +9,6 @@ CLI harness for generating games, solving them, and comparing variants.
 """
 
 from .game import (
-    GradientPair,
     JointState,
     QuantumGame,
     builtin_game,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALIASES",
     "FROBENIUS",
-    "GradientPair",
     "JointState",
     "NumericalError",
     "PAPER_EXP2_SCHEDULE",

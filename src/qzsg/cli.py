@@ -7,8 +7,8 @@ inputs and seeds, except wall-clock timing fields.  Numeric fields are
 serialized with shortest round-trip decimals (at most 17 significant digits),
 so re-reading a file reproduces the exact doubles.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure,
-4 partial suite failure.
+Exit codes: 0 success, 2 usage or validation error, 3 numerical failure or
+memory exhausted, 4 partial suite failure.
 """
 
 from __future__ import annotations
@@ -363,6 +363,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,14 +35,7 @@ BUILTIN_PREFIX = "builtin:"
 
 
 class JointState(NamedTuple):
-    """A strategy profile: one density matrix per player."""
-
-    alice: np.ndarray
-    bob: np.ndarray
-
-
-class GradientPair(NamedTuple):
-    """Per-player payoff gradients (F_alice(bob), F_bob(alice))."""
+    """One matrix per player: a strategy profile, or its payoff gradients."""
 
     alice: np.ndarray
     bob: np.ndarray
@@ -118,13 +111,14 @@ class QuantumGame:
         The one loop that builds a game.  It checks each utility's range and
         each element's size, then that the elements are not empty and sum to
         the identity; it keeps no element.  Whether each element is Hermitian
-        and positive is the caller's to check or to trust.
+        and positive is the caller's to check or to trust.  Nothing of side
+        2^(n+m) is allocated before the first element has passed, so a
+        document that declares more qubits than its elements have fails
+        without asking for memory.
         """
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
-        u_obs = np.zeros((dim, dim), dtype=complex)
-        total = np.zeros((dim, dim), dtype=complex)
         count = 0
         for u, p in outcomes:
             if not abs(u) <= 1.0:
@@ -133,6 +127,8 @@ class QuantumGame:
                 raise ValueError(
                     f"POVM element of dimension {p.shape[0]} does not match {n}+{m} qubits"
                 )
+            if not count:
+                u_obs, total = np.zeros((2, dim, dim), dtype=complex)
             u_obs += u * p
             total += p
             count += 1
@@ -235,11 +231,11 @@ def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
     return [linalg.hermitianize(s) for s in stacks]
 
 
-class _GradientViews(GradientPair):
+class _GradientViews(JointState):
     """A `payoff_gradient` pair, which keeps the profile it views as `stacks`."""
 
 
-def payoff_gradient(game: QuantumGame, state: JointState) -> GradientPair:
+def payoff_gradient(game: QuantumGame, state: JointState) -> JointState:
     """Joint feedback operator F(a, b) = (F_alice(b), F_bob(a)), as views
     into `profile_stacks` (see `stacked`)."""
     stacks = _gradient_stacks(game, state)
@@ -504,6 +500,8 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ValueError("seed must be an integer or null")
     if version == 1:
+        if not (isinstance(data["povm"], list) and isinstance(data["utilities"], list)):
+            raise ValueError("povm and utilities must be lists")
         povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]
         return QuantumGame.from_povm(n, m, povm, data["utilities"], seed=seed)
     outcomes = data["outcomes"]

@@ -82,12 +82,11 @@ def orth_project_spectraplex(y) -> np.ndarray:
 class Regularizer:
     """A distance-generating function together with its induced maps.
 
-    `strong_convexity_modulus` is 1 for both supported kinds, each w.r.t. its
-    own norm: the trace norm for the entropy, the Frobenius norm otherwise.
+    Both supported kinds are 1-strongly convex (μ = 1), each w.r.t. its own
+    norm: the trace norm for the entropy, the Frobenius norm otherwise.
     """
 
     kind: str
-    strong_convexity_modulus: float = 1.0
 
     def dgf_value(self, x) -> float:
         """Value of the distance-generating function at a density matrix."""
@@ -201,16 +200,3 @@ class Regularizer:
 
 VN_ENTROPY = Regularizer(VN_ENTROPY_ID)
 FROBENIUS = Regularizer(FROBENIUS_ID)
-
-_BY_ID = {VN_ENTROPY_ID: VN_ENTROPY, FROBENIUS_ID: FROBENIUS}
-
-
-def from_id(reg_id: str) -> Regularizer:
-    """Look up a regularizer by its stable string id."""
-    try:
-        return _BY_ID[reg_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown regularizer {reg_id!r}; expected one of {sorted(_BY_ID)}"
-        ) from None
-

@@ -70,14 +70,14 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def assert_finite(m: np.ndarray, what: str = "matrix") -> None:
-    if not np.all(np.isfinite(m.view(float) if np.iscomplexobj(m) else m)):
-        raise ValueError(f"{what} contains non-finite entries")
-
-
 def all_finite(a: np.ndarray) -> bool:
     """Whether every entry of `a` is finite (without the wrapper of `.all()`)."""
     return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def assert_finite(m: np.ndarray, what: str = "matrix") -> None:
+    if not all_finite(m):
+        raise ValueError(f"{what} contains non-finite entries")
 
 
 def hermitianize(a: np.ndarray) -> np.ndarray:
@@ -174,19 +174,19 @@ def spectral_fn(h, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     return hermitianize((v * fw) @ v.conj().T)
 
 
-def herm_log(h, floor: float = LOG_EIG_FLOOR) -> np.ndarray:
-    """Matrix logarithm of a PSD matrix, eigenvalues clamped up to `floor`.
+def herm_log(h) -> np.ndarray:
+    """Matrix logarithm of a PSD matrix, eigenvalues clamped up to LOG_EIG_FLOOR.
 
-    Eigenvalues below -PSD_EIG_TOL are rejected; values in [-PSD_EIG_TOL, floor)
-    are treated as underflow of a strictly positive quantity and clamped, with
-    the clamp recorded in `log_clamp_counter`.
+    Eigenvalues below -PSD_EIG_TOL are rejected; values in [-PSD_EIG_TOL,
+    LOG_EIG_FLOOR) are treated as underflow of a strictly positive quantity
+    and clamped, with the clamp recorded in `log_clamp_counter`.
     """
     spec = hermitian_eig(h)
     w = spec.eigenvalues
     if w[-1] < -PSD_EIG_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
-    clamped = np.maximum(w, floor)
-    n_clamped = int(np.sum(w < floor))
+    clamped = np.maximum(w, LOG_EIG_FLOOR)
+    n_clamped = int(np.sum(w < LOG_EIG_FLOOR))
     if n_clamped:
         log_clamp_counter.add(n_clamped)
     v = spec.eigenvectors

@@ -56,13 +56,13 @@ _KERNEL_ERRORS = (np.linalg.LinAlgError, linalg.NumericalError, FloatingPointErr
 
 # alias -> (scheme, regularizer, step_decay)
 ALIASES = {
-    "mmwu": ("mda", geometry.VN_ENTROPY_ID, "none"),
-    "mmwu-sd": ("mda", geometry.VN_ENTROPY_ID, "inverse_sqrt"),
-    "mda-frobenius": ("mda", geometry.FROBENIUS_ID, "none"),
-    "mmp-entropy": ("mmp", geometry.VN_ENTROPY_ID, "none"),
-    "mmp-frobenius": ("mmp", geometry.FROBENIUS_ID, "none"),
-    "ommwu": ("ommp", geometry.VN_ENTROPY_ID, "none"),
-    "omeg": ("ommp", geometry.FROBENIUS_ID, "none"),
+    "mmwu": ("mda", geometry.VN_ENTROPY, "none"),
+    "mmwu-sd": ("mda", geometry.VN_ENTROPY, "inverse_sqrt"),
+    "mda-frobenius": ("mda", geometry.FROBENIUS, "none"),
+    "mmp-entropy": ("mmp", geometry.VN_ENTROPY, "none"),
+    "mmp-frobenius": ("mmp", geometry.FROBENIUS, "none"),
+    "ommwu": ("ommp", geometry.VN_ENTROPY, "none"),
+    "omeg": ("ommp", geometry.FROBENIUS, "none"),
 }
 
 
@@ -97,7 +97,7 @@ class SolverConfig:
 
     @property
     def regularizer(self) -> str:
-        return ALIASES[self.algorithm][1]
+        return ALIASES[self.algorithm][1].kind
 
     @property
     def step_decay(self) -> str:
@@ -153,29 +153,14 @@ def _is_number(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def default_step_size(reg: geometry.Regularizer, gamma: float) -> float:
-    """Largest step with the contraction guarantee: mu / (2 gamma)."""
-    if not (gamma > 0.0 and math.isfinite(gamma)):
-        raise ValueError(f"Lipschitz constant must be positive, got {gamma!r}")
-    return reg.strong_convexity_modulus / (2.0 * gamma)
-
-
-def resolve_gamma(game: QuantumGame, reg: geometry.Regularizer) -> float:
-    """Lipschitz constant for auto step sizing under the regularizer's norms."""
-    if reg.kind == geometry.VN_ENTROPY_ID:
-        return game.u_inf_norm
-    return lipschitz_constant(game)
-
-
 def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
-    """Materialize cfg.step_size; the zero observable admits any step, use 1."""
+    """Materialize cfg.step_size: auto is mu / (2 gamma) with mu = 1 for both
+    regularizers; the zero observable admits any step, use 1."""
     if cfg.step_size != "auto":
         return float(cfg.step_size)
-    reg = geometry.from_id(cfg.regularizer)
-    gamma = resolve_gamma(game, reg)
-    if gamma <= 0.0:
-        return 1.0
-    return default_step_size(reg, gamma)
+    entropy = ALIASES[cfg.algorithm][1] is geometry.VN_ENTROPY
+    gamma = game.u_inf_norm if entropy else lipschitz_constant(game)
+    return 1.0 if gamma <= 0.0 else 1.0 / (2.0 * gamma)
 
 
 class Stepper:
@@ -237,10 +222,9 @@ class DualAveragingStepper(Stepper):
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
     """Instantiate the update rule of cfg's alias with a resolved step size."""
-    scheme, reg_id, step_decay = ALIASES[cfg.algorithm]
+    scheme, reg, step_decay = ALIASES[cfg.algorithm]
     sqrt_decay = step_decay == "inverse_sqrt"
     eta_fn = (lambda t: eta / math.sqrt(t + 1.0)) if sqrt_decay else (lambda t: eta)
-    reg = geometry.from_id(reg_id)
     if scheme == "mda":
         return DualAveragingStepper(game, reg, eta_fn, JointState(*map(np.zeros_like, psi0)))
     return Stepper(game, reg, eta_fn, JointState(*map(reg.start, psi0)), scheme == "ommp")

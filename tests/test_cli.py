@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qzsg import cli, properties, solvers, suite
+from qzsg import game as game_mod
 from qzsg.cli import TRACE_HEADER, main
 from qzsg.game import load_game, random_game, random_outcomes
 from qzsg.linalg import NumericalError
@@ -172,6 +173,17 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     assert run_cli("solve", "--game", str(bad)) == 2
+    # a non-list povm or utilities, or elements too small for the declared
+    # qubits, fail validation, not with a TypeError or a 16 TiB allocation
+    eye4 = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    for n, utilities, povm in ((1, 5, []), (1, [], 7), (10, [1.0], [eye4])):
+        doc = {"format_version": 1, "n": n, "m": n, "seed": None,
+               "utilities": utilities, "povm": povm}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("solve", "--game", str(bad), "--iters", "5") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"algorithm": "newton"}), encoding="utf-8")
     assert run_cli("solve", "--game", "builtin:zero", "--config", str(cfg)) == 2
@@ -183,6 +195,16 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("solve", "--game", "builtin:zero", "--step-size", "fast")
     assert exc.value.code == 2
+
+
+def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 PiB for an array")
+
+    monkeypatch.setattr(game_mod, "random_outcomes", too_large)
+    assert run_cli("generate", "-n", "12", "-m", "12", "-o", str(tmp_path / "g.json")) == 3
+    err = capsys.readouterr().err
+    assert err == "out of memory: Unable to allocate 2.00 PiB for an array\n"
 
 
 @pytest.mark.parametrize(

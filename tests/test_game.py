@@ -544,6 +544,24 @@ def test_game_from_json_dict_validates():
         game_from_json_dict({**doc, "seed": "zero"})
     with pytest.raises(ValueError, match="JSON object"):
         game_from_json_dict([1, 2, 3])
+    v1 = {"format_version": 1, "n": 1, "m": 1, "seed": None}
+    for utilities, povm in ((5, []), ([], 7)):
+        with pytest.raises(ValueError, match="must be lists"):
+            game_from_json_dict({**v1, "utilities": utilities, "povm": povm})
+
+
+def test_v1_document_checks_element_size_before_allocating():
+    # U of 10+10 qubits would take 16 TiB; the 4x4 element must fail first
+    doc = {"format_version": 1, "n": 10, "m": 10, "seed": None, "utilities": [1.0],
+           "povm": [linalg.matrix_to_jsonable(np.eye(4))]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"does not match 10\+10 qubits"):
+            game_from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_game_documents_reject_booleans():

@@ -12,7 +12,6 @@ from qzsg.geometry import (
     FROBENIUS,
     VN_ENTROPY,
     Regularizer,
-    from_id,
     logit_map,
     orth_project_spectraplex,
     simplex_project,
@@ -399,14 +398,5 @@ def test_stack_kernels_raise_on_one_non_finite_member(y, data):
 # ---------------------------------------------------------------- registry
 
 
-def test_from_id():
-    assert from_id("vn-entropy") is VN_ENTROPY
-    assert from_id("frobenius") is FROBENIUS
-    with pytest.raises(ValueError, match="unknown regularizer"):
-        from_id("tsallis")
-
-
 def test_registry_metadata():
-    assert VN_ENTROPY.strong_convexity_modulus == 1.0
-    assert FROBENIUS.strong_convexity_modulus == 1.0
     assert isinstance(VN_ENTROPY, Regularizer)

@@ -8,6 +8,7 @@ from qzsg import geometry, linalg, solvers
 from qzsg.game import (
     JointState,
     duality_gap,
+    lipschitz_constant,
     matching_pennies,
     payoff_gradient,
     random_game,
@@ -18,7 +19,6 @@ from qzsg.game import assert_density_matrix, random_density
 from qzsg.solvers import (
     ALIASES,
     SolverConfig,
-    default_step_size,
     make_stepper,
     resolve_step_size,
     run,
@@ -63,20 +63,22 @@ def test_config_validate_rejects_bad_fields():
 
 
 def test_alias_table():
-    assert ALIASES["mmwu"] == ("mda", "vn-entropy", "none")
-    assert ALIASES["mmwu-sd"] == ("mda", "vn-entropy", "inverse_sqrt")
-    assert ALIASES["ommwu"] == ("ommp", "vn-entropy", "none")
-    assert ALIASES["omeg"] == ("ommp", "frobenius", "none")
-    assert ALIASES["mmp-entropy"] == ("mmp", "vn-entropy", "none")
-    assert ALIASES["mmp-frobenius"] == ("mmp", "frobenius", "none")
-    assert ALIASES["mda-frobenius"] == ("mda", "frobenius", "none")
+    entropy, frobenius = geometry.VN_ENTROPY, geometry.FROBENIUS
+    assert ALIASES["mmwu"] == ("mda", entropy, "none")
+    assert ALIASES["mmwu-sd"] == ("mda", entropy, "inverse_sqrt")
+    assert ALIASES["ommwu"] == ("ommp", entropy, "none")
+    assert ALIASES["omeg"] == ("ommp", frobenius, "none")
+    assert ALIASES["mmp-entropy"] == ("mmp", entropy, "none")
+    assert ALIASES["mmp-frobenius"] == ("mmp", frobenius, "none")
+    assert ALIASES["mda-frobenius"] == ("mda", frobenius, "none")
 
 
 def test_from_alias_and_inverse():
     for alias in ALIASES:
         cfg = SolverConfig.from_alias(alias, max_iters=5)
         assert cfg.algorithm == alias
-        assert (cfg.regularizer, cfg.step_decay) == ALIASES[alias][1:]
+        assert cfg.regularizer == ALIASES[alias][1].kind
+        assert cfg.step_decay == ALIASES[alias][2]
         assert cfg.max_iters == 5
     with pytest.raises(ValueError, match="unknown solver alias"):
         SolverConfig.from_alias("gradient-descent")
@@ -87,7 +89,7 @@ def test_from_json_dict():
         {"algorithm": "mmwu-sd", "step_size": 0.5, "max_iters": 100, "seed": 3}
     )
     assert cfg.algorithm == "mmwu-sd"
-    assert (cfg.regularizer, cfg.step_decay) == ALIASES["mmwu-sd"][1:]
+    assert (cfg.regularizer, cfg.step_decay) == ("vn-entropy", "inverse_sqrt")
     assert cfg.step_size == 0.5 and cfg.max_iters == 100 and cfg.seed == 3
     with pytest.raises(ValueError, match="unknown solver config keys"):
         SolverConfig.from_json_dict({"algorithm": "ommwu", "iters": 10})
@@ -100,14 +102,6 @@ def test_from_json_dict():
 
 
 # ---------------------------------------------------------------- step size
-
-
-def test_default_step_size():
-    assert default_step_size(geometry.VN_ENTROPY, 2.0) == 0.25
-    assert default_step_size(geometry.VN_ENTROPY, 1.0) == 0.5
-    assert default_step_size(geometry.FROBENIUS, 0.5) == 1.0
-    with pytest.raises(ValueError, match="Lipschitz"):
-        default_step_size(geometry.VN_ENTROPY, 0.0)
 
 
 def test_resolve_step_size():
@@ -124,6 +118,14 @@ def test_resolve_step_size():
     assert resolve_step_size(zero_game(), SolverConfig(step_size="auto")) == 1.0
     frobenius_auto = SolverConfig(algorithm="omeg", step_size="auto")
     assert resolve_step_size(zero_game(), frobenius_auto) == 1.0
+    # every alias's auto step is exactly 1 / (2 gamma), gamma under its own norms
+    entropy_aliases = {"mmwu", "mmwu-sd", "mmp-entropy", "ommwu"}
+    for game in (random_game(2, 2, seed=6), random_game(1, 2, seed=7)):
+        for alias in ALIASES:
+            entropy = alias in entropy_aliases
+            gamma = game.u_inf_norm if entropy else lipschitz_constant(game)
+            auto = SolverConfig(algorithm=alias, step_size="auto")
+            assert resolve_step_size(game, auto) == 1.0 / (2.0 * gamma)
 
 
 # ---------------------------------------------------------------- run protocol
