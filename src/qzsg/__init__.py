@@ -37,18 +37,13 @@ from .geometry import (
     Regularizer,
     logit_map,
     orth_project_spectraplex,
-    simplex_project,
 )
 from .linalg import (
     NumericalError,
     Spectrum,
     hermitian_eig,
     hermitianize,
-    partial_trace,
-    pauli_decompose,
-    pauli_reconstruct,
     spectral_fn,
-    tensor_product,
     trace_inner,
 )
 from .solvers import ALIASES, RunResult, SolverConfig, TraceRow, run
@@ -85,9 +80,6 @@ __all__ = [
     "matching_pennies",
     "monotonicity_residual",
     "orth_project_spectraplex",
-    "partial_trace",
-    "pauli_decompose",
-    "pauli_reconstruct",
     "payoff_gradient",
     "payoff_gradient_alice",
     "payoff_gradient_bob",
@@ -96,9 +88,7 @@ __all__ = [
     "run",
     "run_suite",
     "save_game",
-    "simplex_project",
     "spectral_fn",
-    "tensor_product",
     "trace_inner",
     "uniform_state",
     "zero_game",

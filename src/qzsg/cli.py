@@ -7,8 +7,9 @@ inputs and seeds, except wall-clock timing fields.  Numeric fields are
 serialized with shortest round-trip decimals (at most 17 significant digits),
 so re-reading a file reproduces the exact doubles.
 
-Exit codes: 0 success, 2 usage or validation error, 3 numerical failure or
-memory exhausted, 4 partial suite failure.
+Exit codes: 0 success, 1 `verify` found a failing property, 2 usage or
+validation error, 3 numerical failure or memory exhausted, 4 partial suite
+failure.
 """
 
 from __future__ import annotations
@@ -204,11 +205,6 @@ def _cmd_solve(args) -> int:
 def _parse_schedule(text: str, iters: int):
     if text is None:
         return None, 50
-    if text == "paper-exp2":
-        points = tuple(t for t in suite.PAPER_EXP2_SCHEDULE if t <= iters)
-        if not points:
-            raise CliError("schedule has no checkpoints within --iters")
-        return points, 50
     if text.startswith("every-"):
         try:
             interval = int(text[len("every-"):])
@@ -217,12 +213,18 @@ def _parse_schedule(text: str, iters: int):
         if interval < 1:
             raise CliError("schedule interval must be >= 1")
         return None, interval
-    try:
-        points = tuple(sorted({int(p) for p in text.split(",") if p.strip()}))
-    except ValueError:
-        raise CliError(f"invalid schedule {text!r}") from None
-    if not points or points[0] < 1:
-        raise CliError(f"invalid schedule {text!r}")
+    if text == "paper-exp2":
+        points = suite.PAPER_EXP2_SCHEDULE
+    else:
+        try:
+            points = sorted({int(p) for p in text.split(",") if p.strip()})
+        except ValueError:
+            raise CliError(f"invalid schedule {text!r}") from None
+        if not points or points[0] < 1:
+            raise CliError(f"invalid schedule {text!r}")
+    points = tuple(t for t in points if t <= iters)
+    if not points:
+        raise CliError("schedule has no checkpoints within --iters")
     return points, 50
 
 

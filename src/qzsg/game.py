@@ -176,7 +176,7 @@ def expected_utility(game: QuantumGame, state: JointState) -> float:
         raise ValueError(
             f"state dimensions {a.shape[0]}x{b.shape[0]} do not match the game"
         )
-    val = linalg.trace_inner(game.payoff_observable, linalg.tensor_product(a, b))
+    val = linalg.trace_inner(game.payoff_observable, np.kron(a, b))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expected utility has imaginary part {val.imag:.3e}")
     return float(val.real)

@@ -20,16 +20,6 @@ VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
 
 
-def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto {x : x >= 0, sum(x) = 1} by sorted thresholding."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a non-empty real vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("input contains non-finite entries")
-    return np.maximum(v - _simplex_threshold(np.sort(v)[::-1]), 0.0)
-
-
 def _simplex_threshold(u: np.ndarray) -> np.ndarray:
     """Threshold theta of the projection of each row of u, shaped to broadcast.
 
@@ -118,12 +108,6 @@ class Regularizer:
             return self.dgf_value(x) - float(cross)
         return 0.5 * float(np.linalg.norm(x - y)) ** 2
 
-    def mirror_map(self, y) -> np.ndarray:
-        """Map a dual (gradient-space) matrix to a density matrix."""
-        if self.kind == VN_ENTROPY_ID:
-            return logit_map(y)
-        return orth_project_spectraplex(y)
-
     def proximal_map(self, x, g, eta: float) -> np.ndarray:
         """Bregman proximal step from X along the ascent direction G.
 
@@ -140,12 +124,14 @@ class Regularizer:
         return orth_project_spectraplex(x + eta * g)
 
     def trusted_mirror_map(self, y: np.ndarray) -> np.ndarray:
-        """`mirror_map` without input checks, for the solver loop.
+        """The mirror map without input checks, for the solver loop: the logit
+        map for the entropy, the spectraplex projection otherwise.
 
         Y is a matrix or a (k, d, d) stack of them, mapped in one pass.  Each
         must be exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
         `hermitianize` output, or a real-weighted sum of such outputs.  On
-        such Y each result equals `mirror_map` of its matrix bit for bit.
+        such Y each result equals `logit_map` or `orth_project_spectraplex`
+        of its matrix bit for bit.
         """
         spec = linalg.trusted_hermitian_eig(y)
         if self.kind == VN_ENTROPY_ID:

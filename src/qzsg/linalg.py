@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numbers
 import threading
-from itertools import product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -18,13 +17,6 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 PSD_EIG_TOL = 1e-9
 LOG_EIG_FLOOR = 1e-15
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 class NumericalError(RuntimeError):
@@ -99,29 +91,6 @@ def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     if defect > HERMITIAN_RTOL * scale:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
     return m
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product A ⊗ B."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace(m, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^(dim_a) ⊗ C^(dim_b).
-
-    keep="A" returns tr_B[M] (dim_a x dim_a); keep="B" returns tr_A[M].
-    """
-    m = as_matrix(m)
-    if dim_a < 1 or dim_b < 1 or m.shape[0] != dim_a * dim_b:
-        raise ValueError(
-            f"matrix of dimension {m.shape[0]} does not factor as {dim_a} x {dim_b}"
-        )
-    blocks = m.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        return np.einsum("abcb->ac", blocks)
-    if keep == "B":
-        return np.einsum("abad->bd", blocks)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
@@ -211,50 +180,6 @@ def trace_inner(a, b) -> complex:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return complex(np.sum(a.conj() * b))
-
-
-def pauli_strings(n_qubits: int) -> list[str]:
-    """All length-n strings over {I, X, Y, Z} in lexicographic order."""
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    return ["".join(p) for p in product("IXYZ", repeat=n_qubits)]
-
-
-def pauli_matrix(label: str) -> np.ndarray:
-    """Tensor product of single-qubit Paulis named by `label`."""
-    if not label or any(c not in PAULI_1Q for c in label):
-        raise ValueError(f"invalid Pauli label {label!r}")
-    m = PAULI_1Q[label[0]]
-    for c in label[1:]:
-        m = np.kron(m, PAULI_1Q[c])
-    return m
-
-
-def pauli_decompose(m, n_qubits: int) -> dict[str, complex]:
-    """Coefficients M̂(P) = tr(P†M)/2^n for every n-qubit Pauli string P."""
-    m = as_matrix(m)
-    dim = 2**n_qubits
-    if m.shape[0] != dim:
-        raise ValueError(
-            f"matrix dimension {m.shape[0]} does not match {n_qubits} qubits (need {dim})"
-        )
-    scale = 1.0 / dim
-    return {
-        label: trace_inner(pauli_matrix(label), m) * scale
-        for label in pauli_strings(n_qubits)
-    }
-
-
-def pauli_reconstruct(coefficients: dict[str, complex], n_qubits: int) -> np.ndarray:
-    """Sum of coefficient * Pauli matrix; inverse of `pauli_decompose`."""
-    dim = 2**n_qubits
-    m = np.zeros((dim, dim), dtype=complex)
-    for label, c in coefficients.items():
-        p = pauli_matrix(label)
-        if p.shape[0] != dim:
-            raise ValueError(f"label {label!r} does not match {n_qubits} qubits")
-        m += c * p
-    return m
 
 
 def matrix_to_jsonable(m) -> list:

@@ -284,12 +284,16 @@ def test_compare_paper_schedule_filters_to_iters(tmp_path):
 
 
 def test_compare_explicit_schedule(tmp_path):
-    out = tmp_path / "cmp"
-    assert run_cli("compare", "-n", "1", "-m", "1", "--games", "1",
-                   "--algorithms", "ommwu", "--iters", "30",
-                   "--schedule", "10,20", "-o", str(out)) == 0
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert [cp["t"] for cp in report["runs"][0]["checkpoints"]] == [10, 20, 30]
+    # points past --iters are dropped, from the record as from the runs
+    for iters, schedule, kept, traced in (("30", "10,20", [10, 20], [10, 20, 30]),
+                                          ("20", "5,500", [5], [5, 20])):
+        out = tmp_path / schedule
+        assert run_cli("compare", "-n", "1", "-m", "1", "--games", "1",
+                       "--algorithms", "ommwu", "--iters", iters,
+                       "--schedule", schedule, "-o", str(out)) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["experiment"]["checkpoints"] == kept
+        assert [cp["t"] for cp in report["runs"][0]["checkpoints"]] == traced
 
 
 def test_compare_schedule_validation(tmp_path, capsys):
@@ -301,6 +305,9 @@ def test_compare_schedule_validation(tmp_path, capsys):
     assert run_cli(*base, "--iters", "30", "--schedule", "0,5") == 2
     assert run_cli(*base, "--iters", "30", "--schedule", "ten") == 2
     capsys.readouterr()
+    for schedule in ("500", "100,500"):
+        assert run_cli(*base, "--iters", "30", "--schedule", schedule) == 2
+        assert "schedule has no checkpoints within --iters" in capsys.readouterr().err
 
 
 def test_compare_unknown_alias_is_usage_error(tmp_path, capsys):
@@ -373,19 +380,19 @@ def test_verify_passes_at_small_dims(tmp_path, capsys):
 
 
 def test_verify_single_property_json(capsys):
-    code = run_cli("verify", "--property", "pauli", "--dims", "1",
+    code = run_cli("verify", "--property", "linearity", "--dims", "1",
                    "--seeds", "1", "--samples", "3", "--format", "json")
     assert code == 0
     report = json.loads(capsys.readouterr().out)
-    assert [r["property"] for r in report["properties"]] == ["pauli"]
+    assert [r["property"] for r in report["properties"]] == ["linearity"]
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    monkeypatch.setitem(properties._THRESHOLDS, "pauli", -1.0)
-    code = run_cli("verify", "--property", "pauli", "--dims", "1",
+    monkeypatch.setitem(properties._CHECKS, "linearity", (properties.check_linearity, -1.0))
+    code = run_cli("verify", "--property", "linearity", "--dims", "1",
                    "--seeds", "1", "--samples", "3")
     assert code == 1
-    assert capsys.readouterr().out.startswith("FAIL pauli")
+    assert capsys.readouterr().out.startswith("FAIL linearity")
 
 
 def test_verify_rejects_dims_zero():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -37,11 +38,30 @@ from qzsg.game import (
     zero_game,
 )
 
-Z = linalg.PAULI_1Q["Z"]
-X = linalg.PAULI_1Q["X"]
+Z = np.diag([1.0, -1.0]).astype(complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULIS_1Q = np.array([np.eye(2), X, [[0.0, -1.0j], [1.0j, 0.0]], Z])  # I, X, Y, Z
 
 KET0 = np.diag([1.0, 0.0]).astype(complex)
 KET1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def pauli_stack(n):
+    """Every n-qubit Pauli string P_1 ⊗ ... ⊗ P_n as one stack, in I, X, Y, Z order."""
+    strings = itertools.product(PAULIS_1Q, repeat=n)
+    return np.array([functools.reduce(np.kron, ps) for ps in strings])
+
+
+def pauli_coefficients(u, n, m):
+    """c[P, Q] = tr[(P ⊗ Q) U] / 2^(n+m) over n-qubit P and m-qubit Q."""
+    u4 = u.reshape(2**n, 2**m, 2**n, 2**m)
+    return np.einsum("pac,qbd,cdab->pq", pauli_stack(n), pauli_stack(m), u4) / 2 ** (n + m)
+
+
+def partial_trace(m, dim_a, dim_b, keep):
+    """tr_B[M] (keep="A") or tr_A[M] (keep="B") of an operator on C^dim_a ⊗ C^dim_b."""
+    blocks = m.reshape(dim_a, dim_b, dim_a, dim_b)
+    return np.einsum("abcb->ac" if keep == "A" else "abad->bd", blocks)
 
 
 def random_joint(game, rng):
@@ -189,8 +209,8 @@ def test_gradients_match_partial_trace_oracle():
         s = random_joint(game, rng)
         udag = game.payoff_observable.conj().T
         da, db = game.dim_alice, game.dim_bob
-        ga = linalg.partial_trace(udag @ np.kron(np.eye(da), s.bob), da, db, "A")
-        gb = -linalg.partial_trace(udag @ np.kron(s.alice, np.eye(db)), da, db, "B")
+        ga = partial_trace(udag @ np.kron(np.eye(da), s.bob), da, db, "A")
+        gb = -partial_trace(udag @ np.kron(s.alice, np.eye(db)), da, db, "B")
         assert np.max(np.abs(payoff_gradient_alice(game, s.bob) - ga)) < 1e-12
         assert np.max(np.abs(payoff_gradient_bob(game, s.alice) - gb)) < 1e-12
 
@@ -200,14 +220,9 @@ def test_gradient_matches_pauli_expansion():
     game = random_game(1, 1, seed=7)
     rng = np.random.default_rng(32)
     beta = random_density(2, rng)
-    u_hat = linalg.pauli_decompose(game.payoff_observable, 2)
-    b_hat = linalg.pauli_decompose(beta, 1)
-    expect = np.zeros((2, 2), dtype=complex)
-    for p in linalg.pauli_strings(1):
-        coeff = sum(
-            np.conj(u_hat[p + q]) * 2.0 * b_hat[q] for q in linalg.pauli_strings(1)
-        )
-        expect += coeff * linalg.pauli_matrix(p)
+    u_hat = pauli_coefficients(game.payoff_observable, 1, 1)
+    b_hat = np.einsum("qbd,db->q", pauli_stack(1), beta) / 2.0
+    expect = np.einsum("p,pac->ac", u_hat.conj() @ (2.0 * b_hat), pauli_stack(1))
     assert np.max(np.abs(payoff_gradient_alice(game, beta) - expect)) < 1e-12
 
 
@@ -311,11 +326,7 @@ def test_lipschitz_estimate_deterministic_and_validated():
 
 def pauli_lipschitz_constant(game):
     # U = sum c_PQ P ⊗ Q with the identity first in each factor's Pauli basis
-    coeffs = linalg.pauli_decompose(game.payoff_observable, game.n + game.m)
-    c = np.array([
-        [coeffs[p + q].real for q in linalg.pauli_strings(game.m)]
-        for p in linalg.pauli_strings(game.n)
-    ])
+    c = pauli_coefficients(game.payoff_observable, game.n, game.m).real
     scale = np.sqrt(game.dim_alice * game.dim_bob)
     return scale * max(np.linalg.norm(c[:, 1:], 2), np.linalg.norm(c[1:, :], 2))
 

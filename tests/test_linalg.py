@@ -11,22 +11,14 @@ from qzsg.linalg import (
     log_clamp_counter,
     matrix_from_jsonable,
     matrix_to_jsonable,
-    partial_trace,
-    pauli_decompose,
-    pauli_matrix,
-    pauli_reconstruct,
-    pauli_strings,
     schatten1_norm,
     spectral_fn,
     spectral_norm,
-    tensor_product,
     trace_inner,
 )
 
-Z = linalg.PAULI_1Q["Z"]
-X = linalg.PAULI_1Q["X"]
-Y = linalg.PAULI_1Q["Y"]
-I2 = linalg.PAULI_1Q["I"]
+Z = np.diag([1.0, -1.0]).astype(complex)
+X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def random_hermitian(dim, rng):
@@ -134,23 +126,6 @@ def test_herm_log_rejects_negative_and_clamps_underflow():
     log_clamp_counter.reset()
 
 
-def test_partial_trace_of_kron_factors():
-    rng = np.random.default_rng(3)
-    a = random_hermitian(2, rng)
-    b = random_hermitian(4, rng)
-    m = tensor_product(a, b)
-    assert np.allclose(partial_trace(m, 2, 4, "A"), a * np.trace(b), atol=1e-12)
-    assert np.allclose(partial_trace(m, 2, 4, "B"), b * np.trace(a), atol=1e-12)
-    assert np.isclose(np.trace(partial_trace(m, 2, 4, "A")), np.trace(m))
-
-
-def test_partial_trace_validates():
-    with pytest.raises(ValueError, match="does not factor"):
-        partial_trace(np.eye(6), 2, 4, "A")
-    with pytest.raises(ValueError, match="keep"):
-        partial_trace(np.eye(8), 2, 4, "C")
-
-
 def test_norm_helpers_agree_with_numpy():
     rng = np.random.default_rng(4)
     h = random_hermitian(5, rng)
@@ -164,41 +139,6 @@ def test_trace_inner_pauli():
     assert trace_inner(Z, X) == 0.0
     with pytest.raises(ValueError, match="shape mismatch"):
         trace_inner(Z, np.eye(3))
-
-
-def test_pauli_strings_and_matrices():
-    assert pauli_strings(1) == ["I", "X", "Y", "Z"]
-    assert len(pauli_strings(2)) == 16
-    assert np.array_equal(pauli_matrix("ZZ"), np.kron(Z, Z))
-    with pytest.raises(ValueError, match="invalid Pauli label"):
-        pauli_matrix("A")
-
-
-def test_pauli_identity_coefficient():
-    coeffs = pauli_decompose(np.eye(4), 2)
-    assert coeffs["II"] == 1.0
-    assert all(c == 0.0 for label, c in coeffs.items() if label != "II")
-
-
-def test_pauli_round_trip():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        rec = pauli_reconstruct(pauli_decompose(m, 2), 2)
-        assert np.max(np.abs(rec - m)) < 1e-10
-
-
-def test_pauli_coefficients_of_hermitian_are_real():
-    rng = np.random.default_rng(6)
-    h = random_hermitian(8, rng)
-    assert all(abs(c.imag) < 1e-12 for c in pauli_decompose(h, 3).values())
-
-
-def test_pauli_dimension_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        pauli_decompose(np.eye(4), 3)
-    with pytest.raises(ValueError, match="does not match"):
-        pauli_reconstruct({"ZZ": 1.0}, 1)
 
 
 def test_matrix_json_round_trip_is_bit_exact():

@@ -9,7 +9,6 @@ from qzsg.properties import (
     check_linearity,
     check_lipschitz,
     check_monotonicity,
-    check_pauli,
     run_properties,
 )
 
@@ -24,8 +23,6 @@ def test_individual_checks_on_seeded_game():
     assert check_lipschitz(game, gen, 50) <= 1e-9
     gen = rng.stream(0, rng.STREAM_PROPERTIES)
     assert check_linearity(game, gen, 20) < 1e-10
-    gen = rng.stream(0, rng.STREAM_PROPERTIES)
-    assert check_pauli(2, gen, 10) < 1e-10
 
 
 def test_run_properties_structure():
@@ -39,8 +36,8 @@ def test_run_properties_structure():
 
 
 def test_run_properties_subset_and_validation():
-    report = run_properties(names=("pauli",), max_qubits=1, n_seeds=1, samples=3)
-    assert [r["property"] for r in report["properties"]] == ["pauli"]
+    report = run_properties(names=("linearity",), max_qubits=1, n_seeds=1, samples=3)
+    assert [r["property"] for r in report["properties"]] == ["linearity"]
     with pytest.raises(ValueError, match="unknown property"):
         run_properties(names=("entropy",), max_qubits=1, n_seeds=1, samples=1)
     with pytest.raises(ValueError, match="max_qubits"):
@@ -51,7 +48,7 @@ def test_run_properties_subset_and_validation():
 
 def test_run_properties_reports_failures(monkeypatch):
     # force an impossible threshold to exercise the failure path
-    monkeypatch.setitem(properties._THRESHOLDS, "linearity", -1.0)
+    monkeypatch.setitem(properties._CHECKS, "linearity", (check_linearity, -1.0))
     report = run_properties(names=("linearity",), max_qubits=1, n_seeds=1, samples=3)
     assert report["all_passed"] is False
     assert report["properties"][0]["passed"] is False
