@@ -23,8 +23,6 @@ from .game import (
     matching_pennies,
     monotonicity_residual,
     payoff_gradient,
-    payoff_gradient_alice,
-    payoff_gradient_bob,
     random_game,
     random_outcomes,
     save_game,
@@ -81,8 +79,6 @@ __all__ = [
     "monotonicity_residual",
     "orth_project_spectraplex",
     "payoff_gradient",
-    "payoff_gradient_alice",
-    "payoff_gradient_bob",
     "random_game",
     "random_outcomes",
     "run",

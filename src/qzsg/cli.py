@@ -160,10 +160,7 @@ def _solver_config(args) -> solvers.SolverConfig:
         base["gap_check_interval"] = args.check_interval
     if args.seed is not None:
         base["seed"] = args.seed
-    try:
-        return solvers.SolverConfig.from_json_dict(base)
-    except (ValueError, TypeError) as exc:
-        raise CliError(str(exc)) from exc
+    return solvers.SolverConfig.from_json_dict(base)
 
 
 def _cmd_solve(args) -> int:
@@ -243,10 +240,6 @@ def _cmd_compare(args) -> int:
         check_interval=interval,
         step_size=args.step_size if args.step_size is not None else "auto",
     )
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
     report = suite.run_suite(spec)
     os.makedirs(args.output, exist_ok=True)
     report_path = os.path.join(args.output, "report.json")
@@ -357,10 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -203,31 +203,16 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
     return m
 
 
-def payoff_gradient_alice(game: QuantumGame, bob) -> np.ndarray:
-    """Gradient of Alice's payoff in Alice's strategy: tr_B[U† (I ⊗ b)]."""
-    bob = _player_matrix(bob, game.dim_bob, "Bob")
-    return linalg.hermitianize(np.einsum("abcd,db->ac", game._udag_blocks, bob))
-
-
-def payoff_gradient_bob(game: QuantumGame, alice) -> np.ndarray:
-    """Gradient of Bob's payoff in Bob's strategy: -tr_A[U† (a ⊗ I)]."""
-    alice = _player_matrix(alice, game.dim_alice, "Alice")
-    return linalg.hermitianize(-np.einsum("abcd,ca->bd", game._udag_blocks, alice))
-
-
 def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
-    """F(a, b) in `profile_stacks` layout, each stack hermitianized once; one
-    (2, d, d) stack is written straight by the einsums.  Each matrix equals
-    `payoff_gradient_alice`/`_bob` bit for bit."""
+    """F(a, b) in `profile_stacks` layout: both einsums write straight into
+    the players' views, and each stack is hermitianized once."""
     alice = _player_matrix(state.alice, game.dim_alice, "Alice")
     bob = _player_matrix(state.bob, game.dim_bob, "Bob")
     u = game._udag_blocks
-    if game.dim_alice != game.dim_bob:
-        stacks = [np.einsum("abcd,db->ac", u, bob), -np.einsum("abcd,ca->bd", u, alice)]
-    else:
-        stacks = profile_stacks(game)
-        np.einsum("abcd,db->ac", u, bob, out=stacks[0][0])
-        np.negative(np.einsum("abcd,ca->bd", u, alice, out=stacks[0][1]), out=stacks[0][1])
+    stacks = profile_stacks(game)
+    out = players(stacks)
+    np.einsum("abcd,db->ac", u, bob, out=out.alice)
+    np.negative(np.einsum("abcd,ca->bd", u, alice, out=out.bob), out=out.bob)
     return [linalg.hermitianize(s) for s in stacks]
 
 
@@ -236,8 +221,8 @@ class _GradientViews(JointState):
 
 
 def payoff_gradient(game: QuantumGame, state: JointState) -> JointState:
-    """Joint feedback operator F(a, b) = (F_alice(b), F_bob(a)), as views
-    into `profile_stacks` (see `stacked`)."""
+    """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]),
+    as views into the `profile_stacks` it keeps as `.stacks`."""
     stacks = _gradient_stacks(game, state)
     pair = _GradientViews(*players(stacks))
     pair.stacks = stacks
@@ -245,13 +230,10 @@ def payoff_gradient(game: QuantumGame, state: JointState) -> JointState:
 
 
 def stacked(game: QuantumGame, pair) -> list[np.ndarray]:
-    """A per-player pair in `profile_stacks`, for the stack kernels: the
-    profile a `payoff_gradient` pair views, else a copy."""
-    stacks = getattr(pair, "stacks", None)
-    if stacks is None:
-        stacks = profile_stacks(game)
-        out = players(stacks)
-        out.alice[...], out.bob[...] = pair
+    """A copy of a per-player pair in `profile_stacks` layout, for the stack kernels."""
+    stacks = profile_stacks(game)
+    out = players(stacks)
+    out.alice[...], out.bob[...] = pair
     return stacks
 
 

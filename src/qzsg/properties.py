@@ -18,8 +18,7 @@ from .game import (
     expected_utility,
     linearity_check,
     monotonicity_residual,
-    payoff_gradient_alice,
-    payoff_gradient_bob,
+    payoff_gradient,
     random_density,
     random_direction,
     random_game,
@@ -55,20 +54,14 @@ def check_gradient_fd(game: QuantumGame, gen, samples: int) -> float:
     h = GRADIENT_FD_STEP
     for _ in range(samples):
         state = _random_joint(game, gen)
-        for player in ("alice", "bob"):
-            if player == "alice":
-                delta = random_direction(game.dim_alice, gen)
-                up = expected_utility(game, JointState(state.alice + h * delta, state.bob))
-                dn = expected_utility(game, JointState(state.alice - h * delta, state.bob))
-                grad = payoff_gradient_alice(game, state.bob)
-                analytic = linalg.trace_inner(delta, grad).real
-            else:
-                delta = random_direction(game.dim_bob, gen)
-                up = expected_utility(game, JointState(state.alice, state.bob + h * delta))
-                dn = expected_utility(game, JointState(state.alice, state.bob - h * delta))
-                # Bob's payoff gradient is the descent direction of u.
-                grad = -payoff_gradient_bob(game, state.alice)
-                analytic = linalg.trace_inner(delta, grad).real
+        grads = payoff_gradient(game, state)
+        # Bob's payoff gradient is the descent direction of u.
+        for player, dim, sign in (("alice", game.dim_alice, 1.0), ("bob", game.dim_bob, -1.0)):
+            delta = random_direction(dim, gen)
+            x = getattr(state, player)
+            up = expected_utility(game, state._replace(**{player: x + h * delta}))
+            dn = expected_utility(game, state._replace(**{player: x - h * delta}))
+            analytic = linalg.trace_inner(delta, sign * getattr(grads, player)).real
             fd = (up - dn) / (2.0 * h)
             denom = max(abs(analytic), 1e-12)
             worst = max(worst, abs(fd - analytic) / denom)

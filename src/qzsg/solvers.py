@@ -83,9 +83,11 @@ class SolverConfig:
     rule, the regularizer and the step decay.  step_size is a positive float
     or "auto"; auto uses mu / (2 gamma) with gamma = ||U||_inf for the entropy
     regularizer and the exact Frobenius Lipschitz constant
-    `game.lipschitz_constant` (closed form, no sampling) otherwise.  Step
-    decay "inverse_sqrt" scales the step by 1/sqrt(t+1) at iteration t.  seed
-    is recorded with the run; no solver draws from it.
+    `game.lipschitz_constant` (closed form, no sampling) otherwise, and 1
+    when mu / (2 gamma) is not finite (gamma = 0, or so small that the
+    quotient overflows), since any step up to mu / (2 gamma) keeps the
+    guarantee.  Step decay "inverse_sqrt" scales the step by 1/sqrt(t+1) at
+    iteration t.  seed is recorded with the run; no solver draws from it.
     """
 
     algorithm: str = "ommwu"
@@ -104,7 +106,7 @@ class SolverConfig:
         return ALIASES[self.algorithm][2]
 
     def validate(self) -> None:
-        if self.algorithm not in ALIASES:
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALIASES:
             raise ValueError(
                 f"unknown solver alias {self.algorithm!r}; expected one of {sorted(ALIASES)}"
             )
@@ -155,12 +157,13 @@ def _is_number(value, kind) -> bool:
 
 def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
     """Materialize cfg.step_size: auto is mu / (2 gamma) with mu = 1 for both
-    regularizers; the zero observable admits any step, use 1."""
+    regularizers, or 1 where that is not finite (see SolverConfig)."""
     if cfg.step_size != "auto":
         return float(cfg.step_size)
     entropy = ALIASES[cfg.algorithm][1] is geometry.VN_ENTROPY
     gamma = game.u_inf_norm if entropy else lipschitz_constant(game)
-    return 1.0 if gamma <= 0.0 else 1.0 / (2.0 * gamma)
+    step = 1.0 / (2.0 * gamma) if gamma > 0.0 else math.inf
+    return step if math.isfinite(step) else 1.0
 
 
 class Stepper:
@@ -182,7 +185,7 @@ class Stepper:
         return players(self.stacks)
 
     def _gradient(self, psi: JointState):
-        return stacked(self.game, payoff_gradient(self.game, psi))
+        return payoff_gradient(self.game, psi).stacks
 
     def _advance(self, g, eta: float):
         return [self.reg.advance(s, gs, eta) for s, gs in zip(self.stacks, g)]

@@ -125,22 +125,18 @@ def execute_game(spec: ExperimentSpec, game_index: int) -> list:
     return [execute_run(spec, game_index, alias, game) for alias in spec.algorithms]
 
 
-def worker_count(max_workers: int | None = None) -> int:
-    """Resolve the pool size, capped by the QZSG_THREADS environment variable."""
-    if max_workers is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if env:
-            try:
-                max_workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            max_workers = os.cpu_count() or 1
-    if max_workers < 1:
+def worker_count() -> int:
+    """The pool size: the QZSG_THREADS environment variable, else the CPU count."""
+    env = os.environ.get(THREADS_ENV_VAR, "").strip()
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+    if workers < 1:
         raise ValueError("worker count must be >= 1")
-    return max_workers
+    return workers
 
 
 def _stats(values: list) -> dict:
@@ -196,10 +192,11 @@ def aggregate(spec: ExperimentSpec, runs: list) -> list:
     return out
 
 
-def run_suite(spec: ExperimentSpec, max_workers: int | None = None) -> dict:
-    """Execute the full suite and assemble the comparison report."""
+def run_suite(spec: ExperimentSpec) -> dict:
+    """Execute the full suite and assemble the comparison report, on
+    `worker_count()` threads; one worker runs the games in this thread."""
     spec.validate()
-    workers = worker_count(max_workers)
+    workers = worker_count()
     games = range(spec.games)
     if workers == 1:
         per_game = [execute_game(spec, g) for g in games]

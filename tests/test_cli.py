@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qzsg import cli, properties, solvers, suite
+from qzsg import cli, linalg, properties, solvers, suite
 from qzsg import game as game_mod
 from qzsg.cli import TRACE_HEADER, main
 from qzsg.game import load_game, random_game, random_outcomes
@@ -247,6 +247,28 @@ def test_solve_overflowing_step_is_numerical_failure(tmp_path, capsys, algorithm
     err = capsys.readouterr().err
     assert "numerical failure: step failed at iteration" in err
     assert "eigensolver" not in err
+
+
+@pytest.mark.parametrize("algorithm", sorted(solvers.ALIASES))
+def test_solve_tiny_game_takes_step_one(tmp_path, capsys, algorithm):
+    # a valid file whose U is so small that mu / (2 gamma) overflows to inf
+    # (entropy) or whose sigma_1^2 underflows to 0 (Frobenius): auto takes 1
+    game = random_game(1, 1, seed=0)
+    doc = game_mod.game_to_json_dict(game)
+    doc["payoff_observable"] = linalg.matrix_to_jsonable(game.payoff_observable * 1e-320)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", "--game", str(path), "--algorithm", algorithm,
+                   "--iters", "20", "--format", "json") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["step_size"] == 1.0 and summary["iterations"] == 20
+
+
+def test_solve_config_with_a_non_string_alias_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"algorithm": ["omeg"]}), encoding="utf-8")
+    assert run_cli("solve", "--game", "builtin:zero", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err.startswith("error: unknown solver alias ['omeg']")
 
 
 # ---------------------------------------------------------------- compare

@@ -26,8 +26,6 @@ from qzsg.game import (
     matching_pennies,
     monotonicity_residual,
     payoff_gradient,
-    payoff_gradient_alice,
-    payoff_gradient_bob,
     players,
     random_density,
     random_game,
@@ -196,23 +194,25 @@ def test_payoff_identity_utility_equals_gradient_pairing():
         for _ in range(10):
             s = random_joint(game, rng)
             u = expected_utility(game, s)
-            ga = linalg.trace_inner(s.alice, payoff_gradient_alice(game, s.bob)).real
-            gb = linalg.trace_inner(s.bob, payoff_gradient_bob(game, s.alice)).real
+            grads = payoff_gradient(game, s)
+            ga = linalg.trace_inner(s.alice, grads.alice).real
+            gb = linalg.trace_inner(s.bob, grads.bob).real
             assert abs(u - ga) < 1e-10
             assert abs(u + gb) < 1e-10
 
 
 def test_gradients_match_partial_trace_oracle():
     rng = np.random.default_rng(31)
-    for n, m, seed in ((1, 1, 0), (2, 1, 1), (2, 2, 2)):
+    for n, m, seed in ((1, 1, 0), (2, 1, 1), (1, 2, 3), (2, 2, 2)):
         game = random_game(n, m, seed=seed)
         s = random_joint(game, rng)
         udag = game.payoff_observable.conj().T
         da, db = game.dim_alice, game.dim_bob
         ga = partial_trace(udag @ np.kron(np.eye(da), s.bob), da, db, "A")
         gb = -partial_trace(udag @ np.kron(s.alice, np.eye(db)), da, db, "B")
-        assert np.max(np.abs(payoff_gradient_alice(game, s.bob) - ga)) < 1e-12
-        assert np.max(np.abs(payoff_gradient_bob(game, s.alice) - gb)) < 1e-12
+        grads = payoff_gradient(game, s)
+        assert np.max(np.abs(grads.alice - ga)) < 1e-12
+        assert np.max(np.abs(grads.bob - gb)) < 1e-12
 
 
 def test_gradient_matches_pauli_expansion():
@@ -223,7 +223,8 @@ def test_gradient_matches_pauli_expansion():
     u_hat = pauli_coefficients(game.payoff_observable, 1, 1)
     b_hat = np.einsum("qbd,db->q", pauli_stack(1), beta) / 2.0
     expect = np.einsum("p,pac->ac", u_hat.conj() @ (2.0 * b_hat), pauli_stack(1))
-    assert np.max(np.abs(payoff_gradient_alice(game, beta) - expect)) < 1e-12
+    grad = payoff_gradient(game, JointState(np.eye(2) / 2.0, beta)).alice
+    assert np.max(np.abs(grad - expect)) < 1e-12
 
 
 def test_gradient_shapes_and_dim_checks():
@@ -232,26 +233,27 @@ def test_gradient_shapes_and_dim_checks():
     grads = payoff_gradient(game, s)
     assert grads.alice.shape == (2, 2)
     assert grads.bob.shape == (4, 4)
-    with pytest.raises(ValueError, match="does not match"):
-        payoff_gradient_alice(game, np.eye(2) / 2.0)
-    with pytest.raises(ValueError, match="does not match"):
-        payoff_gradient_bob(game, np.eye(4) / 4.0)
+    with pytest.raises(ValueError, match="Bob state dimension 2 does not match"):
+        payoff_gradient(game, JointState(s.alice, np.eye(2) / 2.0))
+    with pytest.raises(ValueError, match="Alice state dimension 4 does not match"):
+        payoff_gradient(game, JointState(np.eye(4) / 4.0, s.bob))
 
 
 def test_stacked_reuses_the_profile_a_gradient_views():
     # one (2, d, d) stack when d_A = d_B, else one matrix per player; a
-    # payoff_gradient pair is already laid out so, any other pair is copied
+    # payoff_gradient pair views the profile it keeps, and stacked copies
     rng = np.random.default_rng(8)
     for n, m, shapes in ((2, 2, [(2, 4, 4)]), (1, 2, [(2, 2), (4, 4)])):
         game = random_game(n, m, seed=6)
         pair = payoff_gradient(game, random_joint(game, rng))
-        stacks = stacked(game, pair)
-        assert [s.shape for s in stacks] == shapes
-        view = players(stacks)
+        assert [s.shape for s in pair.stacks] == shapes
+        view = players(pair.stacks)
         assert np.shares_memory(view.alice, pair.alice)
         assert np.shares_memory(view.bob, pair.bob)
-        other = type(pair)(pair.alice.copy(), pair.bob)
-        copied = players(stacked(game, other))
+        stacks = stacked(game, pair)
+        assert [s.shape for s in stacks] == shapes
+        copied = players(stacks)
+        assert not np.shares_memory(copied.alice, pair.alice)
         assert not np.shares_memory(copied.bob, pair.bob)
         assert np.array_equal(copied.alice, pair.alice)
         assert np.array_equal(copied.bob, pair.bob)

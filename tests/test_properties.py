@@ -59,3 +59,20 @@ def test_checks_are_deterministic():
     a = check_monotonicity(game, rng.stream(3, rng.STREAM_PROPERTIES), 10)
     b = check_monotonicity(game, rng.stream(3, rng.STREAM_PROPERTIES), 10)
     assert a == b
+
+
+# float.hex of each property's worst residual at max_qubits=2, n_seeds=2,
+# samples=5: verify's numbers stay bit for bit what they were as the
+# feedback kernels it reads change
+PINNED_WORSTS = {
+    "monotonicity": "0x1.2000000000000p-56",
+    "gradient-fd": "0x1.d2288e5bf46dcp-29",
+    "lipschitz": "-0x1.e1c5e4dbbf46bp-5",
+    "linearity": "0x1.0000000000000p-54",
+}
+
+
+def test_verify_numbers_are_pinned():
+    report = run_properties(max_qubits=2, n_seeds=2, samples=5)
+    worsts = {r["property"]: float.hex(r["worst"]) for r in report["properties"]}
+    assert worsts == PINNED_WORSTS

@@ -563,7 +563,7 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
         g = real_gradient(game, state)
         calls["n"] += 1
         if calls["n"] == before.gradient_calls + 1:  # the first gradient of iteration k
-            return type(g)(g.alice * math.nan, g.bob)
+            g.alice[...] *= math.nan  # in place, so the profile the loop reads is poisoned
         return g
 
     monkeypatch.setattr(solvers, "payoff_gradient", poisoned)

@@ -22,6 +22,13 @@ from qzsg.suite import (
 )
 
 
+@pytest.fixture(autouse=True)
+def one_worker(monkeypatch):
+    # run_suite reads its pool size only from QZSG_THREADS; a test that wants
+    # a pool sets it again
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "1")
+
+
 def small_spec(**overrides):
     base = dict(
         n=1, m=1, games=2, master_seed=0, algorithms=("ommwu",), iters=60,
@@ -84,9 +91,9 @@ def test_run_suite_rejects_a_bad_spec_before_building_a_game(monkeypatch):
 
     monkeypatch.setattr(suite, "random_game", unexpected)
     with pytest.raises(ValueError, match="repeated solver aliases"):
-        run_suite(small_spec(algorithms=("ommwu", "ommwu")), max_workers=1)
+        run_suite(small_spec(algorithms=("ommwu", "ommwu")))
     with pytest.raises(ValueError, match="step_size"):
-        run_suite(small_spec(step_size=-1.0), max_workers=1)
+        run_suite(small_spec(step_size=-1.0))
 
 
 def test_suite_game_seed_is_derived():
@@ -132,7 +139,7 @@ def test_suite_with_non_positive_last_gap_has_finite_aggregates():
         algorithms=("mmwu-sd", "ommwu", "omeg"), iters=100,
         checkpoints=tuple(t for t in PAPER_EXP2_SCHEDULE if t <= 100),
     )
-    report = run_suite(spec, max_workers=1)
+    report = run_suite(spec)
     assert report["failures"] == 0
     assert any(
         cp["gap_last"] <= 0.0
@@ -180,16 +187,16 @@ def test_execute_run_captures_failures():
 
 
 def test_worker_count_sources(monkeypatch):
-    assert worker_count(3) == 3
-    monkeypatch.setenv(suite.THREADS_ENV_VAR, "2")
-    assert worker_count() == 2
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "3")
+    assert worker_count() == 3
     monkeypatch.setenv(suite.THREADS_ENV_VAR, "eight")
     with pytest.raises(ValueError, match="QZSG_THREADS"):
         worker_count()
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "0")
+    with pytest.raises(ValueError, match=">= 1"):
+        worker_count()
     monkeypatch.delenv(suite.THREADS_ENV_VAR)
     assert worker_count() >= 1
-    with pytest.raises(ValueError, match=">= 1"):
-        worker_count(0)
 
 
 # ---------------------------------------------------------------- run_suite
@@ -197,7 +204,7 @@ def test_worker_count_sources(monkeypatch):
 
 def test_single_run_suite_aggregates_equal_the_run():
     spec = small_spec(games=1)
-    report = run_suite(spec, max_workers=1)
+    report = run_suite(spec)
     assert report["failures"] == 0
     (rec,) = report["runs"]
     final = [a for a in report["aggregates"] if a["t"] == 60]
@@ -208,9 +215,10 @@ def test_single_run_suite_aggregates_equal_the_run():
     assert final[0]["gap_avg"]["ci95_low"] == final[0]["gap_avg"]["ci95_high"]
 
 
-def test_run_suite_report_shape_and_order():
+def test_run_suite_report_shape_and_order(monkeypatch):
     spec = small_spec(algorithms=("ommwu", "mmwu"))
-    report = run_suite(spec, max_workers=2)
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "2")
+    report = run_suite(spec)
     assert report["format_version"] == suite.REPORT_FORMAT_VERSION
     assert report["ci_method"] == "student-t-95-log-domain"
     assert report["experiment"]["algorithms"] == ["ommwu", "mmwu"]
@@ -222,10 +230,11 @@ def test_run_suite_report_shape_and_order():
     assert all(a["count"] == 2 for a in report["aggregates"])
 
 
-def test_run_suite_deterministic_across_worker_counts():
+def test_run_suite_deterministic_across_worker_counts(monkeypatch):
     spec = small_spec(games=3, algorithms=("ommwu", "mmwu-sd"))
-    serial = mask_wall_times(run_suite(spec, max_workers=1))
-    pooled = mask_wall_times(run_suite(spec, max_workers=4))
+    serial = mask_wall_times(run_suite(spec))
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "4")
+    pooled = mask_wall_times(run_suite(spec))
     assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
@@ -240,7 +249,8 @@ def test_run_suite_records_failures_without_aborting(monkeypatch):
         return real(n, m, outcomes, seed)
 
     monkeypatch.setattr(suite, "random_game", flaky)
-    report = run_suite(spec, max_workers=2)
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "2")
+    report = run_suite(spec)
     assert report["failures"] == 2  # both algorithms on the poisoned game
     bad = [r for r in report["runs"] if r["status"] == "error"]
     assert {r["game_index"] for r in bad} == {1}
@@ -252,7 +262,8 @@ def test_run_suite_records_failures_without_aborting(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_run_suite_builds_each_game_once(monkeypatch, workers):
     spec = small_spec(games=3, algorithms=("ommwu", "mmwu", "omeg"))
-    expected = mask_wall_times(run_suite(spec, max_workers=workers))
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, str(workers))
+    expected = mask_wall_times(run_suite(spec))
     seeds = []
     real = suite.random_game
 
@@ -261,21 +272,21 @@ def test_run_suite_builds_each_game_once(monkeypatch, workers):
         return real(n, m, outcomes, seed)
 
     monkeypatch.setattr(suite, "random_game", counted)
-    report = mask_wall_times(run_suite(spec, max_workers=workers))
+    report = mask_wall_times(run_suite(spec))
     assert sorted(seeds) == sorted(suite_game_seed(0, g) for g in range(spec.games))
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_explicit_checkpoints_flow_into_runs():
     spec = small_spec(iters=40, checkpoints=(5, 15, 99))
-    report = run_suite(spec, max_workers=1)
+    report = run_suite(spec)
     for rec in report["runs"]:
         assert [cp["t"] for cp in rec["checkpoints"]] == [5, 15, 40]
 
 
 def test_aggregate_handles_ragged_grids():
     spec = small_spec(games=2)
-    runs = run_suite(spec, max_workers=1)["runs"]
+    runs = run_suite(spec)["runs"]
     # simulate one run stopping early: drop its final checkpoint
     runs = copy.deepcopy(runs)
     runs[0]["checkpoints"] = runs[0]["checkpoints"][:1]
