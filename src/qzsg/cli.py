@@ -92,6 +92,19 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _check_output(path: str, is_dir: bool) -> None:
+    """Exit 2 before any work when no output could be written at `path`.
+
+    A file's directory must exist.  A report directory is made with its
+    parents, so its nearest existing ancestor must be a directory.
+    """
+    directory = path if is_dir else os.path.dirname(path)
+    while is_dir and directory and not os.path.exists(directory):
+        directory = os.path.dirname(directory)
+    if directory and not os.path.isdir(directory):
+        raise CliError(f"cannot write output: no directory {directory!r}")
+
+
 def _load_game(ref: str) -> game_mod.QuantumGame:
     if ref.startswith(game_mod.BUILTIN_PREFIX):
         return game_mod.builtin_game(ref)
@@ -241,11 +254,10 @@ def _cmd_compare(args) -> int:
         step_size=args.step_size if args.step_size is not None else "auto",
     )
     report = suite.run_suite(spec)
-    os.makedirs(args.output, exist_ok=True)
-    report_path = os.path.join(args.output, "report.json")
-    _write_json(report_path, report)
     runs_dir = os.path.join(args.output, "runs")
     os.makedirs(runs_dir, exist_ok=True)
+    report_path = os.path.join(args.output, "report.json")
+    _write_json(report_path, report)
     for run_rec in report["runs"]:
         if run_rec["status"] != "ok":
             continue
@@ -349,6 +361,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output, is_dir=args.command == "compare")
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

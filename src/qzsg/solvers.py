@@ -263,9 +263,10 @@ def run(
     eta = resolve_step_size(game, cfg)
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, eta, psi)
-    explicit = None
     if checkpoints is not None:
-        explicit = {int(c) for c in checkpoints if 1 <= int(c) <= cfg.max_iters}
+        due = {int(c) for c in checkpoints}
+    else:
+        due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
     sum_a, sum_b = map(np.zeros_like, psi)
     rows: list[TraceRow] = []
     calls = done = 0
@@ -284,12 +285,7 @@ def run(
                 raise linalg.NumericalError(f"step failed at iteration {t + 1}: {exc}") from exc
             calls += fresh
             done = t + 1
-            at_checkpoint = (
-                done == cfg.max_iters
-                or (explicit is not None and done in explicit)
-                or (explicit is None and done % cfg.gap_check_interval == 0)
-            )
-            if at_checkpoint:
+            if done == cfg.max_iters or done in due:
                 avg = JointState(
                     linalg.hermitianize(sum_a / done), linalg.hermitianize(sum_b / done)
                 )

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from . import rng
 from .game import random_game
@@ -141,6 +140,9 @@ def worker_count() -> int:
 
 def _stats(values: list) -> dict:
     """Mean and log-domain Student-t 95% CI; a singleton has zero-width CI."""
+    # scipy.stats takes about a second to import: only `compare` pays for it
+    from scipy.stats import t as student_t
+
     arr = np.asarray(values, dtype=float)
     logs = np.log(np.maximum(arr, GAP_LOG_FLOOR))
     log_mean = float(np.mean(logs))

@@ -106,6 +106,19 @@ def test_generate_unwritable_path_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _unexpected(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
+def test_generate_rejects_a_missing_output_dir_before_any_game(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(game_mod, "random_outcomes", _unexpected)
+    missing = tmp_path / "missing"
+    assert run_cli("generate", "-n", "1", "-m", "1", "-o", str(missing / "g.json")) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: no directory {str(missing)!r}\n")
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -123,6 +136,19 @@ def test_solve_builtin_text_and_files(tmp_path, capsys):
     assert summary["algorithm"] == "ommwu"
     assert summary["gradient_calls"] == 201
     assert summary["final_gap_avg"] == 0.0  # uniform start is the pennies Nash
+
+
+def test_solve_rejects_a_missing_output_dir_before_solving(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(game_mod, "builtin_game", _unexpected)
+    monkeypatch.setattr(solvers, "run", _unexpected)
+    missing = tmp_path / "missing"
+    code = run_cli("solve", "--game", "builtin:matching-pennies", "--iters", "20000",
+                   "-o", str(missing / "run"))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: no directory {str(missing)!r}\n")
+    assert not missing.exists()
 
 
 def test_solve_zero_game_gap_is_zero_everywhere(tmp_path):
@@ -364,6 +390,20 @@ def test_compare_rejects_bad_solver_settings_before_any_game(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("below", [(), ("sub",)])
+def test_compare_rejects_an_output_file_before_any_game(
+        tmp_path, monkeypatch, capsys, below):
+    monkeypatch.setattr(suite, "random_game", _unexpected)
+    blocker = tmp_path / "cmp"
+    blocker.write_text("not a directory", encoding="utf-8")
+    code = run_cli("compare", "-n", "1", "-m", "1", "--games", "4", "--iters", "3000",
+                   "--algorithms", "mmwu,ommwu", "-o", str(blocker.joinpath(*below)))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: no directory {str(blocker)!r}\n")
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
+
+
 def test_compare_partial_failure_exit_code(tmp_path, monkeypatch, capsys):
     poisoned = suite.suite_game_seed(0, 1)
     real = suite.random_game
@@ -399,6 +439,15 @@ def test_verify_passes_at_small_dims(tmp_path, capsys):
     assert all(line.startswith("PASS ") for line in lines)
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["all_passed"] is True
+
+
+def test_verify_rejects_a_missing_output_dir_before_any_game(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(properties, "random_game", _unexpected)
+    missing = tmp_path / "missing"
+    assert run_cli("verify", "--dims", "1", "-o", str(missing / "props.json")) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: no directory {str(missing)!r}\n")
 
 
 def test_verify_single_property_json(capsys):
