@@ -92,15 +92,21 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _check_output(path: str, is_dir: bool) -> None:
+def _check_output(path: str, command: str) -> None:
     """Exit 2 before any work when no output could be written at `path`.
 
-    A file's directory must exist.  A report directory is made with its
-    parents, so its nearest existing ancestor must be a directory.
+    `compare` makes its report directory with its parents, so the nearest
+    existing ancestor must be a directory.  Any other output is a file, or a
+    prefix of files for `solve`: it needs a file name that is not an existing
+    directory (a prefix may be one), in a directory that exists.
     """
-    directory = path if is_dir else os.path.dirname(path)
-    while is_dir and directory and not os.path.exists(directory):
-        directory = os.path.dirname(directory)
+    directory, name = os.path.split(path)
+    if command == "compare":
+        directory = path
+        while directory and not os.path.exists(directory):
+            directory = os.path.dirname(directory)
+    elif not name or (command != "solve" and os.path.isdir(path)):
+        raise CliError(f"cannot write output: {path!r} is not a file name")
     if directory and not os.path.isdir(directory):
         raise CliError(f"cannot write output: no directory {directory!r}")
 
@@ -115,12 +121,13 @@ def _load_game(ref: str) -> game_mod.QuantumGame:
 
 def _cmd_generate(args) -> int:
     n, m = args.alice_qubits, args.bob_qubits
-    min_eigs = []
+    min_eig = np.inf
 
     def recorded(outcomes):
-        # the game keeps no element: note each one's smallest eigenvalue as it streams
+        # the game keeps no element: note the smallest eigenvalue as they stream
+        nonlocal min_eig
         for u, p in outcomes:
-            min_eigs.append(float(np.linalg.eigvalsh(p)[0]))
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(p)[0]))
             yield u, p
 
     stream = game_mod.random_outcomes(n, m, args.outcomes, args.seed)
@@ -133,8 +140,8 @@ def _cmd_generate(args) -> int:
         "outcomes": game.outcomes,
         "seed": game.seed,
         "u_inf_norm": game.u_inf_norm,
-        "povm_min_eigenvalue": min(min_eigs),
-        "povm_full_rank": min(min_eigs) > 0.0,
+        "povm_min_eigenvalue": min_eig,
+        "povm_full_rank": min_eig > 0.0,
     }
     if args.format == "json":
         print(json.dumps(summary))
@@ -362,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.output:
-            _check_output(args.output, is_dir=args.command == "compare")
+            _check_output(args.output, args.command)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -25,7 +24,6 @@ import numpy as np
 from . import linalg, rng
 
 POVM_SUM_TOL = 1e-8
-DENSITY_EIG_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-9
 RANK_RIDGE = 1e-6
 
@@ -48,7 +46,7 @@ def assert_density_matrix(x, what: str = "state") -> np.ndarray:
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"{what} has trace {tr!r}, expected 1")
     w = np.linalg.eigvalsh(linalg.hermitianize(x))
-    if w[0] < -DENSITY_EIG_TOL:
+    if w[0] < -linalg.PSD_EIG_TOL:
         raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
     return x
 
@@ -58,7 +56,8 @@ class QuantumGame:
     """An (n, m)-qubit zero-sum game, stored as its payoff observable U.
 
     Every solver, gradient and gap reads only U, so the POVM a game came from
-    is not kept: `outcomes` records its size and `povm` is always empty.
+    is not kept: `outcomes` records its size and `povm` is always empty.  U is
+    the game's own copy and equals U† bit for bit, so U is also read as U†.
     """
 
     n: int
@@ -78,16 +77,11 @@ class QuantumGame:
     def dim_bob(self) -> int:
         return 2**self.m
 
-    @cached_property
-    def _udag_blocks(self) -> np.ndarray:
-        da, db = self.dim_alice, self.dim_bob
-        return np.ascontiguousarray(
-            self.payoff_observable.conj().T.reshape(da, db, da, db)
-        )
-
     @classmethod
     def from_observable(cls, n, m, u_obs, outcomes, seed=None) -> "QuantumGame":
-        """Wrap a payoff observable: checks its size, finiteness and Hermiticity."""
+        """The one way U enters a game: checks its size, finiteness and
+        Hermiticity, then stores its Hermitian part, a copy equal to its U†."""
+        u_obs = linalg.assert_hermitian(u_obs, "payoff observable")
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
@@ -95,6 +89,7 @@ class QuantumGame:
             raise ValueError(
                 f"payoff observable of shape {u_obs.shape} does not match {n}+{m} qubits"
             )
+        u_obs = linalg.hermitianize(u_obs)
         return cls(
             n=int(n),
             m=int(m),
@@ -111,7 +106,8 @@ class QuantumGame:
         The one loop that builds a game.  It checks each utility's range and
         each element's size, then that the elements are not empty and sum to
         the identity; it keeps no element.  Whether each element is Hermitian
-        and positive is the caller's to check or to trust.  Nothing of side
+        and positive is the caller's to check or to trust; `from_observable`
+        checks that their sum is Hermitian.  Nothing of side
         2^(n+m) is allocated before the first element has passed, so a
         document that declares more qubits than its elements have fails
         without asking for memory.
@@ -137,7 +133,7 @@ class QuantumGame:
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > POVM_SUM_TOL:
             raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
-        return cls.from_observable(n, m, linalg.hermitianize(u_obs), count, seed)
+        return cls.from_observable(n, m, u_obs, count, seed)
 
     @classmethod
     def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
@@ -152,7 +148,7 @@ class QuantumGame:
             for u, p in zip(utilities, povm):
                 p = linalg.assert_hermitian(p, "POVM element")
                 w_min = float(np.linalg.eigvalsh(linalg.hermitianize(p))[0])
-                if w_min < -DENSITY_EIG_TOL:
+                if w_min < -linalg.PSD_EIG_TOL:
                     raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
                 yield linalg.real_number(u, "utility"), p
 
@@ -205,15 +201,19 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
 
 def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
     """F(a, b) in `profile_stacks` layout: both einsums write straight into
-    the players' views, and each stack is hermitianized once."""
+    the players' views, and each stack is replaced by its Hermitian part in
+    place, with the bits of `linalg.hermitianize`."""
     alice = _player_matrix(state.alice, game.dim_alice, "Alice")
     bob = _player_matrix(state.bob, game.dim_bob, "Bob")
-    u = game._udag_blocks
+    u = game.payoff_observable.reshape(2 * (game.dim_alice, game.dim_bob))  # U† = U
     stacks = profile_stacks(game)
     out = players(stacks)
     np.einsum("abcd,db->ac", u, bob, out=out.alice)
     np.negative(np.einsum("abcd,ca->bd", u, alice, out=out.bob), out=out.bob)
-    return [linalg.hermitianize(s) for s in stacks]
+    for s in stacks:
+        s += s.conj().swapaxes(-1, -2)
+        s /= 2.0
+    return stacks
 
 
 class _GradientViews(JointState):
@@ -387,7 +387,7 @@ def lipschitz_constant(game: QuantumGame) -> float:
     `lipschitz_estimate(game, "fro-fro")` samples.
     """
     da, db = game.dim_alice, game.dim_bob
-    blocks = game._udag_blocks
+    blocks = game.payoff_observable.reshape(da, db, da, db)  # U† = U
     m_alice = blocks.transpose(0, 2, 3, 1).reshape(da * da, db * db)
     m_bob = blocks.transpose(1, 3, 2, 0).reshape(db * db, da * da)
     return max(_traceless_input_norm(m_alice, db), _traceless_input_norm(m_bob, da))
@@ -490,7 +490,6 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
         raise ValueError("outcomes must be a positive integer")
     u_obs = linalg.matrix_from_jsonable(data["payoff_observable"])
-    u_obs = linalg.hermitianize(linalg.assert_hermitian(u_obs, "payoff observable"))
     game = QuantumGame.from_observable(n, m, u_obs, outcomes, seed)
     # -I <= U <= I for |u| <= 1; the slack covers a sum-to-identity defect of
     # POVM_SUM_TOL per entry, so every game a constructor accepts loads back

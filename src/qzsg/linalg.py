@@ -9,7 +9,7 @@ checks stay sharp after long chains of floating-point arithmetic.
 from __future__ import annotations
 
 import numbers
-import threading
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,28 +30,9 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-class _ClampCounter:
-    """Tally of eigenvalues clamped up to the log floor.  Diagnostic only; no
-    algorithm reads it."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
-
-    def add(self, k: int) -> None:
-        with self._lock:
-            self._count += k
-
-    def reset(self) -> None:
-        with self._lock:
-            self._count = 0
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-
-log_clamp_counter = _ClampCounter()
+# herm_log keeps no tally of its clamps; the benchmark harness still reads
+# `.count` of this stand-in, which is always 0
+log_clamp_counter = SimpleNamespace(count=0)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -148,18 +129,14 @@ def herm_log(h) -> np.ndarray:
 
     Eigenvalues below -PSD_EIG_TOL are rejected; values in [-PSD_EIG_TOL,
     LOG_EIG_FLOOR) are treated as underflow of a strictly positive quantity
-    and clamped, with the clamp recorded in `log_clamp_counter`.
+    and clamped.
     """
     spec = hermitian_eig(h)
     w = spec.eigenvalues
     if w[-1] < -PSD_EIG_TOL:
         raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
-    clamped = np.maximum(w, LOG_EIG_FLOOR)
-    n_clamped = int(np.sum(w < LOG_EIG_FLOOR))
-    if n_clamped:
-        log_clamp_counter.add(n_clamped)
     v = spec.eigenvectors
-    return hermitianize((v * np.log(clamped)) @ v.conj().T)
+    return hermitianize((v * np.log(np.maximum(w, LOG_EIG_FLOOR))) @ v.conj().T)
 
 
 def schatten1_norm(h) -> float:

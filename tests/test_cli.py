@@ -119,6 +119,13 @@ def test_generate_rejects_a_missing_output_dir_before_any_game(
         f"error: cannot write output: no directory {str(missing)!r}\n")
 
 
+def test_generate_rejects_an_existing_dir_before_any_game(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(game_mod, "random_outcomes", _unexpected)
+    assert run_cli("generate", "-n", "1", "-m", "1", "-o", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {str(tmp_path)!r} is not a file name\n")
+
+
 # ---------------------------------------------------------------- solve
 
 
@@ -149,6 +156,19 @@ def test_solve_rejects_a_missing_output_dir_before_solving(
     assert capsys.readouterr().err == (
         f"error: cannot write output: no directory {str(missing)!r}\n")
     assert not missing.exists()
+
+
+def test_solve_rejects_a_prefix_without_a_file_name_before_solving(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(game_mod, "builtin_game", _unexpected)
+    monkeypatch.setattr(solvers, "run", _unexpected)
+    prefix = str(tmp_path) + "/"
+    code = run_cli("solve", "--game", "builtin:matching-pennies", "--iters", "20",
+                   "-o", prefix)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {prefix!r} is not a file name\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_solve_zero_game_gap_is_zero_everywhere(tmp_path):
@@ -448,6 +468,13 @@ def test_verify_rejects_a_missing_output_dir_before_any_game(
     assert run_cli("verify", "--dims", "1", "-o", str(missing / "props.json")) == 2
     assert capsys.readouterr().err == (
         f"error: cannot write output: no directory {str(missing)!r}\n")
+
+
+def test_verify_rejects_an_existing_dir_before_any_game(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(properties, "random_game", _unexpected)
+    assert run_cli("verify", "--dims", "1", "-o", str(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {str(tmp_path)!r} is not a file name\n")
 
 
 def test_verify_single_property_json(capsys):

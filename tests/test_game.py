@@ -139,6 +139,40 @@ def test_from_outcomes_is_the_one_sum():
         QuantumGame.from_outcomes(1, 1, [(float("nan"), p) for p in basis])
 
 
+def test_from_observable_keeps_its_own_copy():
+    ref = random_game(1, 1, seed=3)
+    state = random_joint(ref, np.random.default_rng(0))
+    u = ref.payoff_observable.copy()
+    game = QuantumGame.from_observable(1, 1, u, 16)
+    u *= 0  # the caller's array is not the game's
+    assert np.array_equal(game.payoff_observable, ref.payoff_observable)
+    assert game.u_inf_norm == ref.u_inf_norm
+    grad, ref_grad = payoff_gradient(game, state), payoff_gradient(ref, state)
+    assert np.array_equal(grad.alice, ref_grad.alice)
+    assert np.array_equal(grad.bob, ref_grad.bob)
+    assert expected_utility(game, state) == expected_utility(ref, state) != 0.0
+
+
+def test_from_observable_stores_an_exactly_hermitian_u():
+    u = random_game(1, 1, seed=3).payoff_observable.copy()
+    u[0, 1] += 1e-13  # Hermitian within HERMITIAN_RTOL only
+    stored = QuantumGame.from_observable(1, 1, u, 16).payoff_observable
+    assert np.array_equal(stored, stored.conj().T)
+    assert np.max(np.abs(stored - u)) <= 1e-13
+    u[0, 1] += 0.1
+    with pytest.raises(ValueError, match="payoff observable is not Hermitian"):
+        QuantumGame.from_observable(1, 1, u, 16)
+
+
+def test_every_constructor_stores_an_exactly_hermitian_u():
+    doc = json.loads(json.dumps(game_to_json_dict(random_game(2, 1, seed=4))))
+    games = [random_game(1, 2, seed=3), random_game(2, 2, seed=1),
+             matching_pennies(), zero_game(), game_from_json_dict(doc)]
+    for game in games:
+        u = game.payoff_observable
+        assert np.array_equal(u, u.conj().T)
+
+
 def test_from_povm_validates():
     povm = [np.diag(row).astype(complex) for row in np.eye(4)]
     with pytest.raises(ValueError, match="qubit counts"):
