@@ -96,17 +96,23 @@ def _check_output(path: str, command: str) -> None:
     """Exit 2 before any work when no output could be written at `path`.
 
     `compare` makes its report directory with its parents, so the nearest
-    existing ancestor must be a directory.  Any other output is a file, or a
-    prefix of files for `solve`: it needs a file name that is not an existing
-    directory (a prefix may be one), in a directory that exists.
+    existing ancestor must be a directory.  Any other output is a file, or
+    for `solve` a prefix of the files `<path>.csv` and `<path>.json`: each
+    needs a file name that is not an existing directory (a prefix may be
+    one), in a directory that exists.
     """
     directory, name = os.path.split(path)
     if command == "compare":
         directory = path
         while directory and not os.path.exists(directory):
             directory = os.path.dirname(directory)
-    elif not name or (command != "solve" and os.path.isdir(path)):
+    elif not name:
         raise CliError(f"cannot write output: {path!r} is not a file name")
+    else:
+        files = (path + ".csv", path + ".json") if command == "solve" else (path,)
+        for file in files:
+            if os.path.isdir(file):
+                raise CliError(f"cannot write output: {file!r} is not a file name")
     if directory and not os.path.isdir(directory):
         raise CliError(f"cannot write output: no directory {directory!r}")
 

@@ -26,6 +26,9 @@ from . import linalg, rng
 POVM_SUM_TOL = 1e-8
 DENSITY_TRACE_TOL = 1e-9
 RANK_RIDGE = 1e-6
+# the most bytes of one (k, d, d) stack of POVM elements, a chunk, that
+# `random_game` and `random_outcomes` make at a time
+CHUNK_BYTES = 256 * 1024
 
 GAME_FORMAT_VERSION = 2
 
@@ -103,31 +106,45 @@ class QuantumGame:
     def from_outcomes(cls, n, m, outcomes, seed=None) -> "QuantumGame":
         """Sum (utility, POVM element) pairs, in order, into U = sum_w u(w) P_w.
 
-        The one loop that builds a game.  It checks each utility's range and
-        each element's size, then that the elements are not empty and sum to
-        the identity; it keeps no element.  Whether each element is Hermitian
-        and positive is the caller's to check or to trust; `from_observable`
-        checks that their sum is Hermitian.  Nothing of side
-        2^(n+m) is allocated before the first element has passed, so a
-        document that declares more qubits than its elements have fails
-        without asking for memory.
+        Each pair enters `_from_chunks`, the one sum that builds a game and
+        checks it, as a chunk of one; its element is copied, so the caller's
+        array is left as it was.
+        """
+        chunks = ((np.array([u]), np.array(p, dtype=complex)[None]) for u, p in outcomes)
+        return cls._from_chunks(n, m, chunks, seed)
+
+    @classmethod
+    def _from_chunks(cls, n, m, chunks, seed=None) -> "QuantumGame":
+        """Sum (utilities, elements) chunks, a (k,) array and a (k, d, d) stack
+        each, in order, into U = sum_w u(w) P_w.
+
+        The one sum that builds a game.  It checks each chunk's utility range
+        and element size, then that the elements are not empty and sum to
+        the identity; it keeps no element, and it overwrites the first
+        element of each stack.  Whether each element is Hermitian and positive
+        is the caller's to check or to trust; `from_observable` checks that
+        their sum is Hermitian.  Nothing of side 2^(n+m) is allocated before
+        the first chunk has passed, so a document that declares more qubits
+        than its elements have fails without asking for memory.
         """
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
         count = 0
-        for u, p in outcomes:
-            if not abs(u) <= 1.0:
-                raise ValueError(f"utility {u!r} outside [-1, 1]")
-            if p.shape != (dim, dim):
+        for utilities, elements in chunks:
+            bad = utilities[~(np.abs(utilities) <= 1.0)]
+            if bad.size:
+                raise ValueError(f"utility {bad[0].item()!r} outside [-1, 1]")
+            if elements.shape[1:] != (dim, dim):
                 raise ValueError(
-                    f"POVM element of dimension {p.shape[0]} does not match {n}+{m} qubits"
+                    f"POVM element of dimension {elements.shape[1]} does not match "
+                    f"{n}+{m} qubits"
                 )
             if not count:
                 u_obs, total = np.zeros((2, dim, dim), dtype=complex)
-            u_obs += u * p
-            total += p
-            count += 1
+            _fold(u_obs, utilities[:, None, None] * elements)
+            _fold(total, elements)
+            count += len(elements)
         if not count:
             raise ValueError("POVM must be non-empty")
         defect = float(np.max(np.abs(total - np.eye(dim))))
@@ -265,6 +282,72 @@ def random_direction(dim: int, generator: np.random.Generator) -> np.ndarray:
     return h / np.linalg.norm(h)
 
 
+def _fold(total: np.ndarray, stack: np.ndarray) -> None:
+    """total += stack[0] + ... + stack[k-1], left to right, with the bits of
+    k sequential `+=`; overwrites stack[0]."""
+    stack[0] += total
+    np.add.reduce(stack, axis=0, out=total)
+
+
+def _random_chunks(
+    n: int, m: int, outcomes: int | None, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The (utilities, POVM elements) of `random_outcomes` in chunks: a (k,)
+    array and a (k, d, d) stack of at most CHUNK_BYTES.  S is summed when
+    this is called; the normalized chunks are made as the returned iterator
+    is read, each into the same stack, which the next chunk overwrites."""
+    if n < 1 or m < 1:
+        raise ValueError("qubit counts must be >= 1")
+    if outcomes is None:
+        outcomes = 4 ** (n + m)
+    if outcomes < 2:
+        raise ValueError("outcomes must be ≥ 2")
+    dim = 2 ** (n + m)
+    ridge = RANK_RIDGE * np.eye(dim)
+    per_chunk = min(outcomes, max(1, CHUNK_BYTES // (16 * dim * dim)))
+    starts = range(0, outcomes, per_chunk)
+    # every chunk of both passes reuses these stacks: made fresh per chunk,
+    # stacks this large go back to the system and fault in again each time.
+    # One block of all three would lift glibc's mmap threshold and leave the
+    # process's peak RSS about 0.8 MB higher
+    raw, g, scratch = (np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(3))
+
+    def raw_elements():
+        """A_w = G†G + 1e-6 I, a chunk at a time, into `raw`."""
+        gen_povm = rng.stream(seed, rng.STREAM_POVM)
+        for start in starts:
+            k = min(per_chunk, outcomes - start)
+            a, g_k = raw[:k], g[:k]
+            # each outcome's real block before its imaginary block, the stream
+            # order of one `rng.complex_normal` draw per element, drawn into
+            # the memory of A_w, which is not written before G is built
+            z = gen_povm.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
+            z *= 1.0 / np.sqrt(2.0)  # the bits of a complex division by sqrt(2)
+            g_k.real, g_k.imag = z[:, 0], z[:, 1]
+            np.matmul(np.conjugate(g_k, out=scratch[:k]).swapaxes(-1, -2), g_k, out=a)
+            a += ridge
+            yield a
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for a in raw_elements():
+        _fold(total, a)
+    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
+    gen_util = rng.stream(seed, rng.STREAM_UTILITIES)
+    utilities = gen_util.uniform(-1.0, 1.0, size=outcomes)
+
+    def normalized():
+        for start, a in zip(starts, raw_elements()):
+            k = len(a)
+            p = np.matmul(np.matmul(inv_sqrt, a, out=scratch[:k]), inv_sqrt, out=g[:k])
+            # (P + P†)/2 with the bits of `linalg.hermitianize`: its complex
+            # division by 2 rounds as a multiplication by 0.5 does
+            p += np.conjugate(p, out=scratch[:k]).swapaxes(-1, -2)
+            p *= 0.5
+            yield utilities[start:start + k], p
+
+    return normalized()
+
+
 def random_outcomes(
     n: int, m: int, outcomes: int | None = None, seed: int = 0
 ) -> Iterator[tuple[float, np.ndarray]]:
@@ -275,46 +358,29 @@ def random_outcomes(
     to the identity while staying positive definite.  Utilities are uniform on
     [-1, 1].  Default outcome count is 4^(n+m).
 
-    S is summed here, keeping no element, left to right in outcome order: the
-    bits of every random game depend on that order.  The returned iterator
-    replays the same Philox stream and yields each normalized element in
-    turn, so at most one element is alive at a time.
+    The elements are made in chunks, (k, d, d) stacks of at most CHUNK_BYTES,
+    in two passes over the same Philox stream: the first sums S, left to
+    right in outcome order, and the second normalizes.  Each chunk is one
+    `standard_normal((k, 2, d, d))` draw, each outcome's real block before
+    its imaginary block as in one `rng.complex_normal` draw per element, so
+    no bit of a game depends on the chunk size.  Each pair's element is a
+    copy out of its chunk.  Bad arguments raise here, not at the first
+    `next()`.
     """
-    if n < 1 or m < 1:
-        raise ValueError("qubit counts must be >= 1")
-    if outcomes is None:
-        outcomes = 4 ** (n + m)
-    if outcomes < 2:
-        raise ValueError("outcomes must be ≥ 2")
-    dim = 2 ** (n + m)
-    ridge = RANK_RIDGE * np.eye(dim)
-
-    def raw_elements():
-        gen_povm = rng.stream(seed, rng.STREAM_POVM)
-        for _ in range(outcomes):
-            g = rng.complex_normal(gen_povm, (dim, dim))
-            yield g.conj().T @ g + ridge
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for a in raw_elements():
-        total += a
-    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
-    gen_util = rng.stream(seed, rng.STREAM_UTILITIES)
-    utilities = gen_util.uniform(-1.0, 1.0, size=outcomes)
-    return (
-        (float(u), linalg.hermitianize(inv_sqrt @ a @ inv_sqrt))
-        for u, a in zip(utilities, raw_elements())
-    )
+    chunks = _random_chunks(n, m, outcomes, seed)
+    return ((float(u), p.copy()) for us, ps in chunks for u, p in zip(us, ps))
 
 
 def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> QuantumGame:
     """Random full-rank POVM game, deterministic in `seed` (see `random_outcomes`).
 
-    U is accumulated from the streamed outcomes; no element is stored.  The
-    elements are positive definite by construction, so unlike `from_povm`
-    this checks only what `QuantumGame.from_outcomes` checks.
+    U is summed a whole chunk at a time from the chunks `random_outcomes`
+    copies its pairs out of, with the bits of summing the pairs one by one;
+    no element outlives its chunk.  The elements are
+    positive definite by construction, so unlike `from_povm` this checks only
+    what `QuantumGame.from_outcomes` checks.
     """
-    return QuantumGame.from_outcomes(n, m, random_outcomes(n, m, outcomes, seed), seed)
+    return QuantumGame._from_chunks(n, m, _random_chunks(n, m, outcomes, seed), seed)
 
 
 def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:

@@ -125,10 +125,14 @@ def execute_game(spec: ExperimentSpec, game_index: int) -> list:
 
 
 def worker_count() -> int:
-    """The pool size: the QZSG_THREADS environment variable, else the CPU count."""
+    """The pool size: the QZSG_THREADS environment variable, else 1.
+
+    Threads overlap only the large matrix products of building a game, so
+    one worker is the default: two were slower than one on every suite
+    bound by its steps (see README, Determinism)."""
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not env:
-        return os.cpu_count() or 1
+        return 1
     try:
         workers = int(env)
     except ValueError:

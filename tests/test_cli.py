@@ -171,6 +171,20 @@ def test_solve_rejects_a_prefix_without_a_file_name_before_solving(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_solve_rejects_a_prefix_naming_a_directory_before_solving(
+        tmp_path, monkeypatch, capsys, suffix):
+    monkeypatch.setattr(solvers, "run", _unexpected)
+    (tmp_path / ("run" + suffix)).mkdir()
+    prefix = str(tmp_path / "run")
+    code = run_cli("solve", "--game", "builtin:matching-pennies", "--iters", "20",
+                   "-o", prefix)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write output: {prefix + suffix!r} is not a file name\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["run" + suffix]
+
+
 def test_solve_zero_game_gap_is_zero_everywhere(tmp_path):
     prefix = tmp_path / "zero"
     assert run_cli("solve", "--game", "builtin:zero", "--algorithm", "mmwu",

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qzsg import linalg
+from qzsg import linalg, rng
 from qzsg.game import (
+    CHUNK_BYTES,
     JointState,
     QuantumGame,
     assert_density_matrix,
@@ -439,6 +440,51 @@ def test_random_game_shapes_and_ranges():
     assert game.seed == 0
     small = random_game(1, 1, outcomes=2, seed=0)
     assert small.outcomes == len(list(random_outcomes(1, 1, outcomes=2, seed=0))) == 2
+
+
+def one_element_at_a_time(n, m, outcomes, seed):
+    """U and the (u, P) pairs of a random game made one element at a time: a
+    `rng.complex_normal` draw, Gram product and sandwich per element, each
+    sum a sequential `+=`.  The chunked generator must equal it bit for bit."""
+    dim = 2 ** (n + m)
+    ridge = 1e-6 * np.eye(dim)
+
+    def raw_elements():
+        gen = rng.stream(seed, rng.STREAM_POVM)
+        for _ in range(outcomes):
+            g = rng.complex_normal(gen, (dim, dim))
+            yield g.conj().T @ g + ridge
+
+    total = np.zeros((dim, dim), dtype=complex)
+    for a in raw_elements():
+        total += a
+    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
+    utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
+    pairs = [
+        (float(u), linalg.hermitianize(inv_sqrt @ a @ inv_sqrt))
+        for u, a in zip(utilities, raw_elements())
+    ]
+    u_obs = np.zeros((dim, dim), dtype=complex)
+    for u, p in pairs:
+        u_obs += u * p
+    return linalg.hermitianize(u_obs), pairs
+
+
+@pytest.mark.parametrize(
+    "n, m, outcomes, seed, chunks",
+    [(1, 1, 16, 4, "one"), (2, 2, 256, 1, "full"), (2, 3, 100, 7, "partial"),
+     (3, 3, 10, 2, "partial")],
+    ids=["1+1-one-chunk", "2+2-full-chunks", "2+3-partial-last", "3+3-partial-last"],
+)
+def test_chunked_generation_matches_the_one_element_loop(n, m, outcomes, seed, chunks):
+    per_chunk = CHUNK_BYTES // (16 * 4 ** (n + m))  # elements of 16 bytes per entry
+    case = "one" if outcomes <= per_chunk else "partial" if outcomes % per_chunk else "full"
+    assert case == chunks
+    u_obs, pairs = one_element_at_a_time(n, m, outcomes, seed)
+    assert random_game(n, m, outcomes, seed).payoff_observable.tobytes() == u_obs.tobytes()
+    streamed = list(random_outcomes(n, m, outcomes, seed))
+    assert [u for u, _ in streamed] == [u for u, _ in pairs]
+    assert all(p.tobytes() == q.tobytes() for (_, p), (_, q) in zip(streamed, pairs))
 
 
 # sha256 of U's bytes and ||U||_inf, as generated before U was streamed

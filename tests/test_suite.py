@@ -199,6 +199,12 @@ def test_worker_count_sources(monkeypatch):
     assert worker_count() >= 1
 
 
+def test_worker_count_defaults_to_one(monkeypatch):
+    # a second thread slows step-bound suites; only QZSG_THREADS asks for one
+    monkeypatch.delenv(suite.THREADS_ENV_VAR)
+    assert worker_count() == 1
+
+
 # ---------------------------------------------------------------- run_suite
 
 
