@@ -19,8 +19,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import game as game_mod
 from . import properties, solvers, suite
 from .linalg import NumericalError
@@ -126,18 +124,10 @@ def _load_game(ref: str) -> game_mod.QuantumGame:
 
 
 def _cmd_generate(args) -> int:
-    n, m = args.alice_qubits, args.bob_qubits
-    min_eig = np.inf
-
-    def recorded(outcomes):
-        # the game keeps no element: note the smallest eigenvalue as they stream
-        nonlocal min_eig
-        for u, p in outcomes:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(p)[0]))
-            yield u, p
-
-    stream = game_mod.random_outcomes(n, m, args.outcomes, args.seed)
-    game = game_mod.QuantumGame.from_outcomes(n, m, recorded(stream), args.seed)
+    # the bound RANK_RIDGE / λ_max(S) certifies full rank; no element is made
+    game, min_eig = game_mod.random_game_with_bound(
+        args.alice_qubits, args.bob_qubits, args.outcomes, args.seed
+    )
     game_mod.save_game(game, args.output)
     summary = {
         "path": args.output,
@@ -157,7 +147,7 @@ def _cmd_generate(args) -> int:
         rank = "all full rank" if summary["povm_full_rank"] else "rank deficient"
         print(
             f"POVM: {game.outcomes} elements, {rank} "
-            f"(min eigenvalue {_format_float(summary['povm_min_eigenvalue'])})"
+            f"(min eigenvalue ≥ {_format_float(summary['povm_min_eigenvalue'])})"
         )
     return EXIT_OK
 

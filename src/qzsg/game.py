@@ -10,6 +10,10 @@ gradients: F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]).  Each compon
 is the gradient of that player's own payoff, so both players ascend.  The
 duality gap max_a u(a, b') - min_b u(a', b) is the merit function: it is
 nonnegative everywhere and zero exactly at Nash equilibria.
+
+Random games are built in one pass over their raw POVM elements A_w: since
+P_w = S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, U is one sandwich
+S^(-1/2) (sum_w u(w) A_w) S^(-1/2), and no P_w is ever made.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +30,8 @@ from . import linalg, rng
 POVM_SUM_TOL = 1e-8
 DENSITY_TRACE_TOL = 1e-9
 RANK_RIDGE = 1e-6
-# the most bytes of one (k, d, d) stack of POVM elements, a chunk, that
-# `random_game` and `random_outcomes` make at a time
+# the most bytes of one (k, d, d) stack of raw POVM elements, a chunk, that
+# `random_game_with_bound` makes at a time
 CHUNK_BYTES = 256 * 1024
 
 GAME_FORMAT_VERSION = 2
@@ -59,8 +63,9 @@ class QuantumGame:
     """An (n, m)-qubit zero-sum game, stored as its payoff observable U.
 
     Every solver, gradient and gap reads only U, so the POVM a game came from
-    is not kept: `outcomes` records its size and `povm` is always empty.  U is
-    the game's own copy and equals U† bit for bit, so U is also read as U†.
+    is not kept (a random game never makes its elements): `outcomes` records
+    its size and `povm` is always empty.  U is the game's own copy and
+    equals U† bit for bit, so U is also read as U†.
     """
 
     n: int
@@ -106,45 +111,31 @@ class QuantumGame:
     def from_outcomes(cls, n, m, outcomes, seed=None) -> "QuantumGame":
         """Sum (utility, POVM element) pairs, in order, into U = sum_w u(w) P_w.
 
-        Each pair enters `_from_chunks`, the one sum that builds a game and
-        checks it, as a chunk of one; its element is copied, so the caller's
-        array is left as it was.
-        """
-        chunks = ((np.array([u]), np.array(p, dtype=complex)[None]) for u, p in outcomes)
-        return cls._from_chunks(n, m, chunks, seed)
-
-    @classmethod
-    def _from_chunks(cls, n, m, chunks, seed=None) -> "QuantumGame":
-        """Sum (utilities, elements) chunks, a (k,) array and a (k, d, d) stack
-        each, in order, into U = sum_w u(w) P_w.
-
-        The one sum that builds a game.  It checks each chunk's utility range
-        and element size, then that the elements are not empty and sum to
-        the identity; it keeps no element, and it overwrites the first
-        element of each stack.  Whether each element is Hermitian and positive
-        is the caller's to check or to trust; `from_observable` checks that
-        their sum is Hermitian.  Nothing of side 2^(n+m) is allocated before
-        the first chunk has passed, so a document that declares more qubits
-        than its elements have fails without asking for memory.
+        It checks each utility's range and each element's size, then that the
+        elements are not empty and sum to the identity; it keeps no element.
+        Whether each element is Hermitian and positive is the caller's to
+        check or to trust; `from_observable` checks that their sum is
+        Hermitian.  Nothing of side 2^(n+m) is allocated before the first pair
+        has passed, so a document that declares more qubits than its elements
+        have fails without asking for memory.
         """
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
         count = 0
-        for utilities, elements in chunks:
-            bad = utilities[~(np.abs(utilities) <= 1.0)]
-            if bad.size:
-                raise ValueError(f"utility {bad[0].item()!r} outside [-1, 1]")
-            if elements.shape[1:] != (dim, dim):
+        for u, p in outcomes:
+            if not abs(u) <= 1.0:
+                raise ValueError(f"utility {float(u)!r} outside [-1, 1]")
+            p = np.asarray(p, dtype=complex)
+            if p.shape != (dim, dim):
                 raise ValueError(
-                    f"POVM element of dimension {elements.shape[1]} does not match "
-                    f"{n}+{m} qubits"
+                    f"POVM element of dimension {p.shape[0]} does not match {n}+{m} qubits"
                 )
             if not count:
                 u_obs, total = np.zeros((2, dim, dim), dtype=complex)
-            _fold(u_obs, utilities[:, None, None] * elements)
-            _fold(total, elements)
-            count += len(elements)
+            u_obs += u * p
+            total += p
+            count += 1
         if not count:
             raise ValueError("POVM must be non-empty")
         defect = float(np.max(np.abs(total - np.eye(dim))))
@@ -289,13 +280,27 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
     np.add.reduce(stack, axis=0, out=total)
 
 
-def _random_chunks(
-    n: int, m: int, outcomes: int | None, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The (utilities, POVM elements) of `random_outcomes` in chunks: a (k,)
-    array and a (k, d, d) stack of at most CHUNK_BYTES.  S is summed when
-    this is called; the normalized chunks are made as the returned iterator
-    is read, each into the same stack, which the next chunk overwrites."""
+def random_game_with_bound(
+    n: int, m: int, outcomes: int | None = None, seed: int = 0
+) -> tuple[QuantumGame, float]:
+    """`random_game(n, m, outcomes, seed)` and RANK_RIDGE / λ_max(S), a lower
+    bound on every eigenvalue of every element of its POVM.
+
+    Raw elements A_w = G†G + RANK_RIDGE·I from complex Gaussians G are
+    normalized as P_w = S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, which makes
+    them sum to the identity; P_w ⪰ RANK_RIDGE·S⁻¹, so each is full rank by
+    construction.  Utilities u_w are uniform on [-1, 1], from their own
+    stream.  P_w is linear in A_w, so U = S^(-1/2) V S^(-1/2) with
+    V = sum_w u_w A_w, and one pass over the POVM stream sums S and V, left
+    to right in outcome order; no P_w is made.  Default outcome count is
+    4^(n+m).
+
+    The pass works on chunks, (k, d, d) stacks of at most CHUNK_BYTES.  Each
+    chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
+    block before its imaginary block as in one `rng.complex_normal` draw per
+    element, and each chunk folds into S and V with the bits of k sequential
+    `+=`, so no bit of a game depends on the chunk size.
+    """
     if n < 1 or m < 1:
         raise ValueError("qubit counts must be >= 1")
     if outcomes is None:
@@ -303,84 +308,40 @@ def _random_chunks(
     if outcomes < 2:
         raise ValueError("outcomes must be ≥ 2")
     dim = 2 ** (n + m)
+    utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
+    gen_povm = rng.stream(seed, rng.STREAM_POVM)
     ridge = RANK_RIDGE * np.eye(dim)
     per_chunk = min(outcomes, max(1, CHUNK_BYTES // (16 * dim * dim)))
-    starts = range(0, outcomes, per_chunk)
-    # every chunk of both passes reuses these stacks: made fresh per chunk,
-    # stacks this large go back to the system and fault in again each time.
-    # One block of all three would lift glibc's mmap threshold and leave the
-    # process's peak RSS about 0.8 MB higher
+    # every chunk reuses these stacks: made fresh per chunk, stacks this large
+    # go back to the system and fault in again each time.  One block of all
+    # three would lift glibc's mmap threshold and leave the process's peak
+    # RSS about 0.8 MB higher
     raw, g, scratch = (np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(3))
-
-    def raw_elements():
-        """A_w = G†G + 1e-6 I, a chunk at a time, into `raw`."""
-        gen_povm = rng.stream(seed, rng.STREAM_POVM)
-        for start in starts:
-            k = min(per_chunk, outcomes - start)
-            a, g_k = raw[:k], g[:k]
-            # each outcome's real block before its imaginary block, the stream
-            # order of one `rng.complex_normal` draw per element, drawn into
-            # the memory of A_w, which is not written before G is built
-            z = gen_povm.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
-            z *= 1.0 / np.sqrt(2.0)  # the bits of a complex division by sqrt(2)
-            g_k.real, g_k.imag = z[:, 0], z[:, 1]
-            np.matmul(np.conjugate(g_k, out=scratch[:k]).swapaxes(-1, -2), g_k, out=a)
-            a += ridge
-            yield a
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for a in raw_elements():
+    total, weighted = np.zeros((2, dim, dim), dtype=complex)
+    for start in range(0, outcomes, per_chunk):
+        k = min(per_chunk, outcomes - start)
+        a, g_k = raw[:k], g[:k]
+        # drawn into the memory of A_w, which is not written before G is built
+        z = gen_povm.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
+        z *= 1.0 / np.sqrt(2.0)  # the bits of a complex division by sqrt(2)
+        g_k.real, g_k.imag = z[:, 0], z[:, 1]
+        np.matmul(np.conjugate(g_k, out=scratch[:k]).swapaxes(-1, -2), g_k, out=a)
+        a += ridge
+        # u_w A_w first: folding A into S overwrites a[0]
+        _fold(weighted, np.multiply(utilities[start:start + k, None, None], a, out=g_k))
         _fold(total, a)
-    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
-    gen_util = rng.stream(seed, rng.STREAM_UTILITIES)
-    utilities = gen_util.uniform(-1.0, 1.0, size=outcomes)
-
-    def normalized():
-        for start, a in zip(starts, raw_elements()):
-            k = len(a)
-            p = np.matmul(np.matmul(inv_sqrt, a, out=scratch[:k]), inv_sqrt, out=g[:k])
-            # (P + P†)/2 with the bits of `linalg.hermitianize`: its complex
-            # division by 2 rounds as a multiplication by 0.5 does
-            p += np.conjugate(p, out=scratch[:k]).swapaxes(-1, -2)
-            p *= 0.5
-            yield utilities[start:start + k], p
-
-    return normalized()
-
-
-def random_outcomes(
-    n: int, m: int, outcomes: int | None = None, seed: int = 0
-) -> Iterator[tuple[float, np.ndarray]]:
-    """The (utility, POVM element) pairs of `random_game(n, m, outcomes, seed)`.
-
-    Raw elements A_w = G†G + 1e-6 I from complex Gaussians G are normalized by
-    the sandwich S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, which makes them sum
-    to the identity while staying positive definite.  Utilities are uniform on
-    [-1, 1].  Default outcome count is 4^(n+m).
-
-    The elements are made in chunks, (k, d, d) stacks of at most CHUNK_BYTES,
-    in two passes over the same Philox stream: the first sums S, left to
-    right in outcome order, and the second normalizes.  Each chunk is one
-    `standard_normal((k, 2, d, d))` draw, each outcome's real block before
-    its imaginary block as in one `rng.complex_normal` draw per element, so
-    no bit of a game depends on the chunk size.  Each pair's element is a
-    copy out of its chunk.  Bad arguments raise here, not at the first
-    `next()`.
-    """
-    chunks = _random_chunks(n, m, outcomes, seed)
-    return ((float(u), p.copy()) for us, ps in chunks for u, p in zip(us, ps))
+    spectrum = linalg.hermitian_eig(total)
+    v = spectrum.eigenvectors
+    inv_sqrt = linalg.hermitianize((v * spectrum.eigenvalues**-0.5) @ v.conj().T)
+    game = QuantumGame.from_observable(n, m, inv_sqrt @ weighted @ inv_sqrt, outcomes, seed)
+    return game, RANK_RIDGE / float(spectrum.eigenvalues[0])
 
 
 def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> QuantumGame:
-    """Random full-rank POVM game, deterministic in `seed` (see `random_outcomes`).
-
-    U is summed a whole chunk at a time from the chunks `random_outcomes`
-    copies its pairs out of, with the bits of summing the pairs one by one;
-    no element outlives its chunk.  The elements are
-    positive definite by construction, so unlike `from_povm` this checks only
-    what `QuantumGame.from_outcomes` checks.
-    """
-    return QuantumGame._from_chunks(n, m, _random_chunks(n, m, outcomes, seed), seed)
+    """Random full-rank POVM game, deterministic in `seed`: the game of
+    `random_game_with_bound`.  Its elements are positive definite by
+    construction, so unlike `from_povm` nothing decomposes them."""
+    return random_game_with_bound(n, m, outcomes, seed)[0]
 
 
 def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:

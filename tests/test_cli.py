@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from reference_games import reference_outcomes
 
 from qzsg import cli, linalg, properties, solvers, suite
 from qzsg import game as game_mod
 from qzsg.cli import TRACE_HEADER, main
-from qzsg.game import load_game, random_game, random_outcomes
+from qzsg.game import load_game, random_game
 from qzsg.linalg import NumericalError
 
 
@@ -69,7 +70,8 @@ def test_generate_json_format(tmp_path, capsys):
     "n, m, outcomes", [(1, 2, 5), (2, 1, None)], ids=["1+2-outcomes-5", "2+1"]
 )
 def test_generate_matches_the_library(tmp_path, capsys, n, m, outcomes):
-    # generate builds U and its summary in one pass over the element stream
+    # generate writes random_game's U and reports a certified lower bound on
+    # the eigenvalues of the elements it never makes
     out = tmp_path / "g.json"
     extra = [] if outcomes is None else ["--outcomes", str(outcomes)]
     assert run_cli("generate", "-n", str(n), "-m", str(m), "--seed", "6", *extra,
@@ -78,8 +80,8 @@ def test_generate_matches_the_library(tmp_path, capsys, n, m, outcomes):
     ref = random_game(n, m, outcomes, seed=6)
     assert np.array_equal(load_game(out).payoff_observable, ref.payoff_observable)
     assert summary["outcomes"] == ref.outcomes
-    assert summary["povm_min_eigenvalue"] == min(
-        float(np.linalg.eigvalsh(p)[0]) for _, p in random_outcomes(n, m, outcomes, 6)
+    assert 0.0 < summary["povm_min_eigenvalue"] <= min(
+        float(np.linalg.eigvalsh(p)[0]) for _, p in reference_outcomes(n, m, outcomes, 6)[1]
     )
 
 
@@ -112,7 +114,7 @@ def _unexpected(*args, **kwargs):
 
 def test_generate_rejects_a_missing_output_dir_before_any_game(
         tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(game_mod, "random_outcomes", _unexpected)
+    monkeypatch.setattr(game_mod, "random_game_with_bound", _unexpected)
     missing = tmp_path / "missing"
     assert run_cli("generate", "-n", "1", "-m", "1", "-o", str(missing / "g.json")) == 2
     assert capsys.readouterr().err == (
@@ -120,7 +122,7 @@ def test_generate_rejects_a_missing_output_dir_before_any_game(
 
 
 def test_generate_rejects_an_existing_dir_before_any_game(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(game_mod, "random_outcomes", _unexpected)
+    monkeypatch.setattr(game_mod, "random_game_with_bound", _unexpected)
     assert run_cli("generate", "-n", "1", "-m", "1", "-o", str(tmp_path)) == 2
     assert capsys.readouterr().err == (
         f"error: cannot write output: {str(tmp_path)!r} is not a file name\n")
@@ -261,7 +263,7 @@ def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.00 PiB for an array")
 
-    monkeypatch.setattr(game_mod, "random_outcomes", too_large)
+    monkeypatch.setattr(game_mod, "random_game_with_bound", too_large)
     assert run_cli("generate", "-n", "12", "-m", "12", "-o", str(tmp_path / "g.json")) == 3
     err = capsys.readouterr().err
     assert err == "out of memory: Unable to allocate 2.00 PiB for an array\n"

