@@ -11,6 +11,11 @@ is the gradient of that player's own payoff, so both players ascend.  The
 duality gap max_a u(a, b') - min_b u(a', b) is the merit function: it is
 nonnegative everywhere and zero exactly at Nash equilibria.
 
+A game stores U's realignment R[(a,c),(b,d)] = U[(a,b),(c,d)], a
+(d_A², d_B²) matrix (Chen & Wu, QIC 2003).  Since U = U†, with vec the
+row-major flattening, F_alice(b) = R vec(bᵀ), F_bob(a) = -(vec(aᵀ)ᵀ R) and
+u(a, b) = vec(aᵀ)ᵀ R vec(bᵀ): each is one matrix product.
+
 Random games are built in one pass over their raw POVM elements A_w: since
 P_w = S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, U is one sandwich
 S^(-1/2) (sum_w u(w) A_w) S^(-1/2), and no P_w is ever made.
@@ -60,17 +65,18 @@ def assert_density_matrix(x, what: str = "state") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantumGame:
-    """An (n, m)-qubit zero-sum game, stored as its payoff observable U.
+    """An (n, m)-qubit zero-sum game, stored as the realignment R of its
+    payoff observable U.
 
-    Every solver, gradient and gap reads only U, so the POVM a game came from
+    Every solver, gradient and gap reads only R, so the POVM a game came from
     is not kept (a random game never makes its elements): `outcomes` records
-    its size and `povm` is always empty.  U is the game's own copy and
-    equals U† bit for bit, so U is also read as U†.
+    its size and `povm` is always empty.  R is the game's own array, the
+    realignment of a U that equals U† bit for bit, so U is also read as U†.
     """
 
     n: int
     m: int
-    payoff_observable: np.ndarray
+    realigned: np.ndarray
     u_inf_norm: float
     outcomes: int
     seed: int | None = None
@@ -85,10 +91,18 @@ class QuantumGame:
     def dim_bob(self) -> int:
         return 2**self.m
 
+    @property
+    def payoff_observable(self) -> np.ndarray:
+        """U[(a,b),(c,d)] = R[(a,c),(b,d)], as a fresh array: the swap moves
+        axes of length >= 2, so the reshape always copies."""
+        da, db = self.dim_alice, self.dim_bob
+        return self.realigned.reshape(da, da, db, db).transpose(0, 2, 1, 3).reshape(da * db, -1)
+
     @classmethod
     def from_observable(cls, n, m, u_obs, outcomes, seed=None) -> "QuantumGame":
         """The one way U enters a game: checks its size, finiteness and
-        Hermiticity, then stores its Hermitian part, a copy equal to its U†."""
+        Hermiticity, then stores the realignment R of its Hermitian part,
+        whose U equals its U†."""
         u_obs = linalg.assert_hermitian(u_obs, "payoff observable")
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
@@ -98,10 +112,11 @@ class QuantumGame:
                 f"payoff observable of shape {u_obs.shape} does not match {n}+{m} qubits"
             )
         u_obs = linalg.hermitianize(u_obs)
+        da, db = 2**n, 2**m
         return cls(
             n=int(n),
             m=int(m),
-            payoff_observable=u_obs,
+            realigned=u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1),
             u_inf_norm=linalg.spectral_norm(u_obs),
             outcomes=int(outcomes),
             seed=None if seed is None else int(seed),
@@ -180,7 +195,7 @@ def expected_utility(game: QuantumGame, state: JointState) -> float:
         raise ValueError(
             f"state dimensions {a.shape[0]}x{b.shape[0]} do not match the game"
         )
-    val = linalg.trace_inner(game.payoff_observable, np.kron(a, b))
+    val = a.T.reshape(-1) @ game.realigned @ b.T.reshape(-1)
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expected utility has imaginary part {val.imag:.3e}")
     return float(val.real)
@@ -208,16 +223,16 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
 
 
 def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
-    """F(a, b) in `profile_stacks` layout: both einsums write straight into
-    the players' views, and each stack is replaced by its Hermitian part in
-    place, with the bits of `linalg.hermitianize`."""
+    """F(a, b) in `profile_stacks` layout: both products with R write
+    straight into the players' views, and each stack is replaced by its
+    Hermitian part in place, with the bits of `linalg.hermitianize`."""
     alice = _player_matrix(state.alice, game.dim_alice, "Alice")
     bob = _player_matrix(state.bob, game.dim_bob, "Bob")
-    u = game.payoff_observable.reshape(2 * (game.dim_alice, game.dim_bob))  # U† = U
     stacks = profile_stacks(game)
     out = players(stacks)
-    np.einsum("abcd,db->ac", u, bob, out=out.alice)
-    np.negative(np.einsum("abcd,ca->bd", u, alice, out=out.bob), out=out.bob)
+    np.matmul(game.realigned, bob.T.reshape(-1), out=out.alice.reshape(-1))
+    np.matmul(alice.T.reshape(-1), game.realigned, out=out.bob.reshape(-1))
+    np.negative(out.bob, out=out.bob)
     for s in stacks:
         s += s.conj().swapaxes(-1, -2)
         s /= 2.0
@@ -405,19 +420,18 @@ def sampled_lipschitz_ratio(
 def lipschitz_constant(game: QuantumGame) -> float:
     """Exact sup of ||F(X) - F(Y)||_F / ||X - Y||_F over profiles X != Y.
 
-    Both gradient components are linear: M_A sends vec(b) to F_alice(b) and
-    M_B sends vec(a) to F_bob(a).  Differences of density matrices are
+    Both gradient components are linear: R sends vec(bᵀ) to F_alice(b) and
+    -Rᵀ sends vec(aᵀ) to F_bob(a).  Differences of density matrices are
     traceless, so each map is restricted by the projector
-    P_d = I - vec(I) vec(I)ᵀ / d, and gamma = max(σ₁(M_A P_B), σ₁(M_B P_A)).
-    In Pauli coefficients (U = sum c_PQ P ⊗ Q, identity first) this is
+    P_d = I - vec(I) vec(I)ᵀ / d, and gamma = max(σ₁(R P_B), σ₁(Rᵀ P_A)).
+    The transposes do not matter: the permutation vec(x) -> vec(xᵀ) is
+    orthogonal and commutes with P_d.  In Pauli coefficients
+    (U = sum c_PQ P ⊗ Q, identity first) this is
     sqrt(dA dB) max(σ₁(C[:, 1:]), σ₁(C[1:, :])), the supremum that
     `lipschitz_estimate(game, "fro-fro")` samples.
     """
-    da, db = game.dim_alice, game.dim_bob
-    blocks = game.payoff_observable.reshape(da, db, da, db)  # U† = U
-    m_alice = blocks.transpose(0, 2, 3, 1).reshape(da * da, db * db)
-    m_bob = blocks.transpose(1, 3, 2, 0).reshape(db * db, da * da)
-    return max(_traceless_input_norm(m_alice, db), _traceless_input_norm(m_bob, da))
+    r = game.realigned
+    return max(_traceless_input_norm(r, game.dim_bob), _traceless_input_norm(r.T, game.dim_alice))
 
 
 def _traceless_input_norm(m: np.ndarray, dim: int) -> float:
@@ -517,15 +531,18 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
         raise ValueError("outcomes must be a positive integer")
     u_obs = linalg.matrix_from_jsonable(data["payoff_observable"])
-    game = QuantumGame.from_observable(n, m, u_obs, outcomes, seed)
+    too_large = "payoff observable has norm {} > 1; no POVM game with utilities in [-1, 1] has it"
     # -I <= U <= I for |u| <= 1; the slack covers a sum-to-identity defect of
     # POVM_SUM_TOL per entry, so every game a constructor accepts loads back
     bound = 1.0 + u_obs.shape[0] * POVM_SUM_TOL
+    # |Re U_ij|, |Im U_ij| <= ||U||_inf: a larger part fails here, before
+    # `from_observable`'s (U + U†)/2 can overflow
+    largest = float(np.max(np.abs(u_obs.view(np.float64))))
+    if largest > bound:
+        raise ValueError(too_large.format(f"at least {largest!r}"))
+    game = QuantumGame.from_observable(n, m, u_obs, outcomes, seed)
     if not game.u_inf_norm <= bound:
-        raise ValueError(
-            f"payoff observable has norm {game.u_inf_norm!r} > 1; "
-            "no POVM game with utilities in [-1, 1] has it"
-        )
+        raise ValueError(too_large.format(repr(game.u_inf_norm)))
     return game
 
 

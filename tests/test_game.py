@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -146,6 +147,7 @@ def test_from_observable_keeps_its_own_copy():
     u = ref.payoff_observable.copy()
     game = QuantumGame.from_observable(1, 1, u, 16)
     u *= 0  # the caller's array is not the game's
+    game.payoff_observable[...] = 0  # nor is the array the property returns
     assert np.array_equal(game.payoff_observable, ref.payoff_observable)
     assert game.u_inf_norm == ref.u_inf_norm
     grad, ref_grad = payoff_gradient(game, state), payoff_gradient(ref, state)
@@ -172,6 +174,15 @@ def test_every_constructor_stores_an_exactly_hermitian_u():
     for game in games:
         u = game.payoff_observable
         assert np.array_equal(u, u.conj().T)
+    # the realignment round trip gives back the stored Hermitian part exactly
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 2), (2, 1), (2, 2)):
+        dim = 2 ** (n + m)
+        u = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        u = u + u.conj().T
+        u[0, 1] += 1e-13  # Hermitian within HERMITIAN_RTOL only
+        stored = QuantumGame.from_observable(n, m, u, 4).payoff_observable
+        assert stored.tobytes() == linalg.hermitianize(u).tobytes()
 
 
 def test_from_povm_validates():
@@ -208,6 +219,15 @@ def test_matching_pennies_utilities():
     assert expected_utility(game, uniform_state(game)) == pytest.approx(0.0)
 
 
+def test_expected_utility_matches_trace_oracle():
+    rng = np.random.default_rng(33)
+    for n, m, seed in ((1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 3, 3)):
+        game = random_game(n, m, outcomes=16, seed=seed)
+        s = random_joint(game, rng)
+        want = np.trace(game.payoff_observable @ np.kron(s.alice, s.bob)).real
+        assert abs(expected_utility(game, s) - want) < 1e-12
+
+
 def test_expected_utility_dimension_check():
     game = matching_pennies()
     with pytest.raises(ValueError, match="do not match"):
@@ -238,8 +258,10 @@ def test_payoff_identity_utility_equals_gradient_pairing():
 
 def test_gradients_match_partial_trace_oracle():
     rng = np.random.default_rng(31)
-    for n, m, seed in ((1, 1, 0), (2, 1, 1), (1, 2, 3), (2, 2, 2)):
-        game = random_game(n, m, seed=seed)
+    shapes = ((1, 1, 0, None), (2, 1, 1, None), (1, 2, 3, None), (2, 2, 2, None),
+              (2, 3, 4, 64), (3, 2, 5, 64), (3, 3, 6, 64))
+    for n, m, seed, outcomes in shapes:
+        game = random_game(n, m, outcomes, seed=seed)
         s = random_joint(game, rng)
         udag = game.payoff_observable.conj().T
         da, db = game.dim_alice, game.dim_bob
@@ -596,6 +618,11 @@ def test_v2_load_rejects_bad_observables():
         game_from_json_dict({**doc, "payoff_observable": doc["payoff_observable"][:3]})
     with pytest.raises(ValueError, match="norm"):
         game_from_json_dict(with_u(1.5 * u / np.max(np.abs(np.linalg.eigvalsh(u)))))
+    # finite, but (U + U†)/2 would overflow: the entries fail the norm bound first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"has norm .* > 1"):
+            game_from_json_dict(with_u(1e308 * np.eye(4)))
     with pytest.raises(ValueError, match="outcomes"):
         game_from_json_dict({**doc, "outcomes": 0})
     # the norm bound itself is accepted: matching pennies has ||U|| = 1

@@ -479,20 +479,20 @@ def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
 # gradient count.  The engine may change how it steps; these bits may not.
 
 PINNED_TRAJECTORIES = {
-    ("2+2", "mda-frobenius"): "fbb9bc16be2a1a59",
-    ("2+2", "mmp-entropy"): "77aa038429dc8b1b",
-    ("2+2", "mmp-frobenius"): "6449951ff457b402",
-    ("2+2", "mmwu"): "f82bb8bb611d271a",
-    ("2+2", "mmwu-sd"): "ca15a93db25c3fdb",
-    ("2+2", "omeg"): "e3927aeaa7783e0c",
-    ("2+2", "ommwu"): "f6590953c1483f5d",
-    ("1+2", "mda-frobenius"): "93b57e9af2796cf3",
-    ("1+2", "mmp-entropy"): "578e208413dff8b3",
-    ("1+2", "mmp-frobenius"): "4e29d472fcfb8bf1",
-    ("1+2", "mmwu"): "34771c968fb212f1",
-    ("1+2", "mmwu-sd"): "a058c5346df88d27",
-    ("1+2", "omeg"): "c448b56460a9d75b",
-    ("1+2", "ommwu"): "96db12d1f829b112",
+    ("2+2", "mda-frobenius"): "395e6e8b32c117d5",
+    ("2+2", "mmp-entropy"): "e6038c69bc3f8c6c",
+    ("2+2", "mmp-frobenius"): "5f5d0331751a1819",
+    ("2+2", "mmwu"): "214da2e5d0d3687a",
+    ("2+2", "mmwu-sd"): "cc4f524fa985e797",
+    ("2+2", "omeg"): "98097b8525e0bce6",
+    ("2+2", "ommwu"): "1adcd74e26fa8222",
+    ("1+2", "mda-frobenius"): "087b72d2ce9e8864",
+    ("1+2", "mmp-entropy"): "8ca0daaddf69854f",
+    ("1+2", "mmp-frobenius"): "5352849415e18cc1",
+    ("1+2", "mmwu"): "6bb5aa59e13cdd1f",
+    ("1+2", "mmwu-sd"): "472a22c4d0384801",
+    ("1+2", "omeg"): "5641814c43d48506",
+    ("1+2", "ommwu"): "1bbab1135db42fd4",
     ("pennies", "mda-frobenius"): "83c8b74ea3ad32cb",
     ("pennies", "mmp-entropy"): "1b13c7ffa8934c12",
     ("pennies", "mmp-frobenius"): "1b13c7ffa8934c12",
