@@ -57,9 +57,9 @@ def assert_density_matrix(x, what: str = "state") -> np.ndarray:
     tr = float(np.trace(x).real)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise ValueError(f"{what} has trace {tr!r}, expected 1")
-    w = np.linalg.eigvalsh(linalg.hermitianize(x))
-    if w[0] < -linalg.PSD_EIG_TOL:
-        raise ValueError(f"{what} has negative eigenvalue {w[0]:.3e}")
+    w_min = linalg.trusted_hermitian_eig(linalg.hermitianize(x)).eigenvalues[-1]
+    if w_min < -linalg.PSD_EIG_TOL:
+        raise ValueError(f"{what} has negative eigenvalue {w_min:.3e}")
     return x
 
 

@@ -14,31 +14,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import game, linalg
 
 VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
 
 
-def _simplex_threshold(u: np.ndarray) -> np.ndarray:
-    """Threshold theta of the projection of each row of u, shaped to broadcast.
+def _clip_spectra(w: np.ndarray) -> np.ndarray:
+    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack.
 
     Trusted kernel: each row must be finite and sorted descending, as
     `linalg.trusted_hermitian_eig` leaves a spectrum; it is not re-sorted or
-    re-checked.  Raises NumericalError when any row loses its support.
+    re-checked.  Sort-and-threshold rule (Duchi et al., ICML 2008; Condat,
+    Math. Prog. 2016) in one pass over Python floats: with s_k the running
+    sum, theta = t_k = (s_k - 1)/k at the last k with u_k > t_k.  The sum
+    runs left to right as numpy's cumsum does, and -, / and > round as
+    numpy's do, so the result has the bits of the vectorized rule.  Not
+    max_k t_k: equal in exact arithmetic, it is an ulp off at the support
+    boundary.  A clipped entry is +0.0 (u <= theta), never -0.0, as numpy's
+    maximum leaves it.  Raises NumericalError when a row loses its support.
     """
-    rows = u.reshape(-1, u.shape[-1])
-    k, d = rows.shape
-    thresholds = (rows.cumsum(1) - 1.0) / np.arange(1.0, d + 1.0)
-    support = rows > thresholds  # the last index in it is rho
-    kept = support.any(1)
-    if not kept.all():
-        # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
-        raise linalg.NumericalError(
-            f"simplex projection lost its support to rounding (max entry {rows[~kept, 0][0]:.3e})"
-        )
-    rho = d - 1 - support[:, ::-1].argmax(1)
-    return thresholds[np.arange(k), rho].reshape(u.shape[:-1] + (1,))
+    d = w.shape[-1]
+    out = []
+    for row in w.reshape(-1, d).tolist():
+        s, theta = 0.0, None
+        for k, u in enumerate(row, 1):
+            s += u
+            t = (s - 1.0) / k
+            if u > t:
+                theta = t
+        if theta is None:
+            # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
+            raise linalg.NumericalError(
+                f"simplex projection lost its support to rounding (max entry {row[0]:.3e})"
+            )
+        out += [u - theta if u > theta else 0.0 for u in row]
+    return np.array(out).reshape(w.shape)
 
 
 def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
@@ -50,7 +61,7 @@ def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
 
 def _project_spectra(spec: linalg.Spectrum) -> np.ndarray:
     w, v = spec
-    lam = np.maximum(w - _simplex_threshold(w), 0.0)
+    lam = _clip_spectra(w)
     return linalg.hermitianize((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
@@ -144,11 +155,12 @@ class Regularizer:
         Entropy: the dual matrix log X, which plays X, so X must be full
         rank; when X is exactly the maximally mixed state, the zero matrix,
         which plays the same point without the rounding of a logarithm.
-        Frobenius: the Hermitian part of X.  X is validated here, once: this
-        is the only way outside state enters a stepper, and play/advance
-        trust every state and gradient to be exactly Hermitian.
+        Frobenius: the Hermitian part of X.  X is validated here, once, as a
+        density matrix (`game.assert_density_matrix`): this is the only way
+        outside state enters a stepper, and play/advance trust every state
+        and gradient to be exactly Hermitian.
         """
-        x = linalg.hermitianize(linalg.assert_hermitian(x, "state"))
+        x = linalg.hermitianize(game.assert_density_matrix(x, "state"))
         if self.kind != VN_ENTROPY_ID:
             return x
         dim = x.shape[0]

@@ -17,6 +17,8 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 PSD_EIG_TOL = 1e-9
 LOG_EIG_FLOOR = 1e-15
+# the largest real or imaginary part whose (A + A†)/2 cannot overflow
+HERMITIAN_PART_MAX = float(np.finfo(float).max) / 2.0
 
 
 class NumericalError(RuntimeError):
@@ -64,9 +66,19 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Validate M = M† within HERMITIAN_RTOL relative to the largest entry."""
+    """Validate M = M† within HERMITIAN_RTOL relative to the largest entry.
+
+    A real or imaginary part above HERMITIAN_PART_MAX is rejected too, before
+    anything adds M to M†: the Hermitian part (M + M†)/2 would overflow.
+    """
     m = as_matrix(m)
     assert_finite(m, what)
+    largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag)))) if m.size else 0.0
+    if largest > HERMITIAN_PART_MAX:
+        raise ValueError(
+            f"{what} has an entry part of magnitude {largest!r}, above half the "
+            "largest float, so its Hermitian part would overflow"
+        )
     scale = 1.0 + float(np.max(np.abs(m))) if m.size else 1.0
     defect = hermiticity_defect(m)
     if defect > HERMITIAN_RTOL * scale:

@@ -73,6 +73,71 @@ def test_simplex_project_matches_bisection_oracle():
         assert np.allclose(got, simplex_project_bisection(v), atol=1e-9)
 
 
+def clip_oracle(u):
+    # the vectorized rule that `_clip_spectra` replaced, kept as a bit oracle:
+    # cumsum thresholds, the last index in the support, then fancy indexing;
+    # None when some row loses its support
+    rows = u.reshape(-1, u.shape[-1])
+    k, d = rows.shape
+    thresholds = (rows.cumsum(1) - 1.0) / np.arange(1.0, d + 1.0)
+    support = rows > thresholds
+    if not support.any(1).all():
+        return None
+    rho = d - 1 - support[:, ::-1].argmax(1)
+    theta = thresholds[np.arange(k), rho].reshape(u.shape[:-1] + (1,))
+    return np.maximum(u - theta, 0.0)
+
+
+@st.composite
+def descending_row(draw, d):
+    ties = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+    scale = draw(st.sampled_from([1.0, 1e3, 1e17]))
+    entries = st.one_of(ties, st.floats(-10.0, 10.0))
+    row = sorted((scale * x for x in draw(st.lists(entries, min_size=d, max_size=d))), reverse=True)
+    if d > 1 and draw(st.booleans()):
+        # entry j on the running threshold t_j of the entries before it, or an ulp off
+        j = draw(st.integers(1, d - 1))
+        s = 0.0
+        for x in row[:j]:
+            s += x
+        t = (s - 1.0) / j
+        t = draw(st.sampled_from([math.nextafter(t, -math.inf), t, math.nextafter(t, math.inf)]))
+        row[j] = min(t, row[j - 1])
+        row[j + 1:] = [min(x, row[j]) for x in row[j + 1:]]
+    return row
+
+
+def spectrum_stacks():
+    # k = 0 draws one 1-D spectrum, as the 2-D public maps clip
+    shapes = st.tuples(st.sampled_from([0, 1, 2, 3]), st.integers(1, 8))
+    return shapes.flatmap(
+        lambda kd: st.lists(descending_row(kd[1]), min_size=max(kd[0], 1), max_size=max(kd[0], 1))
+        .map(lambda rows: np.array(rows if kd[0] else rows[0]))
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(spectrum_stacks())
+def test_clip_spectra_equals_the_vectorized_rule_pinned(w):
+    want = clip_oracle(w)
+    if want is None:
+        with pytest.raises(linalg.NumericalError, match="lost its support"):
+            geometry._clip_spectra(w)
+    else:
+        assert geometry._clip_spectra(w).tobytes() == want.tobytes()
+
+
+def test_clip_spectra_keeps_the_last_support_index_pinned():
+    # t_1 = -1.963836836182 is in the support; t_2 = -1.9638368361819998 is
+    # out of it but larger.  The closed form theta = max_k t_k, equal to the
+    # rule in exact arithmetic, would take t_2 and give [1 - 2^-52, 0]
+    u = np.array([-0.963836836182, -1.9638368361819998])
+    assert geometry._clip_spectra(u).tolist() == [1.0, 2.220446049250313e-16]
+    assert geometry._clip_spectra(u).tobytes() == clip_oracle(u).tobytes()
+    # a clipped -0.0 is +0.0, as numpy's maximum leaves it
+    assert not np.signbit(geometry._clip_spectra(np.array([1.0, -0.0]))).any()
+
+
 # ---------------------------------------------------------------- logit map
 
 
@@ -294,11 +359,16 @@ def test_trusted_maps_equal_public_maps_on_exactly_hermitian_input(yg, eta):
 
 NOT_HERMITIAN = np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex)
 NON_FINITE = [np.diag([math.nan, 1.0]).astype(complex), np.diag([math.inf, 0.0]).astype(complex)]
+# finite, but (A + A†)/2 would overflow
+HUGE = np.diag([1.5e308, 1.5e308]).astype(complex)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "bad,match",
-    [(NOT_HERMITIAN, "not Hermitian")] + [(m, "non-finite") for m in NON_FINITE],
+    [(NOT_HERMITIAN, "not Hermitian")]
+    + [(m, "non-finite") for m in NON_FINITE]
+    + [(HUGE, r"1\.5e\+308.*overflow")],
 )
 def test_public_maps_and_start_reject_bad_input(bad, match):
     x = np.eye(2, dtype=complex) / 2.0
@@ -320,6 +390,14 @@ def test_public_maps_and_start_reject_bad_input(bad, match):
         ):
             with pytest.raises(ValueError, match=match):
                 call()
+
+
+def test_start_rejects_a_state_that_is_not_a_density_matrix():
+    for reg in (VN_ENTROPY, FROBENIUS):
+        with pytest.raises(ValueError, match="trace"):
+            reg.start(np.diag([2.0, 0.5]).astype(complex))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            reg.start(np.diag([1.5, -0.5]).astype(complex))
 
 
 # ---------------------------------------------------------------- stack kernels
