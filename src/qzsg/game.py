@@ -225,7 +225,7 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
 def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
     """F(a, b) in `profile_stacks` layout: both products with R write
     straight into the players' views, and each stack is replaced by its
-    Hermitian part in place, with the bits of `linalg.hermitianize`."""
+    Hermitian part in place (`linalg.hermitianize_in_place`)."""
     alice = _player_matrix(state.alice, game.dim_alice, "Alice")
     bob = _player_matrix(state.bob, game.dim_bob, "Bob")
     stacks = profile_stacks(game)
@@ -234,8 +234,7 @@ def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
     np.matmul(alice.T.reshape(-1), game.realigned, out=out.bob.reshape(-1))
     np.negative(out.bob, out=out.bob)
     for s in stacks:
-        s += s.conj().swapaxes(-1, -2)
-        s /= 2.0
+        linalg.hermitianize_in_place(s)
     return stacks
 
 
@@ -265,12 +264,13 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
 
     Both extremes of a linear payoff over density matrices are attained at
     eigenvectors, so the gap reduces to two extreme eigenvalues, of
-    F_alice(b') and of -F_bob(a'), taken by one `eigvalsh` per stack.
+    F_alice(b') and of -F_bob(a'), taken by one `linalg.trusted_eigvalsh`
+    per stack.
     """
     stacks = _gradient_stacks(game, state)
     bob = players(stacks).bob
     np.negative(bob, out=bob)
-    w = players([np.linalg.eigvalsh(s) for s in stacks])
+    w = players([linalg.trusted_eigvalsh(s) for s in stacks])
     return float(w.alice[-1] - w.bob[0])
 
 

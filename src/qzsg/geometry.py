@@ -56,13 +56,14 @@ def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
     w, v = spec
     e = np.exp(w - w[..., :1])
     rho = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return linalg.hermitianize(rho / e.sum(axis=-1)[..., None, None])
+    rho /= e.sum(axis=-1)[..., None, None]
+    return linalg.hermitianize_in_place(rho)
 
 
 def _project_spectra(spec: linalg.Spectrum) -> np.ndarray:
     w, v = spec
     lam = _clip_spectra(w)
-    return linalg.hermitianize((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
+    return linalg.hermitianize_in_place((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def logit_map(y) -> np.ndarray:

@@ -1,9 +1,15 @@
 """Dense complex linear algebra for Hermitian matrices of dimension 2^k.
 
 All functions operate on square complex numpy arrays and return fresh arrays;
-nothing mutates its input.  Results that are Hermitian in exact arithmetic
-are re-symmetrized through the (A + A†)/2 guard so that downstream tolerance
-checks stay sharp after long chains of floating-point arithmetic.
+only `hermitianize_in_place` mutates its input.  Results that are Hermitian
+in exact arithmetic are re-symmetrized through the (A + A†)/2 guard so that
+downstream tolerance checks stay sharp after long chains of floating-point
+arithmetic.
+
+The trusted eigensolvers call the batched LAPACK gufuncs behind
+`np.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
+without the wrappers' per-call dispatch.  Those gufuncs are private numpy
+API; tests/test_linalg.py pins them to the public functions byte for byte.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 HERMITIAN_RTOL = 1e-10
 PSD_EIG_TOL = 1e-9
@@ -31,6 +38,11 @@ class Spectrum(NamedTuple):
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+
+# the gufuncs np.linalg.eigh and eigvalsh call (default UPLO="L"), which
+# return eigenvalues ascending
+_EIGH = _umath_linalg.eigh_lo
+_EIGVALSH = _umath_linalg.eigvalsh_lo
 
 # herm_log keeps no tally of its clamps; the benchmark harness still reads
 # `.count` of this stand-in, which is always 0
@@ -60,6 +72,13 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
+def hermitianize_in_place(a: np.ndarray) -> np.ndarray:
+    """Replace `a` by its Hermitian part, with the bits of `hermitianize`; returns `a`."""
+    a += a.conj().swapaxes(-1, -2)
+    a /= 2.0
+    return a
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest entrywise deviation of M from M†."""
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
@@ -86,9 +105,31 @@ def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _lapack(gufunc, signature: str, h: np.ndarray):
+    """`gufunc(h)` under the error state numpy's eigh wrapper sets: the
+    gufunc flags a LAPACK failure as invalid, which raises NumericalError
+    here, in or outside an outer error state, without a warning."""
+    try:
+        return gufunc(h, signature=signature)
+    except FloatingPointError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of an exactly Hermitian complex matrix or of
+    each matrix in a stack, with the bits of `np.linalg.eigvalsh`.
+
+    Trusted kernel: nothing is checked.  A solver failure raises
+    NumericalError; non-finite input can give a non-finite spectrum.
+    """
+    return _lapack(_EIGVALSH, "D->d", h)
+
+
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
-    matrix or of each matrix in a (k, d, d) stack, in one `eigh` call.
+    complex matrix or of each matrix in a (k, d, d) stack, in one call of the
+    LAPACK gufunc behind `np.linalg.eigh`, whose bits it has.
 
     Trusted kernel for the solver loop: H must equal H† bit for bit, as every
     `hermitianize` output and real-weighted sum of them does; that is not
@@ -98,10 +139,7 @@ def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """
     if not all_finite(h):
         raise NumericalError("non-finite input gives a non-finite spectrum")
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    w, v = _lapack(_EIGH, "D->dD", h)
     if not all_finite(w):
         raise NumericalError("eigensolver returned a non-finite spectrum")
     if np.count_nonzero(w[..., 1:] == w[..., :-1]):  # some eigenvalue ties

@@ -52,7 +52,7 @@ from .game import (
 )
 
 # what a kernel raises on a non-finite, overflowing or degenerate iterate
-_KERNEL_ERRORS = (np.linalg.LinAlgError, linalg.NumericalError, FloatingPointError)
+_KERNEL_ERRORS = (linalg.NumericalError, FloatingPointError)
 
 # alias -> (scheme, regularizer, step_decay)
 ALIASES = {
@@ -218,7 +218,8 @@ class DualAveragingStepper(Stepper):
     W, started at zero; W += F(Ψ_t), then play mirror(eta_t W)."""
 
     def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        self.stacks = [s + g for s, g in zip(self.stacks, self._gradient(psi))]
+        for s, g in zip(self.stacks, self._gradient(psi)):
+            s += g
         eta = self.eta_fn(t)
         return players([self.reg.trusted_mirror_map(eta * s) for s in self.stacks]), 1
 

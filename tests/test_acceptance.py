@@ -392,12 +392,14 @@ _QZSG_FILE = Path(qzsg.__file__).resolve()
 _SRC_DIR = str(_QZSG_FILE.parent.parent)
 
 
-def _run_python(cwd, *args, threads=None):
+def _run_python(cwd, *args, threads=None, blas_threads=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [_SRC_DIR] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
     if threads is not None:
         env["QZSG_THREADS"] = str(threads)
+    if blas_threads is not None:
+        env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
     proc = subprocess.run(
         [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=500,
@@ -406,8 +408,8 @@ def _run_python(cwd, *args, threads=None):
     return proc.stdout
 
 
-def _cli(cwd, *args, threads=None):
-    return _run_python(cwd, "-m", "qzsg", *args, threads=threads)
+def _cli(cwd, *args, threads=None, blas_threads=None):
+    return _run_python(cwd, "-m", "qzsg", *args, threads=threads, blas_threads=blas_threads)
 
 
 def _mask_csv(path) -> str:
@@ -478,3 +480,20 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
              "generate/solve/verify byte-identical across reruns; compare "
              "byte-identical across reruns and QZSG_THREADS 1 vs 2 after "
              "masking wall_time_ns")
+
+
+def test_3q_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # README's Determinism section: up to 3+3, one and two BLAS threads give
+    # the same bytes; from 4+4 up LAPACK's threaded eigh of S can round apart
+    traces = []
+    for blas in (1, 2):
+        d = tmp_path / f"blas{blas}"
+        d.mkdir()
+        _cli(d, "generate", "-n", "3", "-m", "3", "--seed", "31", "-o", "game.json",
+             blas_threads=blas)
+        out = _cli(d, "solve", "--game", "game.json", "--algorithm", "omeg",
+                   "--iters", "300", "--format", "csv", blas_threads=blas)
+        traces.append([line.split(",")[:3] for line in out.splitlines()])
+    game_bytes = [(tmp_path / f"blas{blas}" / "game.json").read_bytes() for blas in (1, 2)]
+    assert game_bytes[0] == game_bytes[1]
+    assert len(traces[0]) > 1 and traces[0] == traces[1]

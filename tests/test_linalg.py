@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,14 @@ X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def random_hermitian(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitianize(g)
+
+
+def failing_gufunc(a, signature):
+    """An eigensolver gufunc that fails as numpy's report a LAPACK failure:
+    it sets the invalid flag and returns NaN."""
+    np.subtract(np.inf, np.inf)
+    w = np.full(a.shape[:-1], np.nan)
+    return w if signature == "D->d" else (w, np.full(a.shape, np.nan, dtype=complex))
 
 
 def test_hermitianize_is_hermitian_part():
@@ -67,12 +77,36 @@ def test_eig_sorted_descending_and_reconstructs():
 
 
 def test_eig_failure_raises_numerical_error(monkeypatch):
-    def broken(_):
-        raise np.linalg.LinAlgError("did not converge")
+    monkeypatch.setattr(linalg, "_EIGH", failing_gufunc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            hermitian_eig(Z)
 
-    monkeypatch.setattr(np.linalg, "eigh", broken)
-    with pytest.raises(NumericalError, match="failed to converge"):
-        hermitian_eig(Z)
+
+def test_lapack_seam_equals_numpy_bit_for_bit():
+    # the seam calls numpy's private gufuncs; a numpy release that changes
+    # them must fail here, not shift the solver's bits
+    rng = np.random.default_rng(11)
+
+    def stack(*shape):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return hermitianize(g)
+
+    inputs = [
+        stack(1, 1), stack(2, 2, 2), stack(2, 4, 4), stack(8, 8), stack(2, 8, 8),
+        stack(64, 64), np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex),
+    ]
+    for h in inputs:
+        w, v = linalg._lapack(linalg._EIGH, "D->dD", h)
+        want_w, want_v = np.linalg.eigh(h)
+        assert w.tobytes() == want_w.tobytes(), h.shape
+        assert v.tobytes() == want_v.tobytes(), h.shape
+        assert linalg.trusted_eigvalsh(h).tobytes() == np.linalg.eigvalsh(h).tobytes()
+    a = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+    want = hermitianize(a)
+    assert linalg.hermitianize_in_place(a) is a
+    assert a.tobytes() == want.tobytes()
 
 
 def test_trusted_eig_equals_public_on_exactly_hermitian_input():
@@ -90,12 +124,11 @@ def test_trusted_eig_raises_numerical_errors(monkeypatch):
         with pytest.raises(NumericalError, match="non-finite spectrum"):
             linalg.trusted_hermitian_eig(bad.astype(complex))
 
-    def broken(_):
-        raise np.linalg.LinAlgError("did not converge")
-
-    monkeypatch.setattr(np.linalg, "eigh", broken)
-    with pytest.raises(NumericalError, match="failed to converge"):
-        linalg.trusted_hermitian_eig(Z)
+    monkeypatch.setattr(linalg, "_EIGH", failing_gufunc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            linalg.trusted_hermitian_eig(Z)
 
 
 def test_spectral_fn_exp_of_zero_is_identity():

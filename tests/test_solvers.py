@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from test_linalg import failing_gufunc
 
 from qzsg import geometry, linalg, solvers
 from qzsg.game import (
@@ -535,16 +536,16 @@ def test_trajectories_are_pinned():
 
 def test_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
     game = random_game(1, 1, seed=14)
-    real_eigh = np.linalg.eigh
+    real_eigh = linalg._EIGH
     calls = {"n": 0}
 
-    def flaky(a):
+    def flaky(a, signature):
         calls["n"] += 1
         if calls["n"] > 3:
-            raise np.linalg.LinAlgError("no convergence")
-        return real_eigh(a)
+            return failing_gufunc(a, signature)
+        return real_eigh(a, signature=signature)
 
-    monkeypatch.setattr(np.linalg, "eigh", flaky)
+    monkeypatch.setattr(linalg, "_EIGH", flaky)
     with pytest.raises(linalg.NumericalError, match="iteration"):
         run(game, SolverConfig(algorithm="mmwu", step_size=0.5, max_iters=10))
 
@@ -573,11 +574,7 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
 
 def test_gap_eigensolver_failure_names_checkpoint(monkeypatch):
     game = random_game(1, 1, seed=14)
-
-    def broken(a):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
+    monkeypatch.setattr(linalg, "_EIGVALSH", failing_gufunc)
     with pytest.raises(linalg.NumericalError, match="iteration 10"):
         run(game, SolverConfig(step_size=0.5, max_iters=10))
 
