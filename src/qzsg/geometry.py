@@ -20,36 +20,47 @@ VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
 
 
-def _clip_spectra(w: np.ndarray) -> np.ndarray:
-    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack.
+def _clip_spectra(w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack,
+    and whether some row has tied entries.
 
-    Trusted kernel: each row must be finite and sorted descending, as
-    `linalg.trusted_hermitian_eig` leaves a spectrum; it is not re-sorted or
-    re-checked.  Sort-and-threshold rule (Duchi et al., ICML 2008; Condat,
-    Math. Prog. 2016) in one pass over Python floats: with s_k the running
-    sum, theta = t_k = (s_k - 1)/k at the last k with u_k > t_k.  The sum
-    runs left to right as numpy's cumsum does, and -, / and > round as
-    numpy's do, so the result has the bits of the vectorized rule.  Not
-    max_k t_k: equal in exact arithmetic, it is an ulp off at the support
-    boundary.  A clipped entry is +0.0 (u <= theta), never -0.0, as numpy's
-    maximum leaves it.  Raises NumericalError when a row loses its support.
+    Trusted kernel: each row must be sorted descending, as LAPACK's ascending
+    spectrum read backwards is; it is not re-sorted.  One pass over each row
+    as Python floats checks it for finiteness, finds its ties and clips it.
+    Sort-and-threshold rule (Duchi et al., ICML 2008; Condat, Math. Prog.
+    2016): with s_k the running sum, theta = t_k = (s_k - 1)/k at the last k
+    with u_k > t_k.  The sum runs left to right as numpy's cumsum does, and
+    -, / and > round as numpy's do, so the result has the bits of the
+    vectorized rule.  Not max_k t_k: equal in exact arithmetic, it is an ulp
+    off at the support boundary.  A clipped entry is +0.0 (u <= theta), never
+    -0.0, as numpy's maximum leaves it.  Raises NumericalError on a non-finite
+    entry, and otherwise when a row loses its support.
     """
     d = w.shape[-1]
-    out = []
+    out, tied, lost = [], False, None
     for row in w.reshape(-1, d).tolist():
-        s, theta = 0.0, None
+        s, theta, prev = 0.0, None, None
         for k, u in enumerate(row, 1):
+            if u == prev:
+                tied = True
+            prev = u
             s += u
             t = (s - 1.0) / k
             if u > t:
                 theta = t
+        # a non-finite entry leaves the sum non-finite; so can overflow alone
+        if not math.isfinite(s) and not all(map(math.isfinite, row)):
+            raise linalg.NumericalError("eigensolver returned a non-finite spectrum")
         if theta is None:
             # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
-            raise linalg.NumericalError(
-                f"simplex projection lost its support to rounding (max entry {row[0]:.3e})"
-            )
+            lost = row[0] if lost is None else lost
+            continue
         out += [u - theta if u > theta else 0.0 for u in row]
-    return np.array(out).reshape(w.shape)
+    if lost is not None:
+        raise linalg.NumericalError(
+            f"simplex projection lost its support to rounding (max entry {lost:.3e})"
+        )
+    return np.array(out).reshape(w.shape), tied
 
 
 def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
@@ -60,9 +71,25 @@ def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
     return linalg.hermitianize_in_place(rho)
 
 
-def _project_spectra(spec: linalg.Spectrum) -> np.ndarray:
-    w, v = spec
-    lam = _clip_spectra(w)
+def _project(y: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto the density-matrix set of an exactly
+    Hermitian matrix or of each matrix in a (k, d, d) stack: one LAPACK call,
+    then one pass over each row of its spectrum (`_clip_spectra`).
+
+    Trusted kernel, with the preconditions, errors and bits of
+    `linalg.trusted_hermitian_eig` followed by the clip: eigenvectors of tied
+    eigenvalues keep their ascending solver order.
+    """
+    if not linalg.all_finite(y):
+        raise linalg.NumericalError("non-finite input gives a non-finite spectrum")
+    w, v = linalg._lapack(linalg._EIGH, "D->dD", y)
+    lam, tied = _clip_spectra(w[..., ::-1])
+    if tied:
+        order = np.argsort(-w, axis=-1, kind="stable")
+        v = np.take_along_axis(v, order[..., None, :], -1)
+    else:
+        # copied because numpy's complex kernels round differently on strides
+        v = v[..., ::-1].copy()
     return linalg.hermitianize_in_place((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
@@ -77,7 +104,7 @@ def logit_map(y) -> np.ndarray:
 
 def orth_project_spectraplex(y) -> np.ndarray:
     """Euclidean projection onto the density-matrix set: project the spectrum."""
-    return _project_spectra(linalg.hermitian_eig(y))
+    return _project(linalg.hermitianize(linalg.assert_hermitian(y)))
 
 
 @dataclass(frozen=True)
@@ -145,10 +172,9 @@ class Regularizer:
         such Y each result equals `logit_map` or `orth_project_spectraplex`
         of its matrix bit for bit.
         """
-        spec = linalg.trusted_hermitian_eig(y)
         if self.kind == VN_ENTROPY_ID:
-            return _logit_spectra(spec)
-        return _project_spectra(spec)
+            return _logit_spectra(linalg.trusted_hermitian_eig(y))
+        return _project(y)
 
     def start(self, x) -> np.ndarray:
         """Initial stepper state for a start at the density matrix X.
@@ -194,7 +220,7 @@ class Regularizer:
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
         if self.kind == VN_ENTROPY_ID:
             return state + eta * g
-        return self.trusted_mirror_map(state + eta * g)
+        return _project(state + eta * g)
 
 
 VN_ENTROPY = Regularizer(VN_ENTROPY_ID)

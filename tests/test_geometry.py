@@ -124,7 +124,7 @@ def test_clip_spectra_equals_the_vectorized_rule_pinned(w):
         with pytest.raises(linalg.NumericalError, match="lost its support"):
             geometry._clip_spectra(w)
     else:
-        assert geometry._clip_spectra(w).tobytes() == want.tobytes()
+        assert geometry._clip_spectra(w)[0].tobytes() == want.tobytes()
 
 
 def test_clip_spectra_keeps_the_last_support_index_pinned():
@@ -132,10 +132,10 @@ def test_clip_spectra_keeps_the_last_support_index_pinned():
     # out of it but larger.  The closed form theta = max_k t_k, equal to the
     # rule in exact arithmetic, would take t_2 and give [1 - 2^-52, 0]
     u = np.array([-0.963836836182, -1.9638368361819998])
-    assert geometry._clip_spectra(u).tolist() == [1.0, 2.220446049250313e-16]
-    assert geometry._clip_spectra(u).tobytes() == clip_oracle(u).tobytes()
+    assert geometry._clip_spectra(u)[0].tolist() == [1.0, 2.220446049250313e-16]
+    assert geometry._clip_spectra(u)[0].tobytes() == clip_oracle(u).tobytes()
     # a clipped -0.0 is +0.0, as numpy's maximum leaves it
-    assert not np.signbit(geometry._clip_spectra(np.array([1.0, -0.0]))).any()
+    assert not np.signbit(geometry._clip_spectra(np.array([1.0, -0.0]))[0]).any()
 
 
 # ---------------------------------------------------------------- logit map
@@ -414,9 +414,9 @@ def hermitian_member(dim):
     )
 
 
-def hermitian_stacks():
-    return st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from([2, 4, 8])).flatmap(
-        lambda kd: st.lists(hermitian_member(kd[1]), min_size=kd[0], max_size=kd[0])
+def hermitian_stacks(dims=(2, 4, 8), member=hermitian_member):
+    return st.tuples(st.sampled_from([1, 2, 3]), st.sampled_from(dims)).flatmap(
+        lambda kd: st.lists(member(kd[1]), min_size=kd[0], max_size=kd[0])
     ).map(np.array)
 
 
@@ -459,6 +459,63 @@ def test_stack_kernels_raise_on_one_non_finite_member(y, data):
     ):
         with pytest.raises(linalg.NumericalError):
             kernel(y)
+
+
+def projection_member(dim):
+    # diag(1, -0.0, 0.0, ...) ties a signed zero with +0.0 from d = 3 on; the
+    # spectrum of 1e17 I loses its simplex support to rounding; that of
+    # 5e307 J (all entries equal) overflows from d = 4 on, with each entry
+    # below HERMITIAN_PART_MAX; diag(8e307, 7e307, 6e307, 0, ...) has a finite
+    # spectrum whose sum overflows from d = 3 on; sums of these with other
+    # members overflow
+    return st.one_of(
+        hermitian_member(dim),
+        st.just(np.diag(([1.0, -0.0] + [0.0] * dim)[:dim]).astype(complex)),
+        st.just(1e17 * np.eye(dim, dtype=complex)),
+        st.just(np.full((dim, dim), 5e307, dtype=complex)),
+        st.just(np.diag(([8e307, 7e307, 6e307] + [0.0] * dim)[:dim]).astype(complex)),
+    )
+
+
+def reference_projection(spec):
+    # the projection as composed before its fused kernel, from parts that
+    # share no code with it: the vectorized clip of the descending spectrum,
+    # then V diag(lam) V† and its Hermitian part
+    w, v = spec
+    lam = clip_oracle(w)
+    if lam is None:
+        lost = next(row[0] for row in w.reshape(-1, w.shape[-1]) if clip_oracle(row) is None)
+        raise linalg.NumericalError(
+            f"simplex projection lost its support to rounding (max entry {lost:.3e})"
+        )
+    return linalg.hermitianize_in_place((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
+
+
+def outcome(call):
+    try:
+        return call().tobytes()
+    except (linalg.NumericalError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_stacks((1, 2, 4, 8), projection_member), st.floats(1e-3, 10.0))
+@np.errstate(over="ignore")
+def test_projection_entry_points_equal_the_composed_reference_pinned(y, eta):
+    def trusted(m):
+        return lambda: reference_projection(linalg.trusted_hermitian_eig(m))
+
+    def public(m):
+        return lambda: reference_projection(linalg.hermitian_eig(m))
+
+    g = y[::-1].copy()
+    assert outcome(lambda: FROBENIUS.trusted_mirror_map(y)) == outcome(trusted(y))
+    assert outcome(lambda: FROBENIUS.advance(y, g, eta)) == outcome(trusted(y + eta * g))
+    for x, gx in zip(y, g):
+        assert outcome(lambda: orth_project_spectraplex(x)) == outcome(public(x))
+        assert outcome(lambda: FROBENIUS.proximal_map(x, gx, eta)) == outcome(
+            public(x + eta * gx)
+        )
 
 
 # ---------------------------------------------------------------- registry

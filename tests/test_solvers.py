@@ -550,6 +550,23 @@ def test_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
         run(game, SolverConfig(algorithm="mmwu", step_size=0.5, max_iters=10))
 
 
+def test_projection_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
+    # omeg's steps are Frobenius projections, which look the gufunc up per call
+    game = random_game(1, 1, seed=14)
+    real_eigh = linalg._EIGH
+    calls = {"n": 0}
+
+    def flaky(a, signature):
+        calls["n"] += 1
+        if calls["n"] > 3:
+            return failing_gufunc(a, signature)
+        return real_eigh(a, signature=signature)
+
+    monkeypatch.setattr(linalg, "_EIGH", flaky)
+    with pytest.raises(linalg.NumericalError, match=r"iteration \d+: eigensolver failed"):
+        run(game, SolverConfig(algorithm="omeg", step_size=0.5, max_iters=10))
+
+
 @pytest.mark.parametrize("alias", sorted(ALIASES))
 def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, alias):
     # the solver loop checks no input; the NaN surfaces as a non-finite spectrum
