@@ -30,6 +30,11 @@ EXIT_PARTIAL = 4
 
 TRACE_HEADER = "t,gap_avg,gap_last,wall_time_ns"
 
+OUTCOMES_HELP = (
+    "POVM outcome count per game (default 4^(n+m), "
+    f"only while n + m <= {game_mod.MAX_DEFAULTED_QUBITS})"
+)
+
 
 class CliError(Exception):
     """Validation failure that should exit with a usage error."""
@@ -164,8 +169,7 @@ def _solver_config(args) -> solvers.SolverConfig:
             raise CliError("solver config must be a JSON object")
     if args.algorithm is not None:
         base["algorithm"] = args.algorithm
-    if "algorithm" not in base:
-        base["algorithm"] = "ommwu"
+    base.setdefault("algorithm", solvers.SolverConfig.algorithm)
     if args.step_size is not None:
         base["step_size"] = args.step_size
     if args.iters is not None:
@@ -307,8 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="generate a random game file")
     p_gen.add_argument("--alice-qubits", "-n", type=_positive_int, required=True)
     p_gen.add_argument("--bob-qubits", "-m", type=_positive_int, required=True)
-    p_gen.add_argument("--outcomes", type=int, default=None,
-                       help="POVM outcome count (default 4^(n+m))")
+    p_gen.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
     p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--output", "-o", required=True)
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
@@ -338,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--algorithms", required=True,
                        help="comma-separated solver aliases")
     p_cmp.add_argument("--iters", type=_positive_int, required=True)
-    p_cmp.add_argument("--outcomes", type=int, default=None)
+    p_cmp.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
     p_cmp.add_argument("--schedule", default=None,
                        help="'every-K', 'paper-exp2', or comma-separated checkpoints")
     p_cmp.add_argument("--step-size", type=_step_size, default=None)
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output, args.command)
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:
@@ -376,9 +379,6 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

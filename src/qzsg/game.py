@@ -38,6 +38,10 @@ RANK_RIDGE = 1e-6
 # the most bytes of one (k, d, d) stack of raw POVM elements, a chunk, that
 # `random_game_with_bound` makes at a time
 CHUNK_BYTES = 256 * 1024
+# the largest n + m with a defaulted outcome count: building 4^(n+m)
+# elements of side 2^(n+m) costs about 32^(n+m), seconds at 3+4 and
+# minutes at 4+4
+MAX_DEFAULTED_QUBITS = 7
 
 GAME_FORMAT_VERSION = 2
 
@@ -170,7 +174,7 @@ class QuantumGame:
         def checked():
             for u, p in zip(utilities, povm):
                 p = linalg.assert_hermitian(p, "POVM element")
-                w_min = float(np.linalg.eigvalsh(linalg.hermitianize(p))[0])
+                w_min = float(linalg.trusted_eigvalsh(linalg.hermitianize(p))[0])
                 if w_min < -linalg.PSD_EIG_TOL:
                     raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
                 yield linalg.real_number(u, "utility"), p
@@ -295,6 +299,17 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
     np.add.reduce(stack, axis=0, out=total)
 
 
+def default_outcomes(n: int, m: int) -> int:
+    """4^(n+m), the outcome count of a game built without one; a ValueError
+    above MAX_DEFAULTED_QUBITS."""
+    if n + m > MAX_DEFAULTED_QUBITS:
+        raise ValueError(
+            f"the default 4^(n+m) outcomes take too long to build at {n}+{m} qubits: "
+            f"without --outcomes, n + m must be at most {MAX_DEFAULTED_QUBITS}"
+        )
+    return 4 ** (n + m)
+
+
 def random_game_with_bound(
     n: int, m: int, outcomes: int | None = None, seed: int = 0
 ) -> tuple[QuantumGame, float]:
@@ -307,8 +322,8 @@ def random_game_with_bound(
     construction.  Utilities u_w are uniform on [-1, 1], from their own
     stream.  P_w is linear in A_w, so U = S^(-1/2) V S^(-1/2) with
     V = sum_w u_w A_w, and one pass over the POVM stream sums S and V, left
-    to right in outcome order; no P_w is made.  Default outcome count is
-    4^(n+m).
+    to right in outcome order; no P_w is made.  The default outcome count is
+    `default_outcomes(n, m)`, checked before any draw.
 
     The pass works on chunks, (k, d, d) stacks of at most CHUNK_BYTES.  Each
     chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
@@ -319,7 +334,7 @@ def random_game_with_bound(
     if n < 1 or m < 1:
         raise ValueError("qubit counts must be >= 1")
     if outcomes is None:
-        outcomes = 4 ** (n + m)
+        outcomes = default_outcomes(n, m)
     if outcomes < 2:
         raise ValueError("outcomes must be ≥ 2")
     dim = 2 ** (n + m)
@@ -440,7 +455,7 @@ def _traceless_input_norm(m: np.ndarray, dim: int) -> float:
     restricted = m - np.outer(m @ unit_identity, unit_identity)
     # σ₁² is the top eigenvalue of the Gram matrix; LAPACK's SVD driver, unlike
     # eigvalsh, raises the process's peak RSS by about 0.3 MB on first use
-    top = np.linalg.eigvalsh(restricted @ restricted.conj().T)[-1]
+    top = linalg.trusted_eigvalsh(restricted @ restricted.conj().T)[-1]
     return math.sqrt(max(float(top), 0.0))
 
 

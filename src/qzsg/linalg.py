@@ -7,16 +7,18 @@ downstream tolerance checks stay sharp after long chains of floating-point
 arithmetic.
 
 The trusted eigensolvers call the batched LAPACK gufuncs behind
-`np.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
+`numpy.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
 without the wrappers' per-call dispatch.  Those gufuncs are private numpy
 API; tests/test_linalg.py pins them to the public functions byte for byte.
+Every eigensolver call of the package goes through `_lapack`, so a LAPACK
+failure anywhere, set-up included, raises NumericalError.
 """
 
 from __future__ import annotations
 
 import numbers
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -39,7 +41,7 @@ class Spectrum(NamedTuple):
     eigenvectors: np.ndarray
 
 
-# the gufuncs np.linalg.eigh and eigvalsh call (default UPLO="L"), which
+# the gufuncs numpy.linalg.eigh and eigvalsh call (default UPLO="L"), which
 # return eigenvalues ascending
 _EIGH = _umath_linalg.eigh_lo
 _EIGVALSH = _umath_linalg.eigvalsh_lo
@@ -118,7 +120,7 @@ def _lapack(gufunc, signature: str, h: np.ndarray):
 
 def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of an exactly Hermitian complex matrix or of
-    each matrix in a stack, with the bits of `np.linalg.eigvalsh`.
+    each matrix in a stack, with the bits of `numpy.linalg.eigvalsh`.
 
     Trusted kernel: nothing is checked.  A solver failure raises
     NumericalError; non-finite input can give a non-finite spectrum.
@@ -129,7 +131,7 @@ def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
     complex matrix or of each matrix in a (k, d, d) stack, in one call of the
-    LAPACK gufunc behind `np.linalg.eigh`, whose bits it has.
+    LAPACK gufunc behind `numpy.linalg.eigh`, whose bits it has.
 
     Trusted kernel for the solver loop: H must equal H† bit for bit, as every
     `hermitianize` output and real-weighted sum of them does; that is not
@@ -159,19 +161,6 @@ def hermitian_eig(h) -> Spectrum:
     to ~1e-10 relative error.
     """
     return trusted_hermitian_eig(hermitianize(assert_hermitian(h)))
-
-
-def spectral_fn(h, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply a real scalar function to a Hermitian matrix through its eigenvalues."""
-    spec = hermitian_eig(h)
-    fw = np.asarray(f(spec.eigenvalues), dtype=float)
-    if fw.shape != spec.eigenvalues.shape:
-        raise ValueError("f must map the eigenvalue vector elementwise")
-    if not np.all(np.isfinite(fw)):
-        bad = spec.eigenvalues[~np.isfinite(fw)][0]
-        raise ValueError(f"function undefined at eigenvalue {bad!r}")
-    v = spec.eigenvectors
-    return hermitianize((v * fw) @ v.conj().T)
 
 
 def herm_log(h) -> np.ndarray:

@@ -15,6 +15,7 @@ from . import linalg, rng
 from .game import (
     JointState,
     QuantumGame,
+    default_outcomes,
     expected_utility,
     linearity_check,
     monotonicity_residual,
@@ -107,6 +108,7 @@ def run_properties(
     """
     if max_qubits < 1:
         raise ValueError("max_qubits must be >= 1")
+    default_outcomes(max_qubits, max_qubits)
     if n_seeds < 1 or samples < 1:
         raise ValueError("n_seeds and samples must be >= 1")
     for name in names:

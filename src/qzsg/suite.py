@@ -16,12 +16,12 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import rng
-from .game import random_game
+from .game import default_outcomes, random_game
 from .solvers import SolverConfig, run
 
 # Checkpoint grid used by the logarithmically spaced ten-point preset.
@@ -73,7 +73,9 @@ class ExperimentSpec:
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
         if repeated:
             raise ValueError(f"repeated solver aliases {repeated}")
-        if self.outcomes is not None and self.outcomes < 2:
+        if self.outcomes is None:
+            default_outcomes(self.n, self.m)
+        elif self.outcomes < 2:
             raise ValueError("outcomes must be ≥ 2")
         for alias in self.algorithms:
             self.solver_config(alias)
@@ -214,19 +216,7 @@ def run_suite(spec: ExperimentSpec) -> dict:
     failures = sum(1 for r in results if r["status"] != "ok")
     return {
         "format_version": REPORT_FORMAT_VERSION,
-        "experiment": {
-            "n": spec.n,
-            "m": spec.m,
-            "games": spec.games,
-            "master_seed": spec.master_seed,
-            "algorithms": list(spec.algorithms),
-            "iters": spec.iters,
-            "outcomes": spec.outcomes,
-            "checkpoints": None if spec.checkpoints is None else list(spec.checkpoints),
-            "check_interval": spec.check_interval,
-            "step_size": spec.step_size,
-            "target_gap": spec.target_gap,
-        },
+        "experiment": {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(spec).items()},
         "ci_method": "student-t-95-log-domain",
         "runs": results,
         "aggregates": aggregate(spec, results),

@@ -2,13 +2,31 @@
 
 `random_game` sums S and V = sum_w u_w A_w over chunks in one pass and makes
 no POVM element.  The tests compare it with these slower loops, which draw,
-multiply and sum one element at a time with plain `+=`.
+multiply and sum one element at a time with plain `+=`, and take S^(-1/2)
+through `spectral_fn`, a real function applied to a Hermitian matrix's
+eigenvalues.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from qzsg import linalg, rng
 from qzsg.game import RANK_RIDGE
+from qzsg.linalg import hermitian_eig, hermitianize
+
+
+def spectral_fn(h, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply a real scalar function to a Hermitian matrix through its eigenvalues."""
+    spec = hermitian_eig(h)
+    fw = np.asarray(f(spec.eigenvalues), dtype=float)
+    if fw.shape != spec.eigenvalues.shape:
+        raise ValueError("f must map the eigenvalue vector elementwise")
+    if not np.all(np.isfinite(fw)):
+        bad = spec.eigenvalues[~np.isfinite(fw)][0]
+        raise ValueError(f"function undefined at eigenvalue {bad!r}")
+    v = spec.eigenvectors
+    return hermitianize((v * fw) @ v.conj().T)
 
 
 def _raw_elements(n, m, outcomes, seed):
@@ -26,7 +44,7 @@ def _utilities(outcomes, seed):
 
 
 def _inv_sqrt(total):
-    return linalg.spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
+    return spectral_fn(linalg.hermitianize(total), lambda w: w**-0.5)
 
 
 def reference_outcomes(n, m, outcomes=None, seed=0):

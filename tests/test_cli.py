@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from reference_games import reference_outcomes
 
-from qzsg import cli, linalg, properties, solvers, suite
+from qzsg import cli, linalg, properties, rng, solvers, suite
 from qzsg import game as game_mod
 from qzsg.cli import TRACE_HEADER, main
 from qzsg.game import load_game, random_game
@@ -259,6 +259,20 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_generate_bounds_a_defaulted_outcome_count_before_any_draw(
+        tmp_path, monkeypatch, capsys):
+    def drawn(*args):
+        raise AssertionError("a draw started")
+
+    monkeypatch.setattr(rng, "stream", drawn)
+    out = tmp_path / "g.json"
+    assert run_cli("generate", "-n", "4", "-m", "4", "-o", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: the default 4^(n+m) outcomes take too long to build at 4+4 qubits: "
+        "without --outcomes, n + m must be at most 7\n")
+    assert not out.exists()
+
+
 def test_out_of_memory_is_exit_3(tmp_path, monkeypatch, capsys):
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 2.00 PiB for an array")
@@ -426,6 +440,17 @@ def test_compare_rejects_bad_solver_settings_before_any_game(
     assert not out.exists()
 
 
+def test_compare_bounds_a_defaulted_outcome_count_before_any_game(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(suite, "random_game", _unexpected)
+    out = tmp_path / "cmp"
+    code = run_cli("compare", "-n", "4", "-m", "4", "--games", "1", "--iters", "2",
+                   "--algorithms", "ommwu", "-o", str(out))
+    assert code == 2
+    assert "--outcomes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("below", [(), ("sub",)])
 def test_compare_rejects_an_output_file_before_any_game(
         tmp_path, monkeypatch, capsys, below):
@@ -491,6 +516,12 @@ def test_verify_rejects_an_existing_dir_before_any_game(tmp_path, monkeypatch, c
     assert run_cli("verify", "--dims", "1", "-o", str(tmp_path)) == 2
     assert capsys.readouterr().err == (
         f"error: cannot write output: {str(tmp_path)!r} is not a file name\n")
+
+
+def test_verify_bounds_a_defaulted_outcome_count_before_any_game(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "random_game", _unexpected)
+    assert run_cli("verify", "--dims", "4", "--seeds", "1", "--samples", "1") == 2
+    assert "--outcomes" in capsys.readouterr().err
 
 
 def test_verify_single_property_json(capsys):

@@ -10,14 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_games import one_pass_observable, reference_outcomes
+from test_linalg import failing_gufunc
 
-from qzsg import linalg
+from qzsg import linalg, rng
 from qzsg.game import (
     CHUNK_BYTES,
+    MAX_DEFAULTED_QUBITS,
     JointState,
     QuantumGame,
     assert_density_matrix,
     builtin_game,
+    default_outcomes,
     duality_gap,
     expected_utility,
     game_from_json_dict,
@@ -32,6 +35,7 @@ from qzsg.game import (
     players,
     random_density,
     random_game,
+    random_game_with_bound,
     save_game,
     stacked,
     uniform_state,
@@ -201,6 +205,14 @@ def test_from_povm_validates():
         )
     with pytest.raises(ValueError, match="sum to identity"):
         QuantumGame.from_povm(1, 1, [np.eye(4) * 0.75, np.eye(4) * 0.5], [0.0, 0.0])
+
+
+def test_from_povm_eigensolver_failure_is_numerical(monkeypatch):
+    # checking an element's eigenvalues goes through the one LAPACK seam, so a
+    # failure there is numerical (exit 3), not a usage error
+    monkeypatch.setattr(linalg, "_EIGVALSH", failing_gufunc)
+    with pytest.raises(linalg.NumericalError, match="failed to converge"):
+        matching_pennies()
 
 
 # ---------------------------------------------------------------- payoffs
@@ -403,6 +415,13 @@ def test_lipschitz_constant_of_builtin_games():
     assert lipschitz_constant(zero_game()) == 0.0
 
 
+def test_lipschitz_constant_eigensolver_failure_is_numerical(monkeypatch):
+    game = random_game(1, 2, seed=3)
+    monkeypatch.setattr(linalg, "_EIGVALSH", failing_gufunc)
+    with pytest.raises(linalg.NumericalError, match="failed to converge"):
+        lipschitz_constant(game)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]),
@@ -530,6 +549,34 @@ def test_random_game_validates():
         random_game(1, 1, outcomes=1)
     with pytest.raises(ValueError, match="qubit counts"):
         random_game(0, 1)
+
+
+class _Drawn(Exception):
+    """Raised by a patched `rng.stream`: a game's first draw was reached."""
+
+
+def _drawn(*args):
+    raise _Drawn
+
+
+def test_defaulted_outcomes_are_bounded_before_any_draw(monkeypatch):
+    monkeypatch.setattr(rng, "stream", _drawn)
+    assert MAX_DEFAULTED_QUBITS == 7
+    for n, m in [(4, 4), (1, 7), (5, 5)]:
+        with pytest.raises(ValueError, match="without --outcomes, n [+] m must be at most 7"):
+            random_game_with_bound(n, m)
+        with pytest.raises(ValueError, match="--outcomes"):
+            random_game(n, m)
+    # the 3+4 default stays allowed: its draw starts
+    assert default_outcomes(3, 4) == 4**7
+    with pytest.raises(_Drawn):
+        random_game(3, 4)
+
+
+def test_explicit_outcomes_are_always_taken(monkeypatch):
+    monkeypatch.setattr(rng, "stream", _drawn)
+    with pytest.raises(_Drawn):
+        random_game(4, 4, outcomes=64)
 
 
 # ---------------------------------------------------------------- builtins

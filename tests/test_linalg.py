@@ -13,10 +13,10 @@ from qzsg.linalg import (
     matrix_from_jsonable,
     matrix_to_jsonable,
     schatten1_norm,
-    spectral_fn,
     spectral_norm,
     trace_inner,
 )
+from reference_games import spectral_fn
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

@@ -78,6 +78,13 @@ def test_spec_validation():
             small_spec(step_size=step).validate()
 
 
+def test_spec_bounds_a_defaulted_outcome_count():
+    with pytest.raises(ValueError, match="--outcomes"):
+        small_spec(n=4, m=4, outcomes=None).validate()
+    small_spec(n=4, m=4, outcomes=64).validate()
+    small_spec(n=3, m=4, outcomes=None).validate()
+
+
 def test_spec_solver_config_carries_the_spec_settings():
     spec = small_spec(algorithms=("mmwu-sd", "omeg"), step_size=0.2, target_gap=1e-3)
     assert spec.solver_config("omeg") == SolverConfig.from_alias(
