@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import game as game_mod
 from . import properties, solvers, suite
@@ -40,24 +41,19 @@ class CliError(Exception):
     """Validation failure that should exit with a usage error."""
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _integer(floor: int):
+    """The argparse type of an integer of at least `floor`."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {value}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer seed, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("seed must be non-negative")
-    return value
+    return parse
 
 
 def _step_size(text: str):
@@ -167,19 +163,11 @@ def _solver_config(args) -> solvers.SolverConfig:
             raise CliError(f"invalid solver config: {exc}") from exc
         if not isinstance(base, dict):
             raise CliError("solver config must be a JSON object")
-    if args.algorithm is not None:
-        base["algorithm"] = args.algorithm
+    # each solve flag stores under its SolverConfig field, None when not given
+    for name in (f.name for f in fields(solvers.SolverConfig)):
+        if getattr(args, name) is not None:
+            base[name] = getattr(args, name)
     base.setdefault("algorithm", solvers.SolverConfig.algorithm)
-    if args.step_size is not None:
-        base["step_size"] = args.step_size
-    if args.iters is not None:
-        base["max_iters"] = args.iters
-    if args.target_gap is not None:
-        base["target_gap"] = args.target_gap
-    if args.check_interval is not None:
-        base["gap_check_interval"] = args.check_interval
-    if args.seed is not None:
-        base["seed"] = args.seed
     return solvers.SolverConfig.from_json_dict(base)
 
 
@@ -196,10 +184,7 @@ def _cmd_solve(args) -> int:
         "max_iters": cfg.max_iters,
         "target_gap": cfg.target_gap,
         "seed": cfg.seed,
-        "iterations": result.iterations,
-        "gradient_calls": result.gradient_calls,
-        "final_gap_avg": result.trace[-1].gap_avg,
-        "final_gap_last": result.trace[-1].gap_last,
+        **result.totals(),
     }
     if args.output:
         _write_trace_csv(args.output + ".csv", result.trace)
@@ -219,9 +204,10 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_schedule(text: str, iters: int):
+def _parse_schedule(text: str, iters: int) -> dict:
+    """The ExperimentSpec field that --schedule sets, if any."""
     if text is None:
-        return None, 50
+        return {}
     if text.startswith("every-"):
         try:
             interval = int(text[len("every-"):])
@@ -229,7 +215,7 @@ def _parse_schedule(text: str, iters: int):
             raise CliError(f"invalid schedule {text!r}") from None
         if interval < 1:
             raise CliError("schedule interval must be >= 1")
-        return None, interval
+        return {"check_interval": interval}
     if text == "paper-exp2":
         points = suite.PAPER_EXP2_SCHEDULE
     else:
@@ -242,11 +228,10 @@ def _parse_schedule(text: str, iters: int):
     points = tuple(t for t in points if t <= iters)
     if not points:
         raise CliError("schedule has no checkpoints within --iters")
-    return points, 50
+    return {"checkpoints": points}
 
 
 def _cmd_compare(args) -> int:
-    checkpoints, interval = _parse_schedule(args.schedule, args.iters)
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     spec = suite.ExperimentSpec(
         n=args.alice_qubits,
@@ -256,9 +241,8 @@ def _cmd_compare(args) -> int:
         algorithms=algorithms,
         iters=args.iters,
         outcomes=args.outcomes,
-        checkpoints=checkpoints,
-        check_interval=interval,
-        step_size=args.step_size if args.step_size is not None else "auto",
+        step_size=args.step_size,
+        **_parse_schedule(args.schedule, args.iters),
     )
     report = suite.run_suite(spec)
     runs_dir = os.path.join(args.output, "runs")
@@ -309,10 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a random game file")
-    p_gen.add_argument("--alice-qubits", "-n", type=_positive_int, required=True)
-    p_gen.add_argument("--bob-qubits", "-m", type=_positive_int, required=True)
+    p_gen.add_argument("--alice-qubits", "-n", type=_integer(1), required=True)
+    p_gen.add_argument("--bob-qubits", "-m", type=_integer(1), required=True)
     p_gen.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
-    p_gen.add_argument("--seed", type=_seed, default=0)
+    p_gen.add_argument("--seed", type=_integer(0), default=0)
     p_gen.add_argument("--output", "-o", required=True)
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.set_defaults(func=_cmd_generate)
@@ -323,10 +307,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", default=None, help="solver config JSON file")
     p_solve.add_argument("--algorithm", choices=sorted(solvers.ALIASES), default=None)
     p_solve.add_argument("--step-size", type=_step_size, default=None)
-    p_solve.add_argument("--iters", type=_positive_int, default=None)
+    p_solve.add_argument("--iters", type=_integer(1), default=None, dest="max_iters")
     p_solve.add_argument("--target-gap", type=float, default=None)
-    p_solve.add_argument("--check-interval", type=_positive_int, default=None)
-    p_solve.add_argument("--seed", type=_seed, default=None,
+    p_solve.add_argument("--check-interval", type=_integer(1), default=None,
+                         dest="gap_check_interval")
+    p_solve.add_argument("--seed", type=_integer(0), default=None,
                          help="recorded in the output, not used: no solver draws "
                               "random numbers")
     p_solve.add_argument("--output", "-o", default=None,
@@ -335,26 +320,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="compare solver variants on a suite")
-    p_cmp.add_argument("--alice-qubits", "-n", type=_positive_int, required=True)
-    p_cmp.add_argument("--bob-qubits", "-m", type=_positive_int, required=True)
-    p_cmp.add_argument("--games", type=_positive_int, required=True)
+    p_cmp.add_argument("--alice-qubits", "-n", type=_integer(1), required=True)
+    p_cmp.add_argument("--bob-qubits", "-m", type=_integer(1), required=True)
+    p_cmp.add_argument("--games", type=_integer(1), required=True)
     p_cmp.add_argument("--algorithms", required=True,
                        help="comma-separated solver aliases")
-    p_cmp.add_argument("--iters", type=_positive_int, required=True)
+    p_cmp.add_argument("--iters", type=_integer(1), required=True)
     p_cmp.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
     p_cmp.add_argument("--schedule", default=None,
                        help="'every-K', 'paper-exp2', or comma-separated checkpoints")
-    p_cmp.add_argument("--step-size", type=_step_size, default=None)
-    p_cmp.add_argument("--seed", type=_seed, default=0)
+    p_cmp.add_argument("--step-size", type=_step_size,
+                       default=solvers.SolverConfig.step_size)
+    p_cmp.add_argument("--seed", type=_integer(0), default=0)
     p_cmp.add_argument("--output", "-o", required=True, help="report directory")
     p_cmp.add_argument("--format", choices=("text", "json"), default="text")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run randomized property checks")
     p_ver.add_argument("--property", choices=properties.PROPERTY_NAMES, default=None)
-    p_ver.add_argument("--samples", type=_positive_int, default=50)
-    p_ver.add_argument("--seeds", type=_positive_int, default=10)
-    p_ver.add_argument("--dims", type=_positive_int, default=3,
+    p_ver.add_argument("--samples", type=_integer(1), default=50)
+    p_ver.add_argument("--seeds", type=_integer(1), default=10)
+    p_ver.add_argument("--dims", type=_integer(1), default=3,
                        help="largest per-player qubit count")
     p_ver.add_argument("--output", "-o", default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

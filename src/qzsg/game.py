@@ -299,9 +299,16 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
     np.add.reduce(stack, axis=0, out=total)
 
 
-def default_outcomes(n: int, m: int) -> int:
-    """4^(n+m), the outcome count of a game built without one; a ValueError
-    above MAX_DEFAULTED_QUBITS."""
+def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
+    """The outcome count of a random n+m-qubit game: `outcomes`, at least 2,
+    or 4^(n+m) without one; a ValueError for a qubit count below 1, and for
+    a defaulted count above MAX_DEFAULTED_QUBITS."""
+    if n < 1 or m < 1:
+        raise ValueError("qubit counts must be >= 1")
+    if outcomes is not None:
+        if outcomes < 2:
+            raise ValueError("outcomes must be ≥ 2")
+        return outcomes
     if n + m > MAX_DEFAULTED_QUBITS:
         raise ValueError(
             f"the default 4^(n+m) outcomes take too long to build at {n}+{m} qubits: "
@@ -322,8 +329,8 @@ def random_game_with_bound(
     construction.  Utilities u_w are uniform on [-1, 1], from their own
     stream.  P_w is linear in A_w, so U = S^(-1/2) V S^(-1/2) with
     V = sum_w u_w A_w, and one pass over the POVM stream sums S and V, left
-    to right in outcome order; no P_w is made.  The default outcome count is
-    `default_outcomes(n, m)`, checked before any draw.
+    to right in outcome order; no P_w is made.  The outcome count is
+    `default_outcomes(n, m, outcomes)`, checked before any draw.
 
     The pass works on chunks, (k, d, d) stacks of at most CHUNK_BYTES.  Each
     chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
@@ -331,12 +338,7 @@ def random_game_with_bound(
     element, and each chunk folds into S and V with the bits of k sequential
     `+=`, so no bit of a game depends on the chunk size.
     """
-    if n < 1 or m < 1:
-        raise ValueError("qubit counts must be >= 1")
-    if outcomes is None:
-        outcomes = default_outcomes(n, m)
-    if outcomes < 2:
-        raise ValueError("outcomes must be ≥ 2")
+    outcomes = default_outcomes(n, m, outcomes)
     dim = 2 ** (n + m)
     utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
     gen_povm = rng.stream(seed, rng.STREAM_POVM)

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import linalg, rng
 from .game import (
+    MAX_DEFAULTED_QUBITS,
     JointState,
     QuantumGame,
-    default_outcomes,
     expected_utility,
     linearity_check,
     monotonicity_residual,
@@ -108,7 +108,11 @@ def run_properties(
     """
     if max_qubits < 1:
         raise ValueError("max_qubits must be >= 1")
-    default_outcomes(max_qubits, max_qubits)
+    if 2 * max_qubits > MAX_DEFAULTED_QUBITS:
+        raise ValueError(
+            f"--dims must be at most {MAX_DEFAULTED_QUBITS // 2}: verify's (k, k) games "
+            "always take the default 4^(2k) outcomes, and verify has no --outcomes"
+        )
     if n_seeds < 1 or samples < 1:
         raise ValueError("n_seeds and samples must be >= 1")
     for name in names:

@@ -245,6 +245,15 @@ class RunResult:
     gradient_calls: int
     step_size: float
 
+    def totals(self) -> dict:
+        """What every run report states of the run, in this order."""
+        return {
+            "iterations": self.iterations,
+            "gradient_calls": self.gradient_calls,
+            "final_gap_avg": self.trace[-1].gap_avg,
+            "final_gap_last": self.trace[-1].gap_last,
+        }
+
 
 def run(
     game: QuantumGame,

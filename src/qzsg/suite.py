@@ -49,9 +49,9 @@ class ExperimentSpec:
     iters: int
     outcomes: int | None = None
     checkpoints: tuple | None = None
-    check_interval: int = 50
-    step_size: float | str = "auto"
-    target_gap: float = 0.0
+    check_interval: int = SolverConfig.gap_check_interval
+    step_size: float | str = SolverConfig.step_size
+    target_gap: float = SolverConfig.target_gap
 
     def solver_config(self, alias: str) -> SolverConfig:
         """The validated config that runs `alias` on every game of the suite."""
@@ -64,8 +64,6 @@ class ExperimentSpec:
         )
 
     def validate(self) -> None:
-        if self.n < 1 or self.m < 1:
-            raise ValueError("qubit counts must be >= 1")
         if self.games < 1:
             raise ValueError("games must be >= 1")
         if not self.algorithms:
@@ -73,10 +71,7 @@ class ExperimentSpec:
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
         if repeated:
             raise ValueError(f"repeated solver aliases {repeated}")
-        if self.outcomes is None:
-            default_outcomes(self.n, self.m)
-        elif self.outcomes < 2:
-            raise ValueError("outcomes must be ≥ 2")
+        default_outcomes(self.n, self.m, self.outcomes)
         for alias in self.algorithms:
             self.solver_config(alias)
 
@@ -108,10 +103,7 @@ def execute_run(spec: ExperimentSpec, game_index: int, alias: str, game) -> dict
         "status": "ok",
         "error": None,
         "step_size": result.step_size,
-        "iterations": result.iterations,
-        "gradient_calls": result.gradient_calls,
-        "final_gap_avg": result.trace[-1].gap_avg,
-        "final_gap_last": result.trace[-1].gap_last,
+        **result.totals(),
         "checkpoints": [row._asdict() for row in result.trace],
     }
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -92,7 +93,7 @@ def test_generate_rejects_bad_outcomes(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_generate_argparse_failures(tmp_path):
+def test_generate_argparse_failures(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "-n", "0", "-m", "1", "-o", str(tmp_path / "g.json"))
     assert exc.value.code == 2
@@ -100,6 +101,11 @@ def test_generate_argparse_failures(tmp_path):
         run_cli("generate", "-n", "1", "-m", "1", "--seed", "-4",
                 "-o", str(tmp_path / "g.json"))
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "-n", "1.5", "-m", "1", "-o", str(tmp_path / "g.json"))
+    assert exc.value.code == 2
+    assert "expected an integer, got '1.5'" in capsys.readouterr().err
 
 
 def test_generate_unwritable_path_is_usage_error(capsys):
@@ -227,6 +233,47 @@ def test_solve_config_file_with_flag_overrides(tmp_path, capsys):
     assert summary["algorithm"] == "mmwu"
     assert summary["iterations"] == 60  # flag wins over the file
     assert summary["step_size"] == 0.125
+
+
+def test_every_solver_setting_is_the_dest_of_one_solve_flag():
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    dests = [a.dest for a in commands.choices["solve"]._actions if a.option_strings]
+    for field in dataclasses.fields(solvers.SolverConfig):
+        assert dests.count(field.name) == 1, field.name
+
+
+def test_solve_shows_each_flag_in_its_summary(capsys):
+    # the uniform start is the pennies Nash, so the target gap stops the run
+    # at its first check, after --check-interval iterations
+    assert run_cli("solve", "--game", "builtin:matching-pennies", "--algorithm", "mmwu",
+                   "--iters", "30", "--target-gap", "0.5", "--seed", "9",
+                   "--step-size", "0.25", "--check-interval", "7",
+                   "--format", "json") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["target_gap"] == 0.5
+    assert summary["seed"] == 9
+    assert summary["step_size"] == 0.25
+    assert summary["max_iters"] == 30
+    assert summary["iterations"] == 7
+    assert list(summary) == [
+        "game", "algorithm", "regularizer", "step_decay", "step_size", "max_iters",
+        "target_gap", "seed", "iterations", "gradient_calls", "final_gap_avg",
+        "final_gap_last",
+    ]
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "invalid solver config"), ("{", "invalid solver config"),
+     ("[]", "must be a JSON object")],
+    ids=["missing", "not-json", "list"],
+)
+def test_solve_rejects_an_unreadable_config(tmp_path, capsys, content, message):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content, encoding="utf-8")
+    assert run_cli("solve", "--game", "builtin:zero", "--config", str(cfg)) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_solve_rejects_bad_inputs(tmp_path, capsys):
@@ -369,6 +416,11 @@ def test_compare_writes_report_and_traces(tmp_path, capsys):
     by_algo = {(r["game_index"], r["algorithm"]): r for r in report["runs"]}
     assert by_algo[(0, "mmwu")]["gradient_calls"] == 40
     assert by_algo[(0, "ommwu")]["gradient_calls"] == 41
+    assert list(report["runs"][0]) == [
+        "game_index", "algorithm", "seed", "status", "error", "step_size",
+        "iterations", "gradient_calls", "final_gap_avg", "final_gap_last",
+        "checkpoints",
+    ]
 
 
 def test_compare_paper_schedule_filters_to_iters(tmp_path):
@@ -521,7 +573,10 @@ def test_verify_rejects_an_existing_dir_before_any_game(tmp_path, monkeypatch, c
 def test_verify_bounds_a_defaulted_outcome_count_before_any_game(monkeypatch, capsys):
     monkeypatch.setattr(properties, "random_game", _unexpected)
     assert run_cli("verify", "--dims", "4", "--seeds", "1", "--samples", "1") == 2
-    assert "--outcomes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--outcomes" in err
+    # verify has no --outcomes: the message names the flag that bounds it
+    assert "--dims" in err
 
 
 def test_verify_single_property_json(capsys):

@@ -700,6 +700,13 @@ def test_game_from_json_dict_validates():
             game_from_json_dict({**v1, "utilities": utilities, "povm": povm})
 
 
+def test_v2_document_rejects_a_zero_qubit_count():
+    doc = {"format_version": 2, "n": 0, "m": 1, "outcomes": 2, "seed": None,
+           "payoff_observable": linalg.matrix_to_jsonable(np.zeros((2, 2)))}
+    with pytest.raises(ValueError, match="qubit counts must be >= 1"):
+        game_from_json_dict(doc)
+
+
 def test_v1_document_checks_element_size_before_allocating():
     # U of 10+10 qubits would take 16 TiB; the 4x4 element must fail first
     doc = {"format_version": 1, "n": 10, "m": 10, "seed": None, "utilities": [1.0],

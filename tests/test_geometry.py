@@ -210,6 +210,12 @@ def test_bregman_of_point_with_itself_is_zero():
     assert FROBENIUS.bregman(x, x) == 0.0
 
 
+def test_bregman_rejects_mismatched_shapes():
+    for reg in (VN_ENTROPY, FROBENIUS):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            reg.bregman(np.eye(2) / 2, np.eye(4) / 4)
+
+
 def test_entropy_bregman_matches_classical_kl():
     x = np.diag([0.7, 0.3]).astype(complex)
     y = np.diag([0.5, 0.5]).astype(complex)

@@ -5,6 +5,7 @@ patch the set-up calls; a deleted name would crash the benchmark, so it
 fails here first.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -39,3 +40,9 @@ def test_setup_patches_and_reads_exist():
     assert callable(qzsg.solvers.resolve_step_size)
     assert isinstance(qzsg.linalg.log_clamp_counter.count, int)
     assert hasattr(qzsg.game.QuantumGame, "povm")
+    # what the untraced units call, and what `_observe_solve` reads of a run
+    assert callable(qzsg.solvers.SolverConfig.from_alias)
+    assert callable(qzsg.game.duality_gap)
+    assert callable(qzsg.game.assert_density_matrix)
+    fields = {f.name for f in dataclasses.fields(qzsg.solvers.RunResult)}
+    assert {"iterations", "gradient_calls", "trace", "average"} <= fields

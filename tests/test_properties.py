@@ -46,6 +46,16 @@ def test_run_properties_subset_and_validation():
         run_properties(max_qubits=1, n_seeds=0)
 
 
+def test_run_properties_bounds_dims_before_any_game(monkeypatch):
+    # every (k, k) game takes the default 4^(2k) outcomes: 4+4 is over the bound
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a game was built before the bound was checked")
+
+    monkeypatch.setattr(properties, "random_game", unexpected)
+    with pytest.raises(ValueError, match="--dims must be at most 3"):
+        run_properties(max_qubits=4, n_seeds=1, samples=1)
+
+
 def test_run_properties_reports_failures(monkeypatch):
     # force an impossible threshold to exercise the failure path
     monkeypatch.setitem(properties._CHECKS, "linearity", (check_linearity, -1.0))

@@ -228,6 +228,15 @@ def test_single_run_suite_aggregates_equal_the_run():
     assert final[0]["gap_avg"]["ci95_low"] == final[0]["gap_avg"]["ci95_high"]
 
 
+def test_aggregate_skips_an_alias_whose_every_run_failed():
+    spec = small_spec(algorithms=("ommwu", "mmwu"))
+    ok = {"algorithm": "ommwu", "status": "ok", "checkpoints": [
+        {"t": 30, "gap_avg": 0.5, "gap_last": 0.25, "wall_time_ns": 10}]}
+    failed = {"algorithm": "mmwu", "status": "error", "error": "ValueError: bad"}
+    out = aggregate(spec, [ok, failed, dict(failed)])
+    assert [(a["algorithm"], a["t"], a["count"]) for a in out] == [("ommwu", 30, 1)]
+
+
 def test_run_suite_report_shape_and_order(monkeypatch):
     spec = small_spec(algorithms=("ommwu", "mmwu"))
     monkeypatch.setenv(suite.THREADS_ENV_VAR, "2")
