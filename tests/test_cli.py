@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -599,6 +601,187 @@ def test_verify_rejects_dims_zero():
     with pytest.raises(SystemExit) as exc:
         run_cli("verify", "--dims", "0")
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- output pins
+
+
+def _cut_timing(csv_text):
+    """A trace CSV without its last column, wall_time_ns."""
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in csv_text.splitlines())
+
+
+def _cli_outputs(tmp_path, monkeypatch, capsys):
+    """name -> text of every output of a fixed set of commands, timing cut."""
+    monkeypatch.chdir(tmp_path)  # relative paths, so no output names tmp_path
+    outputs = {}
+
+    def record(name, *argv):
+        assert run_cli(*argv) == 0, name
+        outputs[name] = capsys.readouterr().out
+
+    for n, m in ((1, 1), (1, 2), (2, 2)):
+        for fmt in ("text", "json"):
+            record(f"generate {n}+{m} {fmt}", "generate", "-n", str(n), "-m", str(m),
+                   "--seed", "7", "--format", fmt, "-o", f"g{n}{m}.json")
+        outputs[f"g{n}{m}.json"] = (tmp_path / f"g{n}{m}.json").read_text(encoding="utf-8")
+    for game in ("g12.json", "g22.json", "builtin:matching-pennies"):
+        for alias in sorted(solvers.ALIASES):
+            for fmt in ("json", "csv"):
+                record(f"solve {game} {alias} {fmt}", "solve", "--game", game,
+                       "--algorithm", alias, "--iters", "300", "--check-interval", "10",
+                       "--format", fmt)
+            csv = f"solve {game} {alias} csv"
+            outputs[csv] = _cut_timing(outputs[csv])
+    record("compare", "compare", "-n", "1", "-m", "2", "--games", "3",
+           "--algorithms", "mmwu-sd,ommwu,omeg", "--iters", "200",
+           "--schedule", "paper-exp2", "-o", "cmp")
+    report = (tmp_path / "cmp" / "report.json").read_text(encoding="utf-8")
+    outputs["cmp/report.json"] = re.sub(
+        r'("wall_time_ns": (\{\s*"mean": )?)[-+.0-9eE]+', r"\g<1>0", report)
+    for path in sorted((tmp_path / "cmp" / "runs").iterdir()):
+        outputs[f"cmp/runs/{path.name}"] = _cut_timing(path.read_text(encoding="utf-8"))
+    record("verify", "verify", "--dims", "2", "--seeds", "2", "--samples", "10",
+           "--format", "json")
+    return outputs
+
+
+# one sha256 per output; any change to a CLI output for fixed seeds, bar its
+# timing fields, shows here
+_CLI_OUTPUT_SHA256 = {
+    "generate 1+1 text":
+        "6772a909db9bb6154d906ad42817a58c4c4e2862164ae3371f741da24a91ecb4",
+    "generate 1+1 json":
+        "6e8104bcb26b5699ff515f102fba7400d7011a557e3059f181455b94edda1397",
+    "g11.json":
+        "a2ec6afa5232a1c9d7191d1a672350c013956c61a365c7d49136c00290683a86",
+    "generate 1+2 text":
+        "c76765087a25757d0766598b7456ba26fd25bd319b83843c961e8be08dc4e60b",
+    "generate 1+2 json":
+        "b9a1aeac60e059d2670a8685074c2285b9c5f2482b5791dded96f27742556c6f",
+    "g12.json":
+        "1ba5ed945e1dde1af60825eebf038ef27c283969fc3148db4b01de6ca9f3a016",
+    "generate 2+2 text":
+        "6c976135b22c38e2bcf8cc1989cbbb4d8f26ee72a21e87eb56aea3a43c19720c",
+    "generate 2+2 json":
+        "468f96523ab8de1f9362840b21406ffa07e0ce53f1de161ae4f2da6d988d2e57",
+    "g22.json":
+        "6112e3882d1db8389884a2c6ef7413d7dd0a3e55af1aa822a43db37edf347b47",
+    "solve g12.json mda-frobenius json":
+        "642dc1b85c014b5add3944ba9d6105f9528f0f7864bde52309781a47a8cb8dc4",
+    "solve g12.json mda-frobenius csv":
+        "b3ff525bb17fbc612d851c04663aa464efc63e3b7cae687d845906f1e4aa0fe3",
+    "solve g12.json mmp-entropy json":
+        "58b7db14178759dfefcd76867443a62cf3c205dd08ba30ad600d5bc499e74695",
+    "solve g12.json mmp-entropy csv":
+        "c8853576f9775ac2d5249e94c7e7a686857bd94a768b088a85c34a0e2cdde773",
+    "solve g12.json mmp-frobenius json":
+        "c89199c2fd568e3de7e75cf49ef329e67c5c23f12c106b6db0826deb32abe8fb",
+    "solve g12.json mmp-frobenius csv":
+        "b264009ac28fecf4e9e498f5ed0f2b5af9782620f1503b41887f2db570ecbbfd",
+    "solve g12.json mmwu json":
+        "74d58365fee8665e51704ce68b08456f421f6b053c67062fe2df52394a6727f2",
+    "solve g12.json mmwu csv":
+        "66d68f3c2a2a795660999cff9fedd9d1b136ed333f88b78be83648d314648212",
+    "solve g12.json mmwu-sd json":
+        "843a6660e28ccd21b80433cf587cb05cbfa3fd69a7d8b6f2da1e91a8c931af1b",
+    "solve g12.json mmwu-sd csv":
+        "0a3a0ee14068b1b276efecef6e73885db1685f543660dde885d9e7821a8d46e4",
+    "solve g12.json omeg json":
+        "541d5ae33bc1ae03e8bf96c0519f5344de7ffa66f959a0fabcddcdf901afc7b8",
+    "solve g12.json omeg csv":
+        "6ec33a4935bbdb9bd34a9eff23e3fba12b06ed2b0eccf851757805f47c6c8fbd",
+    "solve g12.json ommwu json":
+        "60f87bc5c4d953ac31bc7767f9a97e45b8fb9b2dcec35a3edc769f7209868aaf",
+    "solve g12.json ommwu csv":
+        "9676bb93b29566efb7cd79360e684600d094811ea89b88ae495dcee0c96f77ab",
+    "solve g22.json mda-frobenius json":
+        "143e70186bd41ea1efc470333853547902b9b84c31a621b800657677c234c4dc",
+    "solve g22.json mda-frobenius csv":
+        "848ff04cbefc9a83045a214aebbcb48906623b2964350bd226746b3cb7dce0c8",
+    "solve g22.json mmp-entropy json":
+        "e982934f6f4aa7af78cb6d8b217b5ff4aef086f86ad4ef5e53a83f69be3b888e",
+    "solve g22.json mmp-entropy csv":
+        "04a9fc8f7803e6916349b76de0b107e5b73e97dc8b677f1f3737b534c9a42520",
+    "solve g22.json mmp-frobenius json":
+        "78b7e82eb969257d8ab7170aeb0b73a9297896de6fcd58f35b50bf1ab61c3ec4",
+    "solve g22.json mmp-frobenius csv":
+        "d0364a1dae82ccf0bd26289dd7d340950107e22da640610430c3deaa89c0ea6d",
+    "solve g22.json mmwu json":
+        "8bc2fc88fbc35a827d92b32b2ddd42bdd703ad91e8b8bac6e7af933fec7de9fb",
+    "solve g22.json mmwu csv":
+        "365298e210ffb4e182c97baa432dafa5ec7ca07bc8c1552343bbc64e75d5a6f6",
+    "solve g22.json mmwu-sd json":
+        "3b853eb7639a121474673887f2cf9adf37e49f264e1a7e2d9ac6deefc0e6b72e",
+    "solve g22.json mmwu-sd csv":
+        "8d73ec49df0c3bf6f687137bd7e4fb8d34006d6b5a31c66b839f068b0a84d5a6",
+    "solve g22.json omeg json":
+        "a65e1ed572a526fdcb9a3ce76036a81327095349d4860f547881547572da2a40",
+    "solve g22.json omeg csv":
+        "ebfd08c9ba9cc229dc7ff099a89aa2d0f11ec54a8a8a1d34e8cbcf9aceadd4ac",
+    "solve g22.json ommwu json":
+        "fd4d112df02e2e86caabcc9fe8e473b37155c087d04652a299798608000d6b60",
+    "solve g22.json ommwu csv":
+        "3673adf5f3727595a47c813b976e15041fd5f4ab9de08b940ffbb441c7407896",
+    "solve builtin:matching-pennies mda-frobenius json":
+        "877607becd2491c8ef434532fde9e14e5f4dfee2e82262f8f2d41492471fc127",
+    "solve builtin:matching-pennies mda-frobenius csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies mmp-entropy json":
+        "773db276250c0621a31f0f2700b0bb0842831d3a69b2d98ab9cab6e6f973229c",
+    "solve builtin:matching-pennies mmp-entropy csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies mmp-frobenius json":
+        "9bbede0770a1a966effd7d44ec242906c5e09de12c1187c1c8a1343ddeb460ad",
+    "solve builtin:matching-pennies mmp-frobenius csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies mmwu json":
+        "7af99ddd69bad3eb41f6c997128590f0e23c94f9b5baf6a8e24001ac8eb41aaa",
+    "solve builtin:matching-pennies mmwu csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies mmwu-sd json":
+        "25bf96a0db6c86d1a27783009b54767483e9233d8fb2e343fc7dd14ca6c8f5df",
+    "solve builtin:matching-pennies mmwu-sd csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies omeg json":
+        "7e571567628d2dbe53d69cddf895989e4fbd99bd92d5312d626012f4a0be0569",
+    "solve builtin:matching-pennies omeg csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "solve builtin:matching-pennies ommwu json":
+        "d766e2b3131bb507da9f0e129c64da3fe8278afc028ddf271bedf14c5c85e083",
+    "solve builtin:matching-pennies ommwu csv":
+        "b61b0912e2aedf1a0e21bdb9a300aa1a5042dd6e828fbaa1066ea947f2ae0b96",
+    "compare":
+        "5003944840259c4988d86d2494daed59c3ee08ee6a2378907ae33e29707fa7d1",
+    "cmp/report.json":
+        "9f785e043f2f32e02e0081e22de128424d25ef3c9f925d980791a06d9fb646ea",
+    "cmp/runs/game0000_mmwu-sd.csv":
+        "ff4edb22b4a688dc7e8e1a0e94c31e7a26bdb954e37c5ba9259e2c639e4cf4ae",
+    "cmp/runs/game0000_omeg.csv":
+        "233eed9700cc762d4e26dff255fcd9bb801a3d554ccd63a9b8a1e82040b4c7d6",
+    "cmp/runs/game0000_ommwu.csv":
+        "64e55284ec81a0b7f2a378bc2f8b7be4b3737e0d7e6543c910accd7e6c51db6e",
+    "cmp/runs/game0001_mmwu-sd.csv":
+        "8cc451c48fa32eacdad51817d8045b051e6de87f866aa80b1cb6185c92a8d3ee",
+    "cmp/runs/game0001_omeg.csv":
+        "031046745808b2a1972dd1317b47a1bf6963a494331df75c5dc125d18887ded8",
+    "cmp/runs/game0001_ommwu.csv":
+        "ef7074930759cdf2ab672d666a70967eda32078f9fee8e4ae70ef1e5f11ac97c",
+    "cmp/runs/game0002_mmwu-sd.csv":
+        "cd87601a570b1a4d5d34e530a7bf673d1b1b4f982d70cd8b7f5d280ede67c072",
+    "cmp/runs/game0002_omeg.csv":
+        "ae21232ddf223f1587bab0e32cdda812ba01cac51d9b8e71cfe49c905a112b12",
+    "cmp/runs/game0002_ommwu.csv":
+        "6ae039521f5a9dfa93813706a5c96d40e5173e27612aecf9a44c6c4842a482c8",
+    "verify":
+        "d35f9bc5a8344c1064132d7bac7ee10c81062184ef6fc7b2ec08157772e7fb8f",
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    outputs = _cli_outputs(tmp_path, monkeypatch, capsys)
+    digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in outputs.items()}
+    assert digests == _CLI_OUTPUT_SHA256
 
 
 # ---------------------------------------------------------------- plumbing
