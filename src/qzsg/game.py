@@ -127,25 +127,32 @@ class QuantumGame:
         )
 
     @classmethod
-    def from_outcomes(cls, n, m, outcomes, seed=None) -> "QuantumGame":
-        """Sum (utility, POVM element) pairs, in order, into U = sum_w u(w) P_w.
+    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
+        """Check a POVM game's elements and utilities and sum them, in order,
+        into U = sum_w u(w) P_w; it keeps no element.
 
-        It checks each utility's range and each element's size, then that the
-        elements are not empty and sum to the identity; it keeps no element.
-        Whether each element is Hermitian and positive is the caller's to
-        check or to trust; `from_observable` checks that their sum is
-        Hermitian.  Nothing of side 2^(n+m) is allocated before the first pair
-        has passed, so a document that declares more qubits than its elements
-        have fails without asking for memory.
+        Each element must be Hermitian, positive and of side 2^(n+m), each
+        utility a number in [-1, 1], and the elements must be non-empty and
+        sum to the identity.  Nothing of side 2^(n+m) is allocated before the
+        first element has passed, so a document that declares more qubits
+        than its elements have fails without asking for memory.
         """
+        povm, utilities = list(povm), list(utilities)
+        if len(povm) != len(utilities):
+            raise ValueError(
+                f"{len(povm)} POVM elements but {len(utilities)} utilities"
+            )
         if n < 1 or m < 1:
             raise ValueError("qubit counts must be >= 1")
         dim = 2 ** (n + m)
-        count = 0
-        for u, p in outcomes:
+        for count, (u, p) in enumerate(zip(utilities, povm)):
+            p = linalg.assert_hermitian(p, "POVM element")
+            w_min = float(linalg.trusted_eigvalsh(linalg.hermitianize(p))[0])
+            if w_min < -linalg.PSD_EIG_TOL:
+                raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
+            u = linalg.real_number(u, "utility")
             if not abs(u) <= 1.0:
-                raise ValueError(f"utility {float(u)!r} outside [-1, 1]")
-            p = np.asarray(p, dtype=complex)
+                raise ValueError(f"utility {u!r} outside [-1, 1]")
             if p.shape != (dim, dim):
                 raise ValueError(
                     f"POVM element of dimension {p.shape[0]} does not match {n}+{m} qubits"
@@ -154,32 +161,12 @@ class QuantumGame:
                 u_obs, total = np.zeros((2, dim, dim), dtype=complex)
             u_obs += u * p
             total += p
-            count += 1
-        if not count:
+        if not povm:
             raise ValueError("POVM must be non-empty")
         defect = float(np.max(np.abs(total - np.eye(dim))))
         if defect > POVM_SUM_TOL:
             raise ValueError(f"POVM does not sum to identity (defect {defect:.3e})")
-        return cls.from_observable(n, m, u_obs, count, seed)
-
-    @classmethod
-    def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
-        """Validate every element of a POVM game and keep its payoff observable."""
-        povm, utilities = list(povm), list(utilities)
-        if len(povm) != len(utilities):
-            raise ValueError(
-                f"{len(povm)} POVM elements but {len(utilities)} utilities"
-            )
-
-        def checked():
-            for u, p in zip(utilities, povm):
-                p = linalg.assert_hermitian(p, "POVM element")
-                w_min = float(linalg.trusted_eigvalsh(linalg.hermitianize(p))[0])
-                if w_min < -linalg.PSD_EIG_TOL:
-                    raise ValueError(f"POVM element has negative eigenvalue {w_min:.3e}")
-                yield linalg.real_number(u, "utility"), p
-
-        return cls.from_outcomes(n, m, checked(), seed)
+        return cls.from_observable(n, m, u_obs, len(povm), seed)
 
 
 def uniform_state(game: QuantumGame) -> JointState:
@@ -253,14 +240,6 @@ def payoff_gradient(game: QuantumGame, state: JointState) -> JointState:
     pair = _GradientViews(*players(stacks))
     pair.stacks = stacks
     return pair
-
-
-def stacked(game: QuantumGame, pair) -> list[np.ndarray]:
-    """A copy of a per-player pair in `profile_stacks` layout, for the stack kernels."""
-    stacks = profile_stacks(game)
-    out = players(stacks)
-    out.alice[...], out.bob[...] = pair
-    return stacks
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -376,15 +355,6 @@ def random_game(n: int, m: int, outcomes: int | None = None, seed: int = 0) -> Q
     return random_game_with_bound(n, m, outcomes, seed)[0]
 
 
-def monotonicity_residual(game: QuantumGame, x: JointState, y: JointState) -> float:
-    """<F(X) - F(Y), X - Y>; identically zero for these bilinear games."""
-    fx = payoff_gradient(game, x)
-    fy = payoff_gradient(game, y)
-    res = linalg.trace_inner(fx.alice - fy.alice, x.alice - y.alice).real
-    res += linalg.trace_inner(fx.bob - fy.bob, x.bob - y.bob).real
-    return float(res)
-
-
 def lipschitz_estimate(
     game: QuantumGame,
     norm_pair: str = "inf-one",
@@ -459,22 +429,6 @@ def _traceless_input_norm(m: np.ndarray, dim: int) -> float:
     # eigvalsh, raises the process's peak RSS by about 0.3 MB on first use
     top = linalg.trusted_eigvalsh(restricted @ restricted.conj().T)[-1]
     return math.sqrt(max(float(top), 0.0))
-
-
-def linearity_check(game: QuantumGame, s1: JointState, s2: JointState, lam: float) -> float:
-    """Max entrywise deviation of F(lam s1 + (1-lam) s2) from the same mix of F's."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam!r}")
-    mixed = JointState(
-        lam * s1.alice + (1.0 - lam) * s2.alice,
-        lam * s1.bob + (1.0 - lam) * s2.bob,
-    )
-    f_mixed = payoff_gradient(game, mixed)
-    f1 = payoff_gradient(game, s1)
-    f2 = payoff_gradient(game, s2)
-    dev_a = np.max(np.abs(f_mixed.alice - lam * f1.alice - (1.0 - lam) * f2.alice))
-    dev_b = np.max(np.abs(f_mixed.bob - lam * f1.bob - (1.0 - lam) * f2.bob))
-    return float(max(dev_a, dev_b))
 
 
 def matching_pennies() -> QuantumGame:

@@ -81,11 +81,6 @@ def hermitianize_in_place(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of M from M†."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-
-
 def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate M = M† within HERMITIAN_RTOL relative to the largest entry.
 
@@ -94,14 +89,16 @@ def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """
     m = as_matrix(m)
     assert_finite(m, what)
-    largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag)))) if m.size else 0.0
+    if not m.size:
+        return m
+    largest = max(float(np.max(np.abs(m.real))), float(np.max(np.abs(m.imag))))
     if largest > HERMITIAN_PART_MAX:
         raise ValueError(
             f"{what} has an entry part of magnitude {largest!r}, above half the "
             "largest float, so its Hermitian part would overflow"
         )
-    scale = 1.0 + float(np.max(np.abs(m))) if m.size else 1.0
-    defect = hermiticity_defect(m)
+    scale = 1.0 + float(np.max(np.abs(m)))
+    defect = float(np.max(np.abs(m - m.conj().T)))
     if defect > HERMITIAN_RTOL * scale:
         raise ValueError(f"{what} is not Hermitian (defect {defect:.3e})")
     return m

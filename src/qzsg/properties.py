@@ -17,8 +17,6 @@ from .game import (
     JointState,
     QuantumGame,
     expected_utility,
-    linearity_check,
-    monotonicity_residual,
     payoff_gradient,
     random_density,
     random_direction,
@@ -45,7 +43,10 @@ def check_monotonicity(game: QuantumGame, gen, samples: int) -> float:
     for _ in range(samples):
         x = _random_joint(game, gen)
         y = _random_joint(game, gen)
-        worst = max(worst, abs(monotonicity_residual(game, x, y)))
+        fx, fy = payoff_gradient(game, x), payoff_gradient(game, y)
+        res = linalg.trace_inner(fx.alice - fy.alice, x.alice - y.alice).real
+        res += linalg.trace_inner(fx.bob - fy.bob, x.bob - y.bob).real
+        worst = max(worst, abs(float(res)))
     return worst
 
 
@@ -81,7 +82,10 @@ def check_linearity(game: QuantumGame, gen, samples: int) -> float:
         s1 = _random_joint(game, gen)
         s2 = _random_joint(game, gen)
         lam = float(gen.uniform(0.0, 1.0))
-        worst = max(worst, linearity_check(game, s1, s2, lam))
+        mixed = JointState(*(lam * a + (1.0 - lam) * b for a, b in zip(s1, s2)))
+        f_mixed, f1, f2 = (payoff_gradient(game, s) for s in (mixed, s1, s2))
+        dev = [np.max(np.abs(fm - lam * a - (1.0 - lam) * b)) for fm, a, b in zip(f_mixed, f1, f2)]
+        worst = max(worst, float(max(dev)))
     return worst
 
 

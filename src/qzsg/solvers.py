@@ -47,7 +47,7 @@ from .game import (
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     payoff_gradient,
     players,
-    stacked,
+    profile_stacks,
     uniform_state,
 )
 
@@ -177,12 +177,10 @@ class Stepper:
         self.reg = reg
         self.eta_fn = eta_fn
         self.optimistic = optimistic
-        self.stacks = stacked(game, start)
+        self.stacks = profile_stacks(game)
+        state = players(self.stacks)
+        state.alice[...], state.bob[...] = start
         self.last_gradient = None
-
-    @property
-    def state(self) -> JointState:
-        return players(self.stacks)
 
     def _gradient(self, psi: JointState):
         return payoff_gradient(self.game, psi).stacks

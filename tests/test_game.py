@@ -13,6 +13,7 @@ from reference_games import one_pass_observable, reference_outcomes
 from test_linalg import failing_gufunc
 
 from qzsg import linalg, rng
+from qzsg.properties import check_linearity, check_monotonicity
 from qzsg.game import (
     CHUNK_BYTES,
     MAX_DEFAULTED_QUBITS,
@@ -25,19 +26,16 @@ from qzsg.game import (
     expected_utility,
     game_from_json_dict,
     game_to_json_dict,
-    linearity_check,
     lipschitz_constant,
     lipschitz_estimate,
     load_game,
     matching_pennies,
-    monotonicity_residual,
     payoff_gradient,
     players,
     random_density,
     random_game,
     random_game_with_bound,
     save_game,
-    stacked,
     uniform_state,
     zero_game,
 )
@@ -128,21 +126,21 @@ def test_payoff_observable_norm_bounded_by_max_utility():
         assert game.u_inf_norm <= max(abs(u) for u in utilities) + 1e-12
 
 
-def test_from_outcomes_is_the_one_sum():
-    # the reference's U is its pairs summed in order; any iterable will do
+def test_from_povm_is_the_one_sum():
+    # the reference's U is its pairs summed in order; any iterables will do
     ref_u, pairs = reference_outcomes(1, 2, 5, seed=3)
-    game = QuantumGame.from_outcomes(1, 2, iter(pairs), seed=3)
+    game = QuantumGame.from_povm(1, 2, (p for _, p in pairs), (u for u, _ in pairs), seed=3)
     assert np.array_equal(game.payoff_observable, ref_u)
     assert (game.outcomes, game.seed) == (5, 3)
     basis = [np.diag(row).astype(complex) for row in np.eye(4)]
     with pytest.raises(ValueError, match="non-empty"):
-        QuantumGame.from_outcomes(1, 1, iter(()))
+        QuantumGame.from_povm(1, 1, iter(()), iter(()))
     with pytest.raises(ValueError, match="sum to identity"):
-        QuantumGame.from_outcomes(1, 1, [(0.5, p) for p in basis[:3]])
+        QuantumGame.from_povm(1, 1, basis[:3], [0.5] * 3)
     with pytest.raises(ValueError, match="does not match"):
-        QuantumGame.from_outcomes(1, 1, [(0.5, np.eye(8))])
+        QuantumGame.from_povm(1, 1, [np.eye(8)], [0.5])
     with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
-        QuantumGame.from_outcomes(1, 1, [(float("nan"), p) for p in basis])
+        QuantumGame.from_povm(1, 1, basis, [float("nan")] * 4)
 
 
 def test_from_observable_keeps_its_own_copy():
@@ -308,9 +306,8 @@ def test_gradient_shapes_and_dim_checks():
         payoff_gradient(game, JointState(np.eye(4) / 4.0, s.bob))
 
 
-def test_stacked_reuses_the_profile_a_gradient_views():
-    # one (2, d, d) stack when d_A = d_B, else one matrix per player; a
-    # payoff_gradient pair views the profile it keeps, and stacked copies
+def test_payoff_gradient_views_the_profile_it_keeps():
+    # one (2, d, d) stack when d_A = d_B, else one matrix per player
     rng = np.random.default_rng(8)
     for n, m, shapes in ((2, 2, [(2, 4, 4)]), (1, 2, [(2, 2), (4, 4)])):
         game = random_game(n, m, seed=6)
@@ -319,13 +316,6 @@ def test_stacked_reuses_the_profile_a_gradient_views():
         view = players(pair.stacks)
         assert np.shares_memory(view.alice, pair.alice)
         assert np.shares_memory(view.bob, pair.bob)
-        stacks = stacked(game, pair)
-        assert [s.shape for s in stacks] == shapes
-        copied = players(stacks)
-        assert not np.shares_memory(copied.alice, pair.alice)
-        assert not np.shares_memory(copied.bob, pair.bob)
-        assert np.array_equal(copied.alice, pair.alice)
-        assert np.array_equal(copied.bob, pair.bob)
 
 
 # ---------------------------------------------------------------- duality gap
@@ -358,18 +348,14 @@ def test_duality_gap_nonnegative():
 
 
 def test_monotonicity_residual_is_zero():
-    rng = np.random.default_rng(35)
+    # the worst of 25 profile pairs X, Y, each drawn as random_joint draws it
     game = random_game(1, 1, seed=1)
-    for _ in range(25):
-        x, y = random_joint(game, rng), random_joint(game, rng)
-        assert abs(monotonicity_residual(game, x, y)) < 1e-12
+    assert check_monotonicity(game, np.random.default_rng(35), 25) < 1e-12
 
 
 def test_monotonicity_residual_six_qubit_game():
     game = random_game(3, 3, outcomes=16, seed=0)
-    rng = np.random.default_rng(36)
-    x, y = random_joint(game, rng), random_joint(game, rng)
-    assert abs(monotonicity_residual(game, x, y)) < 1e-9
+    assert check_monotonicity(game, np.random.default_rng(36), 1) < 1e-9
 
 
 def test_lipschitz_estimate_matching_pennies():
@@ -434,15 +420,26 @@ def test_lipschitz_estimate_never_exceeds_exact_constant(qubits, outcomes, seed)
     assert est <= lipschitz_constant(game) + 1e-9
 
 
+class _FixedMix:
+    """default_rng(seed), except that every uniform draw is `lam`."""
+
+    def __init__(self, seed, lam):
+        self._gen, self._lam = np.random.default_rng(seed), lam
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def uniform(self, low, high):
+        return self._lam
+
+
 def test_linearity_of_feedback():
+    # one pair of profiles s1, s2, each drawn as random_joint draws it, mixed
+    # by each lam
     game = random_game(1, 1, seed=2)
-    rng = np.random.default_rng(37)
-    s1, s2 = random_joint(game, rng), random_joint(game, rng)
-    assert linearity_check(game, s1, s2, 1.0) == 0.0
-    assert linearity_check(game, s1, s2, 0.0) == 0.0
-    assert linearity_check(game, s1, s2, 0.3) < 1e-10
-    with pytest.raises(ValueError, match="lambda"):
-        linearity_check(game, s1, s2, 1.5)
+    assert check_linearity(game, _FixedMix(37, 1.0), 1) == 0.0
+    assert check_linearity(game, _FixedMix(37, 0.0), 1) == 0.0
+    assert check_linearity(game, _FixedMix(37, 0.3), 1) < 1e-10
 
 
 # ---------------------------------------------------------------- generation

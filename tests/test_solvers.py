@@ -12,6 +12,7 @@ from qzsg.game import (
     lipschitz_constant,
     matching_pennies,
     payoff_gradient,
+    players,
     random_game,
     uniform_state,
     zero_game,
@@ -426,8 +427,8 @@ def test_ommp_momentum_is_materialized_dual_state():
     stepper = make_stepper(game, cfg, 0.3, psi)
     for t in range(5):
         psi, _ = stepper.step(t, psi)
-    mom = JointState(*(geometry.VN_ENTROPY.play(d) for d in stepper.state))
-    assert np.array_equal(mom.alice, geometry.logit_map(stepper.state.alice))
+    mom = JointState(*(geometry.VN_ENTROPY.play(d) for d in players(stepper.stacks)))
+    assert np.array_equal(mom.alice, geometry.logit_map(players(stepper.stacks).alice))
     assert_density_matrix(mom.alice)
     assert_density_matrix(mom.bob)
 
@@ -441,7 +442,7 @@ def test_ommp_frobenius_keeps_primal_momentum():
     assert calls == 2  # warm-up evaluates the stored gradient too
     psi, calls = stepper.step(1, psi)
     assert calls == 1
-    assert_density_matrix(stepper.state.alice)
+    assert_density_matrix(players(stepper.stacks).alice)
 
 
 @pytest.mark.parametrize("alias", ["mmp-entropy", "ommwu", "mmp-frobenius", "omeg"])
@@ -451,7 +452,7 @@ def test_mirror_prox_starts_at_a_non_uniform_psi0(alias):
     psi0 = random_start(game, 17)
     stepper = make_stepper(game, SolverConfig.from_alias(alias), eta, psi0)
     reg = stepper.reg
-    for played, want in zip(stepper.state, psi0):
+    for played, want in zip(players(stepper.stacks), psi0):
         assert np.max(np.abs(reg.play(played) - want)) < 1e-12
 
     # the first step is the primal rule's proximal steps from psi0
