@@ -123,8 +123,9 @@ class SolverConfig:
                 raise ValueError(f"step_size must be positive and finite, got {step!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (self.target_gap >= 0.0):
-            raise ValueError("target_gap must be >= 0")
+        # a finite bound: JSON has no Infinity, and run reports are JSON
+        if not 0.0 <= self.target_gap < math.inf:
+            raise ValueError(f"target_gap must be finite and >= 0, got {self.target_gap!r}")
         if self.gap_check_interval < 1:
             raise ValueError("gap_check_interval must be >= 1")
 

@@ -345,6 +345,22 @@ def test_solve_rejects_mistyped_config_values(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_solve_rejects_a_non_finite_target_gap(tmp_path, capsys, source):
+    # the summary would hold "target_gap": Infinity, which is not JSON
+    if source == "flag":
+        extra = ["--target-gap", "inf"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"algorithm": "ommwu", "target_gap": Infinity}', encoding="utf-8")
+        extra = ["--config", str(cfg), "-o", str(tmp_path / "run")]
+    assert run_cli("solve", "--game", "builtin:matching-pennies", "--iters", "5",
+                   *extra, "--format", "json") == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "target_gap must be finite" in out.err
+    assert not (tmp_path / "run.json").exists()
+
+
 def test_solve_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalError("eigensolver failed to converge at iteration 3")

@@ -78,6 +78,14 @@ def test_spec_validation():
             small_spec(step_size=step).validate()
 
 
+def test_spec_rejects_a_non_finite_target_gap():
+    # the report would hold "target_gap": Infinity, which is not JSON
+    for gap in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_gap must be finite and >= 0"):
+            small_spec(target_gap=gap).validate()
+    small_spec(target_gap=0.0).validate()
+
+
 def test_spec_bounds_a_defaulted_outcome_count():
     with pytest.raises(ValueError, match="--outcomes"):
         small_spec(n=4, m=4, outcomes=None).validate()
