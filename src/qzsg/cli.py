@@ -37,10 +37,6 @@ OUTCOMES_HELP = (
 )
 
 
-class CliError(Exception):
-    """Validation failure that should exit with a usage error."""
-
-
 def _integer(floor: int):
     """The argparse type of an integer of at least `floor`."""
 
@@ -106,21 +102,21 @@ def _check_output(path: str, command: str) -> None:
         while directory and not os.path.exists(directory):
             directory = os.path.dirname(directory)
     elif not name:
-        raise CliError(f"cannot write output: {path!r} is not a file name")
+        raise ValueError(f"cannot write output: {path!r} is not a file name")
     else:
         files = (path + ".csv", path + ".json") if command == "solve" else (path,)
         for file in files:
             if os.path.isdir(file):
-                raise CliError(f"cannot write output: {file!r} is not a file name")
+                raise ValueError(f"cannot write output: {file!r} is not a file name")
     if directory and not os.path.isdir(directory):
-        raise CliError(f"cannot write output: no directory {directory!r}")
+        raise ValueError(f"cannot write output: no directory {directory!r}")
 
 
 def _load_game(ref: str) -> game_mod.QuantumGame:
     if ref.startswith(game_mod.BUILTIN_PREFIX):
         return game_mod.builtin_game(ref)
     if not os.path.exists(ref):
-        raise CliError(f"game file {ref!r} does not exist")
+        raise ValueError(f"game file {ref!r} does not exist")
     return game_mod.load_game(ref)
 
 
@@ -159,9 +155,9 @@ def _solver_config(args) -> solvers.SolverConfig:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"invalid solver config: {exc}") from exc
+            raise ValueError(f"invalid solver config: {exc}") from exc
         if not isinstance(base, dict):
-            raise CliError("solver config must be a JSON object")
+            raise ValueError("solver config must be a JSON object")
     # each solve flag stores under its SolverConfig field, None when not given
     for name in (f.name for f in fields(solvers.SolverConfig)):
         if getattr(args, name) is not None:
@@ -211,9 +207,9 @@ def _parse_schedule(text: str, iters: int) -> dict:
         try:
             interval = int(text[len("every-"):])
         except ValueError:
-            raise CliError(f"invalid schedule {text!r}") from None
+            raise ValueError(f"invalid schedule {text!r}") from None
         if interval < 1:
-            raise CliError("schedule interval must be >= 1")
+            raise ValueError("schedule interval must be >= 1")
         return {"check_interval": interval}
     if text == "paper-exp2":
         points = suite.PAPER_EXP2_SCHEDULE
@@ -221,12 +217,12 @@ def _parse_schedule(text: str, iters: int) -> dict:
         try:
             points = sorted({int(p) for p in text.split(",") if p.strip()})
         except ValueError:
-            raise CliError(f"invalid schedule {text!r}") from None
+            raise ValueError(f"invalid schedule {text!r}") from None
         if not points or points[0] < 1:
-            raise CliError(f"invalid schedule {text!r}")
+            raise ValueError(f"invalid schedule {text!r}")
     points = tuple(t for t in points if t <= iters)
     if not points:
-        raise CliError("schedule has no checkpoints within --iters")
+        raise ValueError("schedule has no checkpoints within --iters")
     return {"checkpoints": points}
 
 
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
         if args.output:
             _check_output(args.output, args.command)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -48,6 +48,16 @@ GAME_FORMAT_VERSION = 2
 BUILTIN_PREFIX = "builtin:"
 
 
+def side(n: int, m: int) -> int:
+    """2^(n+m), the side of an n+m-qubit game's matrices; a ValueError for a
+    qubit count below 1, and from n + m = 63 on, a side no array can have."""
+    if n < 1 or m < 1:
+        raise ValueError("qubit counts must be >= 1")
+    if n + m >= 63:
+        raise ValueError(f"{n}+{m} qubits need matrices of side 2^{n + m}, which no array has")
+    return 2 ** (n + m)
+
+
 class JointState(NamedTuple):
     """One matrix per player: a strategy profile, or its payoff gradients."""
 
@@ -108,9 +118,7 @@ class QuantumGame:
         Hermiticity, then stores the realignment R of its Hermitian part,
         whose U equals its U†."""
         u_obs = linalg.assert_hermitian(u_obs, "payoff observable")
-        if n < 1 or m < 1:
-            raise ValueError("qubit counts must be >= 1")
-        dim = 2 ** (n + m)
+        dim = side(n, m)
         if u_obs.shape != (dim, dim):
             raise ValueError(
                 f"payoff observable of shape {u_obs.shape} does not match {n}+{m} qubits"
@@ -142,9 +150,7 @@ class QuantumGame:
             raise ValueError(
                 f"{len(povm)} POVM elements but {len(utilities)} utilities"
             )
-        if n < 1 or m < 1:
-            raise ValueError("qubit counts must be >= 1")
-        dim = 2 ** (n + m)
+        dim = side(n, m)
         for count, (u, p) in enumerate(zip(utilities, povm)):
             p = linalg.assert_hermitian(p, "POVM element")
             w_min = float(linalg.trusted_eigvalsh(linalg.hermitianize(p))[0])
@@ -280,10 +286,9 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
 
 def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
     """The outcome count of a random n+m-qubit game: `outcomes`, at least 2,
-    or 4^(n+m) without one; a ValueError for a qubit count below 1, and for
+    or 4^(n+m) without one; a ValueError for counts `side` refuses, and for
     a defaulted count above MAX_DEFAULTED_QUBITS."""
-    if n < 1 or m < 1:
-        raise ValueError("qubit counts must be >= 1")
+    side(n, m)
     if outcomes is not None:
         if outcomes < 2:
             raise ValueError("outcomes must be ≥ 2")
@@ -318,7 +323,7 @@ def random_game_with_bound(
     `+=`, so no bit of a game depends on the chunk size.
     """
     outcomes = default_outcomes(n, m, outcomes)
-    dim = 2 ** (n + m)
+    dim = side(n, m)
     utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
     gen_povm = rng.stream(seed, rng.STREAM_POVM)
     ridge = RANK_RIDGE * np.eye(dim)
@@ -489,9 +494,9 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if missing:
         raise ValueError(f"game document missing keys {sorted(missing)}")
     n, m, seed = data["n"], data["m"], data["seed"]
-    if not all(isinstance(k, int) and not isinstance(k, bool) for k in (n, m)):
+    if not all(linalg.is_number(k, int) for k in (n, m)):
         raise ValueError("qubit counts must be integers")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+    if seed is not None and not linalg.is_number(seed, int):
         raise ValueError("seed must be an integer or null")
     if version == 1:
         if not (isinstance(data["povm"], list) and isinstance(data["utilities"], list)):
@@ -499,7 +504,7 @@ def game_from_json_dict(data: dict) -> QuantumGame:
         povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]
         return QuantumGame.from_povm(n, m, povm, data["utilities"], seed=seed)
     outcomes = data["outcomes"]
-    if isinstance(outcomes, bool) or not isinstance(outcomes, int) or outcomes < 1:
+    if not linalg.is_number(outcomes, int) or outcomes < 1:
         raise ValueError("outcomes must be a positive integer")
     u_obs = linalg.matrix_from_jsonable(data["payoff_observable"])
     too_large = "payoff observable has norm {} > 1; no POVM game with utilities in [-1, 1] has it"

@@ -214,10 +214,9 @@ class Regularizer:
         logit map is invariant to the trace-normalization shift hiding in
         log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
         eta) without its input checks.  G must be exactly Hermitian, as
-        payoff gradients are.
+        payoff gradients are, and eta positive and finite, as `solvers.run`
+        makes it from a validated config.
         """
-        if not (eta > 0.0 and math.isfinite(eta)):
-            raise ValueError(f"eta must be positive and finite, got {eta!r}")
         if self.kind == VN_ENTROPY_ID:
             return state + eta * g
         return _project(state + eta * g)

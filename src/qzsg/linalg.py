@@ -201,11 +201,20 @@ def matrix_to_jsonable(m) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in m]
 
 
-def real_number(x, what: str) -> float:
-    """float(x) for a real number; a bool or a string such as "1" is not one."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {x!r}")
-    return float(x)
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a JSON number of the numbers ABC `kind`; a bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def real_number(x, what: str, hint: str = "") -> float:
+    """float(x) for a real number; a bool, a string such as "1" and an
+    integer too large for a float are not one."""
+    if is_number(x):
+        try:
+            return float(x)
+        except OverflowError:
+            raise ValueError(f"{what} is an integer too large for a float") from None
+    raise ValueError(f"{what} must be a number{hint}, got {x!r}")
 
 
 def matrix_from_jsonable(rows) -> np.ndarray:

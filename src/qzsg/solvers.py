@@ -111,20 +111,17 @@ class SolverConfig:
                 f"unknown solver alias {self.algorithm!r}; expected one of {sorted(ALIASES)}"
             )
         for key in ("max_iters", "gap_check_interval", "seed"):
-            if not _is_number(getattr(self, key), numbers.Integral):
+            if not linalg.is_number(getattr(self, key), numbers.Integral):
                 raise ValueError(f"{key} must be an integer")
-        if not _is_number(self.target_gap, numbers.Real):
-            raise ValueError("target_gap must be a number")
+        target_gap = linalg.real_number(self.target_gap, "target_gap")
         if self.step_size != "auto":
-            if not _is_number(self.step_size, numbers.Real):
-                raise ValueError("step_size must be a number or 'auto'")
-            step = float(self.step_size)
+            step = linalg.real_number(self.step_size, "step_size", " or 'auto'")
             if not (step > 0.0 and math.isfinite(step)):
                 raise ValueError(f"step_size must be positive and finite, got {step!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         # a finite bound: JSON has no Infinity, and run reports are JSON
-        if not 0.0 <= self.target_gap < math.inf:
+        if not 0.0 <= target_gap < math.inf:
             raise ValueError(f"target_gap must be finite and >= 0, got {self.target_gap!r}")
         if self.gap_check_interval < 1:
             raise ValueError("gap_check_interval must be >= 1")
@@ -149,11 +146,6 @@ class SolverConfig:
         cfg = cls(**data)
         cfg.validate()
         return cfg
-
-
-def _is_number(value, kind) -> bool:
-    """Whether `value` is an instance of the numbers ABC `kind`; a bool is not."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
@@ -287,10 +279,7 @@ def run(
             sum_b += psi.bob
             try:
                 psi, fresh = stepper.step(t, psi)
-            except (*_KERNEL_ERRORS, ValueError) as exc:
-                # cfg is validated above and a game when it is built, so a
-                # ValueError or FloatingPointError here is a kernel meeting a
-                # non-finite, overflowing or degenerate iterate
+            except _KERNEL_ERRORS as exc:
                 raise linalg.NumericalError(f"step failed at iteration {t + 1}: {exc}") from exc
             calls += fresh
             done = t + 1

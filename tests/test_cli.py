@@ -1,13 +1,18 @@
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import resource
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from reference_games import reference_outcomes
 
+import qzsg
 from qzsg import cli, linalg, properties, rng, solvers, suite
 from qzsg import game as game_mod
 from qzsg.cli import TRACE_HEADER, main
@@ -359,6 +364,76 @@ def test_solve_rejects_a_non_finite_target_gap(tmp_path, capsys, source):
     out = capsys.readouterr()
     assert out.out == "" and "target_gap must be finite" in out.err
     assert not (tmp_path / "run.json").exists()
+
+
+# an integer JSON reads exactly but no float holds: float() raises OverflowError
+_HUGE = 10**400
+
+
+def _v1_document(n, utilities):
+    """A v1 game file of n+1 qubits around matching pennies' four 4x4 elements."""
+    povm = [[[[float(i == j == k), 0.0] for j in range(4)] for i in range(4)]
+            for k in range(4)]
+    return {"format_version": 1, "n": n, "m": 1, "seed": None,
+            "utilities": utilities, "povm": povm}
+
+
+def _v2_document(n, entry):
+    """A v2 game file of n+1 qubits whose U is I with U[0, 0] = entry."""
+    u_obs = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    u_obs[0][0][0] = entry
+    return {"format_version": 2, "n": n, "m": 1, "outcomes": 2, "seed": None,
+            "payoff_observable": u_obs}
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("config", "step_size"), ("config", "target_gap"), ("v1", "utility"),
+     ("v2", "matrix entry")],
+    ids=["step-size", "target-gap", "v1-utility", "v2-entry"],
+)
+def test_solve_rejects_an_integer_too_large_for_a_float(tmp_path, capsys, kind, field):
+    path = tmp_path / "in.json"
+    if kind == "config":
+        doc = {"algorithm": "ommwu", field: _HUGE}
+        argv = ["--game", "builtin:matching-pennies", "--config", str(path)]
+    else:
+        doc = _v1_document(1, [_HUGE, -1.0, -1.0, 1.0]) if kind == "v1" else _v2_document(1, _HUGE)
+        argv = ["--game", str(path)]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", *argv, "--iters", "5", "--format", "json") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {field} is an integer too large for a float\n"
+
+
+def _run_child_with_two_gib(cwd, *argv):
+    """`python -m qzsg *argv` with its address space capped at 2 GiB, so a
+    command that asks for far more memory fails fast instead of swapping."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qzsg.__file__)))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return subprocess.run([sys.executable, "-m", "qzsg", *argv], cwd=cwd, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("kind", ["v1", "v2", "generate"])
+def test_a_qubit_count_no_array_can_hold_is_usage_error(tmp_path, kind):
+    n = 10**11
+    if kind == "generate":
+        argv = ["generate", "-n", str(n), "-m", "1", "--outcomes", "2", "-o", "g.json"]
+    else:
+        doc = _v1_document(n, [1.0, -1.0, -1.0, 1.0]) if kind == "v1" else _v2_document(n, 1.0)
+        (tmp_path / "g.json").write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["solve", "--game", "g.json", "--iters", "5"]
+    proc = _run_child_with_two_gib(tmp_path, *argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == (f"error: {n}+1 qubits need matrices of side 2^{n + 1}, "
+                           "which no array has\n")
 
 
 def test_solve_numerical_failure_exit_code(monkeypatch, capsys):

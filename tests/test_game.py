@@ -36,6 +36,7 @@ from qzsg.game import (
     random_game,
     random_game_with_bound,
     save_game,
+    side,
     uniform_state,
     zero_game,
 )
@@ -702,6 +703,14 @@ def test_v2_document_rejects_a_zero_qubit_count():
            "payoff_observable": linalg.matrix_to_jsonable(np.zeros((2, 2)))}
     with pytest.raises(ValueError, match="qubit counts must be >= 1"):
         game_from_json_dict(doc)
+
+
+def test_side_refuses_counts_no_array_can_hold():
+    assert side(31, 31) == 2**62
+    with pytest.raises(ValueError, match=r"^62\+1 qubits need matrices of side 2\^63"):
+        side(62, 1)
+    with pytest.raises(ValueError, match="qubit counts must be >= 1"):
+        side(1, 0)
 
 
 def test_v1_document_checks_element_size_before_allocating():

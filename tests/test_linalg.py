@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qzsg import linalg
+from qzsg.game import QuantumGame
 from qzsg.linalg import (
     NumericalError,
     assert_hermitian,
@@ -52,6 +53,15 @@ def test_assert_hermitian_accepts_and_rejects():
         assert_hermitian(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="non-finite"):
         assert_hermitian(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+
+
+def test_assert_hermitian_returns_an_empty_matrix_unchanged():
+    # a 0x0 matrix has no largest entry; the size check in from_observable rejects it
+    empty = np.zeros((0, 0), dtype=complex)
+    assert assert_hermitian(empty) is empty
+    with pytest.raises(ValueError) as exc:
+        QuantumGame.from_observable(1, 1, np.zeros((0, 0)), 4)
+    assert str(exc.value) == "payoff observable of shape (0, 0) does not match 1+1 qubits"
 
 
 def test_assert_hermitian_tolerance_is_relative():
