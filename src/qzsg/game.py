@@ -42,6 +42,9 @@ CHUNK_BYTES = 256 * 1024
 # elements of side 2^(n+m) costs about 32^(n+m), seconds at 3+4 and
 # minutes at 4+4
 MAX_DEFAULTED_QUBITS = 7
+# the largest outcome count whose utility vector, one float each, an array
+# can hold: numpy refuses arrays of more than the largest intp bytes
+MAX_OUTCOMES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
 GAME_FORMAT_VERSION = 2
 
@@ -175,12 +178,13 @@ class QuantumGame:
         return cls.from_observable(n, m, u_obs, len(povm), seed)
 
 
-def uniform_state(game: QuantumGame) -> JointState:
-    """Maximally mixed strategy for both players."""
-    return JointState(
-        np.eye(game.dim_alice, dtype=complex) / game.dim_alice,
-        np.eye(game.dim_bob, dtype=complex) / game.dim_bob,
-    )
+def uniform_state(game: QuantumGame) -> StackViews:
+    """Maximally mixed strategy for both players, as views into fresh
+    `profile_stacks`."""
+    profile = stack_views(profile_stacks(game))
+    for x in profile:
+        x[...] = np.eye(len(x), dtype=complex) / len(x)
+    return profile
 
 
 def expected_utility(game: QuantumGame, state: JointState) -> float:
@@ -198,18 +202,54 @@ def expected_utility(game: QuantumGame, state: JointState) -> float:
     return float(val.real)
 
 
-def profile_stacks(game: QuantumGame) -> list[np.ndarray]:
+def profile_stacks(game: QuantumGame, *lead: int) -> list[np.ndarray]:
     """An empty profile for the stack kernels: one (2, d, d) stack when d_A = d_B,
-    so each kernel takes both players in one call, else one matrix per player."""
+    so each kernel takes both players in one call, else one matrix per player.
+    Axes `lead` make a stack of such profiles: (2, *lead, d, d), or
+    (*lead, d_A, d_A) and (*lead, d_B, d_B)."""
     da, db = game.dim_alice, game.dim_bob
     if da == db:
-        return [np.empty((2, da, da), dtype=complex)]
-    return [np.empty((da, da), dtype=complex), np.empty((db, db), dtype=complex)]
+        return [np.empty((2, *lead, da, da), dtype=complex)]
+    return [np.empty((*lead, da, da), dtype=complex), np.empty((*lead, db, db), dtype=complex)]
 
 
 def players(stacks) -> JointState:
     """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
     return JointState(*stacks) if len(stacks) == 2 else JointState(stacks[0][0], stacks[0][1])
+
+
+class StackViews(JointState):
+    """A `players` pair that keeps the `profile_stacks` it views as `stacks`."""
+
+
+def stack_views(stacks: list) -> StackViews:
+    views = StackViews(*players(stacks))
+    views.stacks = stacks
+    return views
+
+
+class FeedbackBuffers:
+    """The work arrays of the feedback kernels, for one profile or for a stack
+    of `profiles` of them, each in `profile_stacks` layout.
+
+    `vec` holds each input matrix x as xᵀ, whose rows laid end to end are
+    vec(xᵀ); `inputs` lists its slots profile by profile.  `out` receives the
+    products with R, viewed per player as `views`, and `scratch` the
+    conjugates of `linalg.hermitianize_in_place`.
+    """
+
+    def __init__(self, game: QuantumGame, profiles: int | None = None):
+        lead = () if profiles is None else (profiles,)
+        self.vec, self.out, self.scratch = (profile_stacks(game, *lead) for _ in range(3))
+        if profiles is None:
+            self.inputs = [self.vec]
+        else:
+            self.inputs = [[v[..., p, :, :] for v in self.vec] for p in range(profiles)]
+        vec, out = players(self.vec), players(self.out)
+        # per profile, as flat views: vec(bᵀ) and Alice's product, vec(aᵀ) and Bob's
+        flat = (m.reshape(-1, m.shape[-1] ** 2) for m in (vec.bob, out.alice, vec.alice, out.bob))
+        self.rows = list(zip(*flat))
+        self.views = stack_views(self.out)
 
 
 def _player_matrix(m, dim: int, who: str) -> np.ndarray:
@@ -219,33 +259,69 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
     return m
 
 
-def _gradient_stacks(game: QuantumGame, state: JointState) -> list[np.ndarray]:
-    """F(a, b) in `profile_stacks` layout: both products with R write
-    straight into the players' views, and each stack is replaced by its
-    Hermitian part in place (`linalg.hermitianize_in_place`)."""
-    alice = _player_matrix(state.alice, game.dim_alice, "Alice")
-    bob = _player_matrix(state.bob, game.dim_bob, "Bob")
-    stacks = profile_stacks(game)
-    out = players(stacks)
-    np.matmul(game.realigned, bob.T.reshape(-1), out=out.alice.reshape(-1))
-    np.matmul(alice.T.reshape(-1), game.realigned, out=out.bob.reshape(-1))
-    np.negative(out.bob, out=out.bob)
-    for s in stacks:
-        linalg.hermitianize_in_place(s)
-    return stacks
+def _transpose_into(game: QuantumGame, state: JointState, inputs: list) -> None:
+    """Write aᵀ and bᵀ of any matrix pair into one profile's `inputs` slots."""
+    slots = players(inputs)
+    np.copyto(slots.alice, _player_matrix(state.alice, game.dim_alice, "Alice").T)
+    np.copyto(slots.bob, _player_matrix(state.bob, game.dim_bob, "Bob").T)
 
 
-class _GradientViews(JointState):
-    """A `payoff_gradient` pair, which keeps the profile it views as `stacks`."""
+def _conjugate_into(profiles, buf: FeedbackBuffers) -> None:
+    """Write conj(x) of every matrix of exactly Hermitian `profile_stacks`
+    profiles into the `inputs` slots: conj(x) = xᵀ bit for bit when x = x†
+    bit for bit, as every `hermitianize` output and I/d is."""
+    for profile, inputs in zip(profiles, buf.inputs):
+        for x, v in zip(profile, inputs):
+            np.conjugate(x, out=v)
 
 
-def payoff_gradient(game: QuantumGame, state: JointState) -> JointState:
+def _realigned_products(game: QuantumGame, buf: FeedbackBuffers) -> None:
+    """R vec(bᵀ) into Alice's and vec(aᵀ)ᵀ R into Bob's matrix of `buf.out`,
+    for each profile of `buf.vec`: one matrix-vector product each."""
+    r = game.realigned
+    for vb, fa, va, fb in buf.rows:
+        np.matmul(r, vb, out=fa)
+        np.matmul(va, r, out=fb)
+
+
+def _gradient(game: QuantumGame, buf: FeedbackBuffers) -> StackViews:
+    """F at the profile in `buf.vec`, written into `buf.out`: Bob's product is
+    negated and each stack replaced by its Hermitian part in place."""
+    _realigned_products(game, buf)
+    bob = buf.views.bob
+    np.negative(bob, out=bob)
+    for s, c in zip(buf.out, buf.scratch):
+        linalg.hermitianize_in_place(s, c)
+    return buf.views
+
+
+def _gaps(game: QuantumGame, buf: FeedbackBuffers) -> list[float]:
+    """The duality gap of each profile in `buf.vec`: Hermitian parts of both
+    products, then one `linalg.trusted_eigvalsh` per stack.  Alice's best
+    reply is the top eigenvalue of F_alice(b'); Bob's is the bottom one of
+    -F_bob(a'), which is the Hermitian part of vec(aᵀ)ᵀ R, since negation is
+    exact."""
+    _realigned_products(game, buf)
+    for s, c in zip(buf.out, buf.scratch):
+        linalg.hermitianize_in_place(s, c)
+    w = players([linalg.trusted_eigvalsh(s) for s in buf.out])
+    return (w.alice[..., -1] - w.bob[..., 0]).tolist()
+
+
+def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]),
-    as views into the `profile_stacks` it keeps as `.stacks`."""
-    stacks = _gradient_stacks(game, state)
-    pair = _GradientViews(*players(stacks))
-    pair.stacks = stacks
-    return pair
+    as views into fresh `profile_stacks` it keeps as `.stacks`."""
+    buf = FeedbackBuffers(game)
+    _transpose_into(game, state, buf.inputs[0])
+    return _gradient(game, buf)
+
+
+def hermitian_gradient(game: QuantumGame, profile: list, buf: FeedbackBuffers) -> StackViews:
+    """`payoff_gradient` at an exactly Hermitian `profile_stacks` profile,
+    with its bits, written into `buf` (a `FeedbackBuffers(game)`): one
+    conjugate per stack stands in for the transposed copies."""
+    _conjugate_into([profile], buf)
+    return _gradient(game, buf)
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -253,14 +329,19 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
 
     Both extremes of a linear payoff over density matrices are attained at
     eigenvectors, so the gap reduces to two extreme eigenvalues, of
-    F_alice(b') and of -F_bob(a'), taken by one `linalg.trusted_eigvalsh`
-    per stack.
+    F_alice(b') and of -F_bob(a') (`_gaps`).
     """
-    stacks = _gradient_stacks(game, state)
-    bob = players(stacks).bob
-    np.negative(bob, out=bob)
-    w = players([linalg.trusted_eigvalsh(s) for s in stacks])
-    return float(w.alice[-1] - w.bob[0])
+    buf = FeedbackBuffers(game, 1)
+    _transpose_into(game, state, buf.inputs[0])
+    return _gaps(game, buf)[0]
+
+
+def hermitian_gaps(game: QuantumGame, profiles: list, buf: FeedbackBuffers) -> list[float]:
+    """`duality_gap` of each of k exactly Hermitian `profile_stacks` profiles,
+    with its bits, in one pass through `buf` (a `FeedbackBuffers(game, k)`):
+    one eigenvalue call per stack for all of them."""
+    _conjugate_into(profiles, buf)
+    return _gaps(game, buf)
 
 
 def random_density(dim: int, generator: np.random.Generator) -> np.ndarray:
@@ -285,13 +366,18 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
 
 
 def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
-    """The outcome count of a random n+m-qubit game: `outcomes`, at least 2,
-    or 4^(n+m) without one; a ValueError for counts `side` refuses, and for
-    a defaulted count above MAX_DEFAULTED_QUBITS."""
+    """The outcome count of a random n+m-qubit game: `outcomes`, from 2 to
+    MAX_OUTCOMES, or 4^(n+m) without one; a ValueError for counts `side`
+    refuses, and for a defaulted count above MAX_DEFAULTED_QUBITS."""
     side(n, m)
     if outcomes is not None:
         if outcomes < 2:
             raise ValueError("outcomes must be ≥ 2")
+        if outcomes > MAX_OUTCOMES:
+            raise ValueError(
+                f"outcomes must be at most {MAX_OUTCOMES}, the largest utility vector "
+                f"an array can hold, got {outcomes}"
+            )
         return outcomes
     if n + m > MAX_DEFAULTED_QUBITS:
         raise ValueError(

@@ -63,34 +63,81 @@ def _clip_spectra(w: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.array(out).reshape(w.shape), tied
 
 
-def _logit_spectra(spec: linalg.Spectrum) -> np.ndarray:
-    w, v = spec
-    e = np.exp(w - w[..., :1])
-    rho = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    rho /= e.sum(axis=-1)[..., None, None]
-    return linalg.hermitianize_in_place(rho)
+class MapScratch:
+    """Work arrays of the in-place mirror maps for a matrix or a (k, d, d)
+    stack of `shape`: the spectral weights and their row sums, V·diag(weights)
+    and conj(V), whose memory also serves `linalg.hermitianize_in_place`."""
+
+    def __init__(self, shape: tuple):
+        self.weights = np.empty(shape[:-1])
+        self.weights_desc = self.weights[..., ::-1]
+        self.weight_rows = self.weights[..., None, :]
+        totals = np.empty(shape[:-2])
+        self.totals, self.total_blocks = totals, totals[..., None, None]
+        self.scaled = np.empty(shape, dtype=complex)
+        self.conj = np.empty(shape, dtype=complex)
+        self.conj_t = self.conj.swapaxes(-1, -2)
 
 
-def _project(y: np.ndarray) -> np.ndarray:
+def _buffers(y: np.ndarray, out, s) -> tuple[np.ndarray, MapScratch]:
+    """`out` and `s`, each made fresh for Y when not given."""
+    return np.empty_like(y) if out is None else out, MapScratch(y.shape) if s is None else s
+
+
+def _synthesize(v: np.ndarray, weight_rows: np.ndarray, out: np.ndarray, s: MapScratch):
+    """out = V diag(w) V† for descending-order eigenvectors V, which may be a
+    reversed view of LAPACK's output: both operands of the product are
+    written contiguously first, since numpy's complex kernels round
+    differently on strides."""
+    np.multiply(v, weight_rows, out=s.scaled)
+    np.conjugate(v, out=s.conj)
+    return np.matmul(s.scaled, s.conj_t, out=out)
+
+
+def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
+    """Λ of an exactly Hermitian matrix or of each matrix in a (k, d, d) stack,
+    written into `out` (which may be y) with the work arrays `s`, both fresh
+    when not given; the preconditions, errors and bits of
+    `linalg.trusted_hermitian_eig` followed by the shifted exponential."""
+    out, s = _buffers(y, out, s)
+    w, v = linalg.eigh_ascending(y)
+    e = s.weights
+    if linalg.spectrum_ties(w):
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+        np.subtract(w, w[..., :1], out=e)
+    else:
+        # the descending spectrum, shifted, lands in e's order
+        np.subtract(w, w[..., -1:], out=s.weights_desc)
+        v = v[..., ::-1]
+    np.exp(e, out=e)
+    _synthesize(v, s.weight_rows, out, s)
+    np.add.reduce(e, -1, None, s.totals)
+    out /= s.total_blocks
+    return linalg.hermitianize_in_place(out, s.conj)
+
+
+def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
     """Euclidean projection onto the density-matrix set of an exactly
-    Hermitian matrix or of each matrix in a (k, d, d) stack: one LAPACK call,
-    then one pass over each row of its spectrum (`_clip_spectra`).
+    Hermitian matrix or of each matrix in a (k, d, d) stack, written into
+    `out` (which may be y) with the work arrays `s`, both fresh when not
+    given: one LAPACK call, then one pass over each row of its spectrum
+    (`_clip_spectra`).
 
     Trusted kernel, with the preconditions, errors and bits of
     `linalg.trusted_hermitian_eig` followed by the clip: eigenvectors of tied
     eigenvalues keep their ascending solver order.
     """
-    if not linalg.all_finite(y):
-        raise linalg.NumericalError("non-finite input gives a non-finite spectrum")
-    w, v = linalg._lapack(linalg._EIGH, "D->dD", y)
+    out, s = _buffers(y, out, s)
+    w, v = linalg.eigh_ascending(y)
     lam, tied = _clip_spectra(w[..., ::-1])
     if tied:
         order = np.argsort(-w, axis=-1, kind="stable")
         v = np.take_along_axis(v, order[..., None, :], -1)
     else:
-        # copied because numpy's complex kernels round differently on strides
-        v = v[..., ::-1].copy()
-    return linalg.hermitianize_in_place((v * lam[..., None, :]) @ v.conj().swapaxes(-1, -2))
+        v = v[..., ::-1]
+    _synthesize(v, lam[..., None, :], out, s)
+    return linalg.hermitianize_in_place(out, s.conj)
 
 
 def logit_map(y) -> np.ndarray:
@@ -99,7 +146,7 @@ def logit_map(y) -> np.ndarray:
     The shift multiplies numerator and denominator by the same scalar, so the
     output is exact while every intermediate stays in [0, 1].
     """
-    return _logit_spectra(linalg.hermitian_eig(y))
+    return _logit(linalg.hermitianize(linalg.assert_hermitian(y)))
 
 
 def orth_project_spectraplex(y) -> np.ndarray:
@@ -162,19 +209,20 @@ class Regularizer:
             return logit_map(linalg.herm_log(x) + eta * g)
         return orth_project_spectraplex(x + eta * g)
 
-    def trusted_mirror_map(self, y: np.ndarray) -> np.ndarray:
+    def trusted_mirror_map(self, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """The mirror map without input checks, for the solver loop: the logit
         map for the entropy, the spectraplex projection otherwise.
 
-        Y is a matrix or a (k, d, d) stack of them, mapped in one pass.  Each
-        must be exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
+        Y is a matrix or a (k, d, d) stack of them, mapped in one pass into
+        `out` (which may be Y) with the work arrays `scratch` (a `MapScratch`
+        of Y's shape), both fresh when not given.  Each matrix must be
+        exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
         `hermitianize` output, or a real-weighted sum of such outputs.  On
         such Y each result equals `logit_map` or `orth_project_spectraplex`
         of its matrix bit for bit.
         """
-        if self.kind == VN_ENTROPY_ID:
-            return _logit_spectra(linalg.trusted_hermitian_eig(y))
-        return _project(y)
+        kernel = _logit if self.kind == VN_ENTROPY_ID else _project
+        return kernel(y, out, scratch)
 
     def start(self, x) -> np.ndarray:
         """Initial stepper state for a start at the density matrix X.
@@ -200,26 +248,35 @@ class Regularizer:
             )
         return linalg.herm_log(x)
 
-    def play(self, state: np.ndarray) -> np.ndarray:
-        """The density matrix a stepper state stands for: Λ(D), or X itself."""
+    def play(self, state: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """The density matrix a stepper state stands for: Λ(D), written as
+        `trusted_mirror_map` writes it, or X itself."""
         if self.kind == VN_ENTROPY_ID:
-            return self.trusted_mirror_map(state)
+            return _logit(state, out, scratch)
         return state
 
     def advance(self, state: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-        """Bregman proximal step of a stepper state along the ascent direction G.
+        """Bregman proximal step of a stepper state along the ascent direction G:
+        `advance_by(state, eta G)`."""
+        return self.advance_by(state, eta * g)
+
+    def advance_by(self, state: np.ndarray, step: np.ndarray, out=None, scratch=None):
+        """The proximal step of `advance` along a scaled direction step = eta G,
+        written into `out` (which may be the state) with the work arrays
+        `scratch`, both fresh when not given.
 
         Entropy: D' = D + eta G in the dual (log) domain, so log X is never
         formed.  play(D') reproduces proximal_map(play(D), G, eta) because the
         logit map is invariant to the trace-normalization shift hiding in
         log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
-        eta) without its input checks.  G must be exactly Hermitian, as
-        payoff gradients are, and eta positive and finite, as `solvers.run`
-        makes it from a validated config.
+        eta) without its input checks.  G must be exactly Hermitian, as payoff
+        gradients are, and eta positive and finite, as `solvers.run` makes it
+        from a validated config.
         """
+        y = np.add(state, step, out=out)
         if self.kind == VN_ENTROPY_ID:
-            return state + eta * g
-        return _project(state + eta * g)
+            return y
+        return _project(y, y, scratch)
 
 
 VN_ENTROPY = Regularizer(VN_ENTROPY_ID)

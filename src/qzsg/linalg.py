@@ -16,6 +16,7 @@ failure anywhere, set-up included, raises NumericalError.
 
 from __future__ import annotations
 
+import math
 import numbers
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -74,9 +75,12 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
-def hermitianize_in_place(a: np.ndarray) -> np.ndarray:
-    """Replace `a` by its Hermitian part, with the bits of `hermitianize`; returns `a`."""
-    a += a.conj().swapaxes(-1, -2)
+def hermitianize_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Replace `a` by its Hermitian part, with the bits of `hermitianize`; returns `a`.
+
+    The conjugate goes into `scratch`, an array of a's shape, or a fresh one.
+    """
+    a += np.conjugate(a, out=scratch).swapaxes(-1, -2)
     a /= 2.0
     return a
 
@@ -125,23 +129,45 @@ def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
     return _lapack(_EIGVALSH, "D->d", h)
 
 
+def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and eigenvectors of an exactly Hermitian complex
+    matrix or of each matrix in a stack, as the LAPACK gufunc behind
+    `numpy.linalg.eigh` returns them.
+
+    Trusted kernel: H must equal H† bit for bit, which is not checked.
+    Non-finite input, for which `eigh` can return finite eigenvalues, and a
+    solver failure raise NumericalError; the spectrum is not checked.
+    """
+    if not all_finite(h):
+        raise NumericalError("non-finite input gives a non-finite spectrum")
+    return _lapack(_EIGH, "D->dD", h)
+
+
+def spectrum_ties(w: np.ndarray) -> bool:
+    """Whether some row of a sorted spectrum stack repeats an entry, found in
+    one pass over its entries as Python floats; NumericalError when an entry
+    is not finite."""
+    d = w.shape[-1]
+    flat = w.ravel().tolist()
+    # the sum is finite unless an entry is not, or it overflows
+    if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
+        raise NumericalError("eigensolver returned a non-finite spectrum")
+    if len(set(flat)) == len(flat):
+        return False
+    return any(len(set(flat[i:i + d])) < d for i in range(0, len(flat), d))
+
+
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
     complex matrix or of each matrix in a (k, d, d) stack, in one call of the
     LAPACK gufunc behind `numpy.linalg.eigh`, whose bits it has.
 
-    Trusted kernel for the solver loop: H must equal H† bit for bit, as every
-    `hermitianize` output and real-weighted sum of them does; that is not
-    checked.  Non-finite input (for which `eigh` can return finite
-    eigenvalues), a solver failure and a non-finite spectrum raise
-    NumericalError.  Tied eigenvalues keep their ascending solver order.
+    Trusted kernel with the preconditions and errors of `eigh_ascending`; a
+    non-finite spectrum raises NumericalError too (`spectrum_ties`).  Tied
+    eigenvalues keep their ascending solver order.
     """
-    if not all_finite(h):
-        raise NumericalError("non-finite input gives a non-finite spectrum")
-    w, v = _lapack(_EIGH, "D->dD", h)
-    if not all_finite(w):
-        raise NumericalError("eigensolver returned a non-finite spectrum")
-    if np.count_nonzero(w[..., 1:] == w[..., :-1]):  # some eigenvalue ties
+    w, v = eigh_ascending(h)
+    if spectrum_ties(w):
         order = np.argsort(-w, axis=-1, kind="stable")
         w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
         return Spectrum(w, v)

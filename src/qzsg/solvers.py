@@ -17,15 +17,16 @@ driver:
 
 Mirror prox and its optimistic variant run on one step body (`Stepper`);
 dual averaging overrides only its step (`DualAveragingStepper`).  The state
-is the regularizer's (Regularizer.start/play/advance): for the entropy the
+is the regularizer's (Regularizer.start/play/advance_by): for the entropy the
 accumulated dual matrix, played through the logit map, so no logarithm of a
 nearly singular iterate is taken; for Frobenius the primal point, advanced
 by projection.  Both players are stepped as one (2, d, d) stack when their
 dimensions agree.  The loop uses the trusted kernels, since every state and
 gradient in it is exactly Hermitian; outside state is validated once, by
-Regularizer.start.  All solvers start from the maximally mixed profile and
-report the uniform average of the played iterates, whose duality gap is the
-convergence certificate.
+Regularizer.start.  Each run makes its arrays once, in its stepper and in
+`run`, and every kernel of the loop writes into them.  All solvers start
+from the maximally mixed profile and report the uniform average of the
+played iterates, whose duality gap is the convergence certificate.
 """
 
 from __future__ import annotations
@@ -40,14 +41,19 @@ import numpy as np
 
 from . import geometry, linalg
 from .game import (
+    FeedbackBuffers,
     JointState,
     QuantumGame,
-    duality_gap,
+    StackViews,
+    duality_gap,  # noqa: F401 -- kept importable here, where perfbench counts its calls
+    hermitian_gaps,
+    hermitian_gradient,
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     payoff_gradient,
     players,
     profile_stacks,
+    stack_views,
     uniform_state,
 )
 
@@ -163,7 +169,15 @@ class Stepper:
     """Mirror prox (mmp), or optimistic mirror prox (ommp) when `optimistic`,
     on `game.profile_stacks`: extrapolate from the state with F(Ψ_t), or with
     the stored gradient when optimistic, then advance the state with one
-    fresh gradient at the extrapolated point."""
+    fresh gradient at the extrapolated point.
+
+    The stepper owns its run's workspace, made here once, and every kernel
+    of a step writes its result into it; only LAPACK's outputs are fresh.
+    The point a step returns is a view into it, valid until the next step.
+    A Ψ_t the stepper returned is exactly Hermitian, and its gradient comes
+    from `hermitian_gradient`; any other Ψ_t, such as a start from outside
+    the loop, goes through `payoff_gradient`.
+    """
 
     def __init__(self, game, reg, eta_fn, start: JointState, optimistic=False):
         self.game = game
@@ -173,34 +187,46 @@ class Stepper:
         self.stacks = profile_stacks(game)
         state = players(self.stacks)
         state.alice[...], state.bob[...] = start
-        self.last_gradient = None
+        self.feedback = FeedbackBuffers(game)
+        self.scaled = profile_stacks(game)  # eta G, or eta W for dual averaging
+        self.point = stack_views(profile_stacks(game))
+        self.scratch = [geometry.MapScratch(s.shape) for s in self.stacks]
+        # the eta that `scaled` holds the stored gradient at, once it does
+        self.stored_eta = None
 
-    def _gradient(self, psi: JointState):
-        return payoff_gradient(self.game, psi).stacks
+    def _gradient(self, psi: JointState) -> StackViews:
+        if isinstance(psi, StackViews):
+            return hermitian_gradient(self.game, psi.stacks, self.feedback)
+        return payoff_gradient(self.game, psi)
 
-    def _advance(self, g, eta: float):
-        return [self.reg.advance(s, gs, eta) for s, gs in zip(self.stacks, g)]
+    def _scale(self, eta: float, stacks) -> None:
+        for g, out in zip(stacks, self.scaled):
+            np.multiply(eta, g, out=out)
 
-    def _play(self, stacks) -> JointState:
-        return players([self.reg.play(s) for s in stacks])
-
-    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
+    def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
         eta = self.eta_fn(t)
         calls = 1  # the fresh gradient at the extrapolated point
-        g = self.last_gradient
-        if g is None:
-            g = self._gradient(psi)
+        if self.stored_eta is None:
+            self._scale(eta, self._gradient(psi).stacks)
             calls += 1
-        point = self._play(self._advance(g, eta))
+        elif self.stored_eta != eta:
+            self._scale(eta, self.feedback.out)
+        reg, point = self.reg, self.point
+        for s, step, p, c in zip(self.stacks, self.scaled, point.stacks, self.scratch):
+            reg.play(reg.advance_by(s, step, p, c), p, c)
         fresh = self._gradient(point)
-        self.stacks = self._advance(fresh, eta)
+        self._scale(eta, fresh.stacks)
+        for s, step, c in zip(self.stacks, self.scaled, self.scratch):
+            reg.advance_by(s, step, s, c)
         if not self.optimistic:
-            return self._play(self.stacks), calls
+            played = zip(self.stacks, point.stacks, self.scratch)
+            return stack_views([reg.play(s, p, c) for s, p, c in played]), calls
         # a non-finite gradient fails the eigendecomposition after it, but
         # ommwu adds this one to its state without one: check it here
-        if not all(map(linalg.all_finite, fresh)):
+        if not all(map(linalg.all_finite, fresh.stacks)):
             raise linalg.NumericalError("non-finite payoff gradient")
-        self.last_gradient = fresh
+        # eta F(point) extrapolates the next step too
+        self.stored_eta = eta
         return point, calls
 
 
@@ -208,11 +234,13 @@ class DualAveragingStepper(Stepper):
     """Dual averaging (mda) on the same stacks: the state is the feedback sum
     W, started at zero; W += F(Ψ_t), then play mirror(eta_t W)."""
 
-    def step(self, t: int, psi: JointState) -> tuple[JointState, int]:
-        for s, g in zip(self.stacks, self._gradient(psi)):
+    def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
+        for s, g in zip(self.stacks, self._gradient(psi).stacks):
             s += g
-        eta = self.eta_fn(t)
-        return players([self.reg.trusted_mirror_map(eta * s) for s in self.stacks]), 1
+        self._scale(self.eta_fn(t), self.stacks)
+        for y, out, c in zip(self.scaled, self.point.stacks, self.scratch):
+            self.reg.trusted_mirror_map(y, out, c)
+        return self.point, 1
 
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
@@ -268,15 +296,19 @@ def run(
         due = {int(c) for c in checkpoints}
     else:
         due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
-    sum_a, sum_b = map(np.zeros_like, psi)
+    # the run's own arrays, beside the stepper's: the sum of the played
+    # points, their average and the checkpoint gaps' work arrays
+    sums = [np.zeros_like(s) for s in psi.stacks]
+    avg, avg_scratch = profile_stacks(game), profile_stacks(game)
+    gap_buffers = FeedbackBuffers(game, 2)
     rows: list[TraceRow] = []
     calls = done = 0
     start = time.perf_counter_ns()
     # overflow raises at once, before it can turn the state into NaN
     with np.errstate(over="raise", invalid="raise"):
         for t in range(cfg.max_iters):
-            sum_a += psi.alice
-            sum_b += psi.bob
+            for s, x in zip(sums, psi.stacks):
+                s += x
             try:
                 psi, fresh = stepper.step(t, psi)
             except _KERNEL_ERRORS as exc:
@@ -284,12 +316,10 @@ def run(
             calls += fresh
             done = t + 1
             if done == cfg.max_iters or done in due:
-                avg = JointState(
-                    linalg.hermitianize(sum_a / done), linalg.hermitianize(sum_b / done)
-                )
+                for a, s, c in zip(avg, sums, avg_scratch):
+                    linalg.hermitianize_in_place(np.divide(s, done, out=a), c)
                 try:
-                    gap_avg = duality_gap(game, avg)
-                    gap_last = duality_gap(game, psi)
+                    gap_avg, gap_last = hermitian_gaps(game, [avg, psi.stacks], gap_buffers)
                 except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(
                         f"duality gap failed at iteration {done}: {exc}"
@@ -301,10 +331,11 @@ def run(
                 )
                 if cfg.target_gap > 0.0 and gap_avg <= cfg.target_gap:
                     break
-    # the last iteration is always a checkpoint, so avg is the final average
+    # the last iteration is always a checkpoint, so avg is the final average;
+    # both profiles are copied out of the run's arrays
     return RunResult(
-        average=avg,
-        last=psi,
+        average=JointState(*(x.copy() for x in players(avg))),
+        last=JointState(psi.alice.copy(), psi.bob.copy()),
         trace=rows,
         iterations=done,
         gradient_calls=calls,

@@ -113,6 +113,8 @@ def execute_game(spec: ExperimentSpec, game_index: int) -> list:
     seed = suite_game_seed(spec.master_seed, game_index)
     try:
         game = random_game(spec.n, spec.m, spec.outcomes, seed)
+    except MemoryError:
+        raise  # every game of the spec has this size, so no game would fit
     except Exception as exc:  # noqa: BLE001 - every cell of this game fails alike
         return [_failed(_cell(spec, game_index, alias), exc) for alias in spec.algorithms]
     return [execute_run(spec, game_index, alias, game) for alias in spec.algorithms]

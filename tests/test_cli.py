@@ -596,6 +596,37 @@ def test_compare_bounds_a_defaulted_outcome_count_before_any_game(
     assert not out.exists()
 
 
+TOO_MANY_OUTCOMES = "10000000000000000000000"
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_an_outcome_count_no_array_can_hold_is_usage_error(
+        tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(rng, "stream", _unexpected)
+    monkeypatch.setattr(suite, "random_game", _unexpected)
+    out = tmp_path / "out"
+    argv = ["-n", "1", "-m", "1", "--outcomes", TOO_MANY_OUTCOMES, "-o", str(out)]
+    if command == "compare":
+        argv += ["--games", "1", "--iters", "5", "--algorithms", "ommwu"]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: outcomes must be at most {game_mod.MAX_OUTCOMES}, the largest utility "
+        f"vector an array can hold, got {TOO_MANY_OUTCOMES}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_an_outcome_count_too_large_to_allocate_is_out_of_memory(tmp_path, command):
+    # 10^9 utilities take 7.45 GiB, far above the child's 2 GiB address space
+    argv = [command, "-n", "1", "-m", "1", "--outcomes", "1000000000", "-o", "out"]
+    if command == "compare":
+        argv += ["--games", "2", "--iters", "5", "--algorithms", "ommwu"]
+    proc = _run_child_with_two_gib(tmp_path, *argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("out of memory: Unable to allocate 7.45 GiB"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("below", [(), ("sub",)])
 def test_compare_rejects_an_output_file_before_any_game(
         tmp_path, monkeypatch, capsys, below):

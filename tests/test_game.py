@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from reference_games import one_pass_observable, reference_outcomes
 from test_linalg import failing_gufunc
 
@@ -17,6 +19,8 @@ from qzsg.properties import check_linearity, check_monotonicity
 from qzsg.game import (
     CHUNK_BYTES,
     MAX_DEFAULTED_QUBITS,
+    MAX_OUTCOMES,
+    FeedbackBuffers,
     JointState,
     QuantumGame,
     assert_density_matrix,
@@ -26,12 +30,15 @@ from qzsg.game import (
     expected_utility,
     game_from_json_dict,
     game_to_json_dict,
+    hermitian_gaps,
+    hermitian_gradient,
     lipschitz_constant,
     lipschitz_estimate,
     load_game,
     matching_pennies,
     payoff_gradient,
     players,
+    profile_stacks,
     random_density,
     random_game,
     random_game_with_bound,
@@ -345,6 +352,97 @@ def test_duality_gap_nonnegative():
         assert duality_gap(game, random_joint(game, rng)) >= -1e-12
 
 
+# ---------------------------------------------------------------- workspace kernels
+# The solver loop evaluates F and the checkpoint gaps in buffers it made once,
+# from conj(x) in place of xᵀ; on exactly Hermitian profiles both must equal
+# the allocating entry points, and the kernels as composed before, byte for
+# byte.  d_A = d_B steps one (2, d, d) stack, 1+2 and 2+3 one matrix per player.
+
+
+@functools.lru_cache(maxsize=None)
+def feedback_game(n, m):
+    return random_game(n, m, outcomes=16, seed=40 + 10 * n + m)
+
+
+def hermitian_profile_member(dim):
+    parts = arrays(np.float64, (dim, dim, 2), elements=st.floats(-2.0, 2.0))
+    tied = st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5]), min_size=dim, max_size=dim)
+    return st.one_of(
+        parts.map(lambda a: linalg.hermitianize(a[..., 0] + 1j * a[..., 1])),
+        tied.map(lambda w: np.diag(w).astype(complex)),
+        st.just(np.eye(dim, dtype=complex) / dim),
+        st.integers(0, 2**32 - 1).map(lambda s: random_density(dim, np.random.default_rng(s))),
+        st.sampled_from([math.nan, math.inf]).map(
+            lambda x: np.diag(([x] + [0.0] * dim)[:dim]).astype(complex)),
+    )
+
+
+@st.composite
+def game_and_profiles(draw):
+    n, m = draw(st.sampled_from([(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]))
+    game = feedback_game(n, m)
+    profile = st.tuples(hermitian_profile_member(game.dim_alice),
+                        hermitian_profile_member(game.dim_bob))
+    return game, [JointState(*draw(profile)) for _ in range(2)]
+
+
+def as_stacks(game, state):
+    stacks = profile_stacks(game)
+    view = players(stacks)
+    view.alice[...], view.bob[...] = state
+    return stacks
+
+
+def composed_feedback(game, state):
+    # F as composed before the workspace: transposed copies, R, negation
+    a, b = state
+    r = game.realigned
+    fa = linalg.hermitianize((r @ b.T.reshape(-1)).reshape(a.shape[0], -1))
+    fb = linalg.hermitianize(-(a.T.reshape(-1) @ r).reshape(b.shape[0], -1))
+    return fa, fb
+
+
+def composed_gap(game, state):
+    fa, fb = composed_feedback(game, state)
+    return float(linalg.trusted_eigvalsh(fa)[-1] - linalg.trusted_eigvalsh(-fb)[0])
+
+
+def gap_outcome(call):
+    try:
+        gap = call()
+    except (linalg.NumericalError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return "nan" if math.isnan(gap) else np.float64(gap).tobytes()
+
+
+def same_matrix(got, want):
+    # NaN payloads are not part of the contract; every other bit is
+    return got.tobytes() == want.tobytes() or (
+        not np.isfinite(want).all() and np.array_equal(got, want, equal_nan=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(game_and_profiles())
+@np.errstate(all="ignore")
+def test_workspace_feedback_kernels_equal_the_public_ones(case):
+    game, profiles = case
+    grad_buf, gap_buf = FeedbackBuffers(game), FeedbackBuffers(game, 2)
+    stacks = [as_stacks(game, p) for p in profiles]
+    for p, s in zip(profiles, stacks):  # the same buffers twice: nothing carries over
+        got = hermitian_gradient(game, s, grad_buf)
+        public = payoff_gradient(game, p)
+        for g, want, ref in zip(got, public, composed_feedback(game, p)):
+            assert same_matrix(g, want) and same_matrix(g, ref)
+    gaps = [gap_outcome(lambda: duality_gap(game, p)) for p in profiles]
+    assert gaps == [gap_outcome(lambda: composed_gap(game, p)) for p in profiles]
+    try:
+        fused = hermitian_gaps(game, stacks, gap_buf)
+    except (linalg.NumericalError, ValueError) as exc:
+        assert f"{type(exc).__name__}: {exc}" in gaps
+    else:
+        assert [gap_outcome(lambda: g) for g in fused] == gaps
+
+
 # ---------------------------------------------------------------- properties
 
 
@@ -575,6 +673,10 @@ def test_explicit_outcomes_are_always_taken(monkeypatch):
     monkeypatch.setattr(rng, "stream", _drawn)
     with pytest.raises(_Drawn):
         random_game(4, 4, outcomes=64)
+    with pytest.raises(_Drawn):
+        random_game(1, 1, outcomes=MAX_OUTCOMES)
+    with pytest.raises(ValueError, match="the largest utility vector an array can hold"):
+        random_game(1, 1, outcomes=MAX_OUTCOMES + 1)
 
 
 # ---------------------------------------------------------------- builtins

@@ -522,6 +522,47 @@ def test_projection_entry_points_equal_the_composed_reference_pinned(y, eta):
         )
 
 
+def reference_logit(spec):
+    # the logit map as composed before its buffered kernel: the shifted
+    # exponential of the contiguous descending spectrum, V diag(e) V† / sum(e),
+    # and its Hermitian part
+    w, v = spec
+    e = np.exp(w - w[..., :1])
+    rho = (v * e[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    rho /= e.sum(axis=-1)[..., None, None]
+    return linalg.hermitianize_in_place(rho)
+
+
+def buffered_member(dim):
+    non_finite = st.sampled_from([math.nan, math.inf, -math.inf]).map(
+        lambda x: np.diag(([x] + [0.0] * dim)[:dim]).astype(complex))
+    return st.one_of(projection_member(dim), non_finite)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hermitian_stacks((1, 2, 4, 8), buffered_member), st.floats(1e-3, 10.0))
+@np.errstate(over="ignore", invalid="ignore")
+def test_buffered_maps_equal_the_fresh_maps_and_the_composed_references(y, eta):
+    # the solver loop maps into buffers made once, the played point in place
+    out, scratch = np.empty_like(y), geometry.MapScratch(y.shape)
+    composed = {VN_ENTROPY: reference_logit, FROBENIUS: reference_projection}
+    for reg, reference in composed.items():
+        want = outcome(lambda: reference(linalg.trusted_hermitian_eig(y)))
+        assert outcome(lambda: reg.trusted_mirror_map(y)) == want
+        for _ in range(2):  # nothing carries over from one call to the next
+            assert outcome(lambda: reg.trusted_mirror_map(y, out, scratch)) == want
+        in_place = y.copy()
+        assert outcome(lambda: reg.trusted_mirror_map(in_place, in_place, scratch)) == want
+    g = y[::-1].copy()
+    step = eta * g
+    want = outcome(lambda: reference_projection(linalg.trusted_hermitian_eig(y + step)))
+    state = y.copy()
+    assert outcome(lambda: FROBENIUS.advance_by(state, step, state, scratch)) == want
+    for x in y:
+        assert outcome(lambda: logit_map(x)) == outcome(
+            lambda: reference_logit(linalg.hermitian_eig(x)))
+
+
 # ---------------------------------------------------------------- registry
 
 

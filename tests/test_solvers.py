@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -532,6 +534,45 @@ def test_trajectories_are_pinned():
     assert got == PINNED_TRAJECTORIES
 
 
+def test_run_results_own_their_memory_across_sequential_and_threaded_runs():
+    # every run makes its own workspace, so no result views another run's
+    # arrays, or memory a later run writes
+    jobs = [
+        (game, SolverConfig.from_alias(alias, max_iters=200, gap_check_interval=10))
+        for game in (random_game(2, 2, seed=31), random_game(1, 2, seed=32))
+        for alias in ("ommwu", "omeg", "mmwu-sd")
+    ]
+
+    def snapshot(res):
+        rows = [(row.t, row.gap_avg, row.gap_last) for row in res.trace]
+        return [x.tobytes() for x in (*res.average, *res.last)] + rows
+
+    sequential = [run(game, cfg) for game, cfg in jobs]
+    want = [snapshot(res) for res in sequential]
+    for res in sequential:
+        assert all(x.flags.owndata for x in (*res.average, *res.last))
+
+    threaded = {}
+
+    def worker(k):
+        threaded[k] = [run(game, cfg) for game, cfg in jobs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for k in range(2):
+        assert [snapshot(res) for res in threaded[k]] == want
+    assert [snapshot(res) for res in sequential] == want
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -575,17 +616,17 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
     cfg = SolverConfig.from_alias(alias, step_size=0.5, max_iters=10)
     k = 4
     before = run(game, SolverConfig.from_alias(alias, step_size=0.5, max_iters=k - 1))
-    real_gradient = solvers.payoff_gradient
+    real_gradient = solvers.hermitian_gradient
     calls = {"n": 0}
 
-    def poisoned(game, state):
-        g = real_gradient(game, state)
+    def poisoned(*args):
+        g = real_gradient(*args)
         calls["n"] += 1
         if calls["n"] == before.gradient_calls + 1:  # the first gradient of iteration k
             g.alice[...] *= math.nan  # in place, so the profile the loop reads is poisoned
         return g
 
-    monkeypatch.setattr(solvers, "payoff_gradient", poisoned)
+    monkeypatch.setattr(solvers, "hermitian_gradient", poisoned)
     with pytest.raises(linalg.NumericalError, match=f"iteration {k}: .*non-finite"):
         run(game, cfg)
 
@@ -599,6 +640,6 @@ def test_gap_eigensolver_failure_names_checkpoint(monkeypatch):
 
 def test_non_finite_gap_raises(monkeypatch):
     game = random_game(1, 1, seed=14)
-    monkeypatch.setattr(solvers, "duality_gap", lambda *_: math.nan)
+    monkeypatch.setattr(solvers, "hermitian_gaps", lambda *_: [math.nan, math.nan])
     with pytest.raises(linalg.NumericalError, match="non-finite duality gap"):
         run(game, SolverConfig(step_size=0.5, max_iters=10))
