@@ -259,20 +259,10 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
     return m
 
 
-def _transpose_into(game: QuantumGame, state: JointState, inputs: list) -> None:
-    """Write aᵀ and bᵀ of any matrix pair into one profile's `inputs` slots."""
-    slots = players(inputs)
-    np.copyto(slots.alice, _player_matrix(state.alice, game.dim_alice, "Alice").T)
-    np.copyto(slots.bob, _player_matrix(state.bob, game.dim_bob, "Bob").T)
-
-
-def _conjugate_into(profiles, buf: FeedbackBuffers) -> None:
-    """Write conj(x) of every matrix of exactly Hermitian `profile_stacks`
-    profiles into the `inputs` slots: conj(x) = xᵀ bit for bit when x = x†
-    bit for bit, as every `hermitianize` output and I/d is."""
-    for profile, inputs in zip(profiles, buf.inputs):
-        for x, v in zip(profile, inputs):
-            np.conjugate(x, out=v)
+def _transpose_into(state: JointState, inputs: list) -> None:
+    """Write aᵀ and bᵀ of a matrix pair into one profile's `inputs` slots."""
+    for x, v in zip(state, players(inputs)):
+        np.copyto(v, x.T)
 
 
 def _realigned_products(game: QuantumGame, buf: FeedbackBuffers) -> None:
@@ -284,9 +274,11 @@ def _realigned_products(game: QuantumGame, buf: FeedbackBuffers) -> None:
         np.matmul(va, r, out=fb)
 
 
-def _gradient(game: QuantumGame, buf: FeedbackBuffers) -> StackViews:
-    """F at the profile in `buf.vec`, written into `buf.out`: Bob's product is
-    negated and each stack replaced by its Hermitian part in place."""
+def payoff_gradient_into(game: QuantumGame, state: JointState, buf: FeedbackBuffers) -> StackViews:
+    """`payoff_gradient` at a pair of matrices of the game's dimensions,
+    unchecked, written into `buf` (a `FeedbackBuffers(game)`): Bob's product
+    is negated and each stack replaced by its Hermitian part in place."""
+    _transpose_into(state, buf.inputs[0])
     _realigned_products(game, buf)
     bob = buf.views.bob
     np.negative(bob, out=bob)
@@ -295,12 +287,15 @@ def _gradient(game: QuantumGame, buf: FeedbackBuffers) -> StackViews:
     return buf.views
 
 
-def _gaps(game: QuantumGame, buf: FeedbackBuffers) -> list[float]:
-    """The duality gap of each profile in `buf.vec`: Hermitian parts of both
-    products, then one `linalg.trusted_eigvalsh` per stack.  Alice's best
-    reply is the top eigenvalue of F_alice(b'); Bob's is the bottom one of
-    -F_bob(a'), which is the Hermitian part of vec(aᵀ)ᵀ R, since negation is
-    exact."""
+def duality_gaps_into(game: QuantumGame, states: list, buf: FeedbackBuffers) -> list[float]:
+    """`duality_gap` of each of k matrix pairs, unchecked, in one pass through
+    `buf` (a `FeedbackBuffers(game, k)`): Hermitian parts of both products,
+    then one `linalg.trusted_eigvalsh` per stack for all of them.  Alice's
+    best reply is the top eigenvalue of F_alice(b'); Bob's is the bottom one
+    of -F_bob(a'), which is the Hermitian part of vec(aᵀ)ᵀ R, since negation
+    is exact."""
+    for state, inputs in zip(states, buf.inputs):
+        _transpose_into(state, inputs)
     _realigned_products(game, buf)
     for s, c in zip(buf.out, buf.scratch):
         linalg.hermitianize_in_place(s, c)
@@ -308,20 +303,17 @@ def _gaps(game: QuantumGame, buf: FeedbackBuffers) -> list[float]:
     return (w.alice[..., -1] - w.bob[..., 0]).tolist()
 
 
+def _checked(game: QuantumGame, state: JointState) -> JointState:
+    return JointState(
+        _player_matrix(state.alice, game.dim_alice, "Alice"),
+        _player_matrix(state.bob, game.dim_bob, "Bob"),
+    )
+
+
 def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]),
     as views into fresh `profile_stacks` it keeps as `.stacks`."""
-    buf = FeedbackBuffers(game)
-    _transpose_into(game, state, buf.inputs[0])
-    return _gradient(game, buf)
-
-
-def hermitian_gradient(game: QuantumGame, profile: list, buf: FeedbackBuffers) -> StackViews:
-    """`payoff_gradient` at an exactly Hermitian `profile_stacks` profile,
-    with its bits, written into `buf` (a `FeedbackBuffers(game)`): one
-    conjugate per stack stands in for the transposed copies."""
-    _conjugate_into([profile], buf)
-    return _gradient(game, buf)
+    return payoff_gradient_into(game, _checked(game, state), FeedbackBuffers(game))
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -329,19 +321,9 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
 
     Both extremes of a linear payoff over density matrices are attained at
     eigenvectors, so the gap reduces to two extreme eigenvalues, of
-    F_alice(b') and of -F_bob(a') (`_gaps`).
+    F_alice(b') and of -F_bob(a') (`duality_gaps_into`).
     """
-    buf = FeedbackBuffers(game, 1)
-    _transpose_into(game, state, buf.inputs[0])
-    return _gaps(game, buf)[0]
-
-
-def hermitian_gaps(game: QuantumGame, profiles: list, buf: FeedbackBuffers) -> list[float]:
-    """`duality_gap` of each of k exactly Hermitian `profile_stacks` profiles,
-    with its bits, in one pass through `buf` (a `FeedbackBuffers(game, k)`):
-    one eigenvalue call per stack for all of them."""
-    _conjugate_into(profiles, buf)
-    return _gaps(game, buf)
+    return duality_gaps_into(game, [_checked(game, state)], FeedbackBuffers(game, 1))[0]
 
 
 def random_density(dim: int, generator: np.random.Generator) -> np.ndarray:

@@ -255,15 +255,10 @@ class Regularizer:
             return _logit(state, out, scratch)
         return state
 
-    def advance(self, state: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-        """Bregman proximal step of a stepper state along the ascent direction G:
-        `advance_by(state, eta G)`."""
-        return self.advance_by(state, eta * g)
-
-    def advance_by(self, state: np.ndarray, step: np.ndarray, out=None, scratch=None):
-        """The proximal step of `advance` along a scaled direction step = eta G,
-        written into `out` (which may be the state) with the work arrays
-        `scratch`, both fresh when not given.
+    def advance(self, state: np.ndarray, step: np.ndarray, out=None, scratch=None):
+        """Bregman proximal step of a stepper state along the ascent direction
+        G, given scaled as step = eta G, written into `out` (which may be the
+        state) with the work arrays `scratch`, both fresh when not given.
 
         Entropy: D' = D + eta G in the dual (log) domain, so log X is never
         formed.  play(D') reproduces proximal_map(play(D), G, eta) because the

@@ -17,7 +17,7 @@ driver:
 
 Mirror prox and its optimistic variant run on one step body (`Stepper`);
 dual averaging overrides only its step (`DualAveragingStepper`).  The state
-is the regularizer's (Regularizer.start/play/advance_by): for the entropy the
+is the regularizer's (Regularizer.start/play/advance): for the entropy the
 accumulated dual matrix, played through the logit map, so no logarithm of a
 nearly singular iterate is taken; for Frobenius the primal point, advanced
 by projection.  Both players are stepped as one (2, d, d) stack when their
@@ -46,11 +46,11 @@ from .game import (
     QuantumGame,
     StackViews,
     duality_gap,  # noqa: F401 -- kept importable here, where perfbench counts its calls
-    hermitian_gaps,
-    hermitian_gradient,
+    duality_gaps_into,
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
-    payoff_gradient,
+    payoff_gradient,  # noqa: F401 -- kept importable here, where perfbench counts its calls
+    payoff_gradient_into,
     players,
     profile_stacks,
     stack_views,
@@ -174,9 +174,6 @@ class Stepper:
     The stepper owns its run's workspace, made here once, and every kernel
     of a step writes its result into it; only LAPACK's outputs are fresh.
     The point a step returns is a view into it, valid until the next step.
-    A Ψ_t the stepper returned is exactly Hermitian, and its gradient comes
-    from `hermitian_gradient`; any other Ψ_t, such as a start from outside
-    the loop, goes through `payoff_gradient`.
     """
 
     def __init__(self, game, reg, eta_fn, start: JointState, optimistic=False):
@@ -191,13 +188,8 @@ class Stepper:
         self.scaled = profile_stacks(game)  # eta G, or eta W for dual averaging
         self.point = stack_views(profile_stacks(game))
         self.scratch = [geometry.MapScratch(s.shape) for s in self.stacks]
-        # the eta that `scaled` holds the stored gradient at, once it does
-        self.stored_eta = None
-
-    def _gradient(self, psi: JointState) -> StackViews:
-        if isinstance(psi, StackViews):
-            return hermitian_gradient(self.game, psi.stacks, self.feedback)
-        return payoff_gradient(self.game, psi)
+        # whether `scaled` holds eta F of the last point, to extrapolate with
+        self.stored = False
 
     def _scale(self, eta: float, stacks) -> None:
         for g, out in zip(stacks, self.scaled):
@@ -206,18 +198,16 @@ class Stepper:
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
         eta = self.eta_fn(t)
         calls = 1  # the fresh gradient at the extrapolated point
-        if self.stored_eta is None:
-            self._scale(eta, self._gradient(psi).stacks)
+        if not self.stored:
+            self._scale(eta, payoff_gradient_into(self.game, psi, self.feedback).stacks)
             calls += 1
-        elif self.stored_eta != eta:
-            self._scale(eta, self.feedback.out)
         reg, point = self.reg, self.point
         for s, step, p, c in zip(self.stacks, self.scaled, point.stacks, self.scratch):
-            reg.play(reg.advance_by(s, step, p, c), p, c)
-        fresh = self._gradient(point)
+            reg.play(reg.advance(s, step, p, c), p, c)
+        fresh = payoff_gradient_into(self.game, point, self.feedback)
         self._scale(eta, fresh.stacks)
         for s, step, c in zip(self.stacks, self.scaled, self.scratch):
-            reg.advance_by(s, step, s, c)
+            reg.advance(s, step, s, c)
         if not self.optimistic:
             played = zip(self.stacks, point.stacks, self.scratch)
             return stack_views([reg.play(s, p, c) for s, p, c in played]), calls
@@ -225,8 +215,8 @@ class Stepper:
         # ommwu adds this one to its state without one: check it here
         if not all(map(linalg.all_finite, fresh.stacks)):
             raise linalg.NumericalError("non-finite payoff gradient")
-        # eta F(point) extrapolates the next step too
-        self.stored_eta = eta
+        # eta F(point) extrapolates the next step too: every ommp alias keeps eta fixed
+        self.stored = True
         return point, calls
 
 
@@ -235,7 +225,7 @@ class DualAveragingStepper(Stepper):
     W, started at zero; W += F(Ψ_t), then play mirror(eta_t W)."""
 
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
-        for s, g in zip(self.stacks, self._gradient(psi).stacks):
+        for s, g in zip(self.stacks, payoff_gradient_into(self.game, psi, self.feedback).stacks):
             s += g
         self._scale(self.eta_fn(t), self.stacks)
         for y, out, c in zip(self.scaled, self.point.stacks, self.scratch):
@@ -299,7 +289,7 @@ def run(
     # the run's own arrays, beside the stepper's: the sum of the played
     # points, their average and the checkpoint gaps' work arrays
     sums = [np.zeros_like(s) for s in psi.stacks]
-    avg, avg_scratch = profile_stacks(game), profile_stacks(game)
+    avg, avg_scratch = stack_views(profile_stacks(game)), profile_stacks(game)
     gap_buffers = FeedbackBuffers(game, 2)
     rows: list[TraceRow] = []
     calls = done = 0
@@ -316,10 +306,10 @@ def run(
             calls += fresh
             done = t + 1
             if done == cfg.max_iters or done in due:
-                for a, s, c in zip(avg, sums, avg_scratch):
+                for a, s, c in zip(avg.stacks, sums, avg_scratch):
                     linalg.hermitianize_in_place(np.divide(s, done, out=a), c)
                 try:
-                    gap_avg, gap_last = hermitian_gaps(game, [avg, psi.stacks], gap_buffers)
+                    gap_avg, gap_last = duality_gaps_into(game, [avg, psi], gap_buffers)
                 except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(
                         f"duality gap failed at iteration {done}: {exc}"
@@ -334,7 +324,7 @@ def run(
     # the last iteration is always a checkpoint, so avg is the final average;
     # both profiles are copied out of the run's arrays
     return RunResult(
-        average=JointState(*(x.copy() for x in players(avg))),
+        average=JointState(*(x.copy() for x in avg)),
         last=JointState(psi.alice.copy(), psi.bob.copy()),
         trace=rows,
         iterations=done,

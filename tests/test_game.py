@@ -27,18 +27,17 @@ from qzsg.game import (
     builtin_game,
     default_outcomes,
     duality_gap,
+    duality_gaps_into,
     expected_utility,
     game_from_json_dict,
     game_to_json_dict,
-    hermitian_gaps,
-    hermitian_gradient,
     lipschitz_constant,
     lipschitz_estimate,
     load_game,
     matching_pennies,
     payoff_gradient,
+    payoff_gradient_into,
     players,
-    profile_stacks,
     random_density,
     random_game,
     random_game_with_bound,
@@ -353,10 +352,10 @@ def test_duality_gap_nonnegative():
 
 
 # ---------------------------------------------------------------- workspace kernels
-# The solver loop evaluates F and the checkpoint gaps in buffers it made once,
-# from conj(x) in place of xᵀ; on exactly Hermitian profiles both must equal
-# the allocating entry points, and the kernels as composed before, byte for
-# byte.  d_A = d_B steps one (2, d, d) stack, 1+2 and 2+3 one matrix per player.
+# The solver loop evaluates F and the checkpoint gaps in buffers it made once;
+# both must equal the allocating entry points, and the kernels as composed
+# before, byte for byte.  d_A = d_B steps one (2, d, d) stack, 1+2 and 2+3 one
+# matrix per player.
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,11 +363,12 @@ def feedback_game(n, m):
     return random_game(n, m, outcomes=16, seed=40 + 10 * n + m)
 
 
-def hermitian_profile_member(dim):
+def profile_member(dim):
     parts = arrays(np.float64, (dim, dim, 2), elements=st.floats(-2.0, 2.0))
     tied = st.lists(st.sampled_from([-1.0, 0.0, 0.25, 0.5]), min_size=dim, max_size=dim)
     return st.one_of(
         parts.map(lambda a: linalg.hermitianize(a[..., 0] + 1j * a[..., 1])),
+        parts.map(lambda a: a[..., 0] + 1j * a[..., 1]),  # not Hermitian
         tied.map(lambda w: np.diag(w).astype(complex)),
         st.just(np.eye(dim, dtype=complex) / dim),
         st.integers(0, 2**32 - 1).map(lambda s: random_density(dim, np.random.default_rng(s))),
@@ -381,16 +381,8 @@ def hermitian_profile_member(dim):
 def game_and_profiles(draw):
     n, m = draw(st.sampled_from([(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)]))
     game = feedback_game(n, m)
-    profile = st.tuples(hermitian_profile_member(game.dim_alice),
-                        hermitian_profile_member(game.dim_bob))
+    profile = st.tuples(profile_member(game.dim_alice), profile_member(game.dim_bob))
     return game, [JointState(*draw(profile)) for _ in range(2)]
-
-
-def as_stacks(game, state):
-    stacks = profile_stacks(game)
-    view = players(stacks)
-    view.alice[...], view.bob[...] = state
-    return stacks
 
 
 def composed_feedback(game, state):
@@ -427,16 +419,15 @@ def same_matrix(got, want):
 def test_workspace_feedback_kernels_equal_the_public_ones(case):
     game, profiles = case
     grad_buf, gap_buf = FeedbackBuffers(game), FeedbackBuffers(game, 2)
-    stacks = [as_stacks(game, p) for p in profiles]
-    for p, s in zip(profiles, stacks):  # the same buffers twice: nothing carries over
-        got = hermitian_gradient(game, s, grad_buf)
+    for p in profiles:  # the same buffers twice: nothing carries over
+        got = payoff_gradient_into(game, p, grad_buf)
         public = payoff_gradient(game, p)
         for g, want, ref in zip(got, public, composed_feedback(game, p)):
             assert same_matrix(g, want) and same_matrix(g, ref)
     gaps = [gap_outcome(lambda: duality_gap(game, p)) for p in profiles]
     assert gaps == [gap_outcome(lambda: composed_gap(game, p)) for p in profiles]
     try:
-        fused = hermitian_gaps(game, stacks, gap_buf)
+        fused = duality_gaps_into(game, profiles, gap_buf)
     except (linalg.NumericalError, ValueError) as exc:
         assert f"{type(exc).__name__}: {exc}" in gaps
     else:

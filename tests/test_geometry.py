@@ -319,7 +319,7 @@ def test_dual_accumulate_consistent_with_proximal():
         d = random_hermitian(4, rng)
         g = random_hermitian(4, rng)
         eta = float(rng.uniform(0.05, 1.0))
-        via_dual = VN_ENTROPY.play(VN_ENTROPY.advance(d, g, eta))
+        via_dual = VN_ENTROPY.play(VN_ENTROPY.advance(d, eta * g))
         via_primal = VN_ENTROPY.proximal_map(VN_ENTROPY.play(d), g, eta)
         assert np.max(np.abs(via_dual - via_primal)) < 1e-9
 
@@ -328,10 +328,10 @@ def test_dual_accumulate_basics():
     zero = VN_ENTROPY.start(np.eye(2, dtype=complex) / 2.0)
     assert np.array_equal(zero, np.zeros((2, 2)))
     assert np.allclose(VN_ENTROPY.play(zero), np.eye(2) / 2.0, atol=1e-15)
-    out = VN_ENTROPY.advance(zero, zero, 0.5)
+    out = VN_ENTROPY.advance(zero, 0.5 * zero)
     assert np.array_equal(out, np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        VN_ENTROPY.advance(zero, np.zeros((3, 3)), 0.5)
+        VN_ENTROPY.advance(zero, 0.5 * np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------- boundary
@@ -357,7 +357,7 @@ def test_trusted_maps_equal_public_maps_on_exactly_hermitian_input(yg, eta):
     assert np.array_equal(FROBENIUS.trusted_mirror_map(y), orth_project_spectraplex(y))
     x = orth_project_spectraplex(y)
     assert np.array_equal(
-        FROBENIUS.advance(FROBENIUS.start(x), g, eta), FROBENIUS.proximal_map(x, g, eta)
+        FROBENIUS.advance(FROBENIUS.start(x), eta * g), FROBENIUS.proximal_map(x, g, eta)
     )
 
 
@@ -514,7 +514,7 @@ def test_projection_entry_points_equal_the_composed_reference_pinned(y, eta):
 
     g = y[::-1].copy()
     assert outcome(lambda: FROBENIUS.trusted_mirror_map(y)) == outcome(trusted(y))
-    assert outcome(lambda: FROBENIUS.advance(y, g, eta)) == outcome(trusted(y + eta * g))
+    assert outcome(lambda: FROBENIUS.advance(y, eta * g)) == outcome(trusted(y + eta * g))
     for x, gx in zip(y, g):
         assert outcome(lambda: orth_project_spectraplex(x)) == outcome(public(x))
         assert outcome(lambda: FROBENIUS.proximal_map(x, gx, eta)) == outcome(
@@ -557,7 +557,7 @@ def test_buffered_maps_equal_the_fresh_maps_and_the_composed_references(y, eta):
     step = eta * g
     want = outcome(lambda: reference_projection(linalg.trusted_hermitian_eig(y + step)))
     state = y.copy()
-    assert outcome(lambda: FROBENIUS.advance_by(state, step, state, scratch)) == want
+    assert outcome(lambda: FROBENIUS.advance(state, step, state, scratch)) == want
     for x in y:
         assert outcome(lambda: logit_map(x)) == outcome(
             lambda: reference_logit(linalg.hermitian_eig(x)))

@@ -616,17 +616,17 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
     cfg = SolverConfig.from_alias(alias, step_size=0.5, max_iters=10)
     k = 4
     before = run(game, SolverConfig.from_alias(alias, step_size=0.5, max_iters=k - 1))
-    real_gradient = solvers.hermitian_gradient
+    real_gradient = solvers.payoff_gradient_into
     calls = {"n": 0}
 
-    def poisoned(*args):
-        g = real_gradient(*args)
+    def poisoned(game, state, buf):
+        g = real_gradient(game, state, buf)
         calls["n"] += 1
         if calls["n"] == before.gradient_calls + 1:  # the first gradient of iteration k
             g.alice[...] *= math.nan  # in place, so the profile the loop reads is poisoned
         return g
 
-    monkeypatch.setattr(solvers, "hermitian_gradient", poisoned)
+    monkeypatch.setattr(solvers, "payoff_gradient_into", poisoned)
     with pytest.raises(linalg.NumericalError, match=f"iteration {k}: .*non-finite"):
         run(game, cfg)
 
@@ -640,6 +640,6 @@ def test_gap_eigensolver_failure_names_checkpoint(monkeypatch):
 
 def test_non_finite_gap_raises(monkeypatch):
     game = random_game(1, 1, seed=14)
-    monkeypatch.setattr(solvers, "hermitian_gaps", lambda *_: [math.nan, math.nan])
+    monkeypatch.setattr(solvers, "duality_gaps_into", lambda *_: [math.nan, math.nan])
     with pytest.raises(linalg.NumericalError, match="non-finite duality gap"):
         run(game, SolverConfig(step_size=0.5, max_iters=10))
