@@ -229,27 +229,23 @@ def stack_views(stacks: list) -> StackViews:
 
 
 class FeedbackBuffers:
-    """The work arrays of the feedback kernels, for one profile or for a stack
-    of `profiles` of them, each in `profile_stacks` layout.
+    """The work arrays of the feedback kernels for a stack of `profiles`
+    profiles, in `profile_stacks(game, profiles)` layout.
 
     `vec` holds each input matrix x as xᵀ, whose rows laid end to end are
     vec(xᵀ); `inputs` lists its slots profile by profile.  `out` receives the
-    products with R, viewed per player as `views`, and `scratch` the
-    conjugates of `linalg.hermitianize_in_place`.
+    products with R, its first profile viewed per player as `views`, and
+    `scratch` the conjugates of `linalg.hermitianize_in_place`.
     """
 
-    def __init__(self, game: QuantumGame, profiles: int | None = None):
-        lead = () if profiles is None else (profiles,)
-        self.vec, self.out, self.scratch = (profile_stacks(game, *lead) for _ in range(3))
-        if profiles is None:
-            self.inputs = [self.vec]
-        else:
-            self.inputs = [[v[..., p, :, :] for v in self.vec] for p in range(profiles)]
+    def __init__(self, game: QuantumGame, profiles: int = 1):
+        self.vec, self.out, self.scratch = (profile_stacks(game, profiles) for _ in range(3))
+        self.inputs = [[v[..., p, :, :] for v in self.vec] for p in range(profiles)]
         vec, out = players(self.vec), players(self.out)
         # per profile, as flat views: vec(bᵀ) and Alice's product, vec(aᵀ) and Bob's
         flat = (m.reshape(-1, m.shape[-1] ** 2) for m in (vec.bob, out.alice, vec.alice, out.bob))
         self.rows = list(zip(*flat))
-        self.views = stack_views(self.out)
+        self.views = stack_views([o[..., 0, :, :] for o in self.out])
 
 
 def _player_matrix(m, dim: int, who: str) -> np.ndarray:
@@ -312,7 +308,7 @@ def _checked(game: QuantumGame, state: JointState) -> JointState:
 
 def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]),
-    as views into fresh `profile_stacks` it keeps as `.stacks`."""
+    as views into fresh `profile_stacks`-shaped arrays it keeps as `.stacks`."""
     return payoff_gradient_into(game, _checked(game, state), FeedbackBuffers(game))
 
 
@@ -323,7 +319,7 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
     eigenvectors, so the gap reduces to two extreme eigenvalues, of
     F_alice(b') and of -F_bob(a') (`duality_gaps_into`).
     """
-    return duality_gaps_into(game, [_checked(game, state)], FeedbackBuffers(game, 1))[0]
+    return duality_gaps_into(game, [_checked(game, state)], FeedbackBuffers(game))[0]
 
 
 def random_density(dim: int, generator: np.random.Generator) -> np.ndarray:

@@ -20,13 +20,12 @@ VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
 
 
-def _clip_spectra(w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack,
-    and whether some row has tied entries.
+def _clip_spectra(w: np.ndarray) -> np.ndarray:
+    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack.
 
     Trusted kernel: each row must be sorted descending, as LAPACK's ascending
     spectrum read backwards is; it is not re-sorted.  One pass over each row
-    as Python floats checks it for finiteness, finds its ties and clips it.
+    as Python floats checks it for finiteness and clips it.
     Sort-and-threshold rule (Duchi et al., ICML 2008; Condat, Math. Prog.
     2016): with s_k the running sum, theta = t_k = (s_k - 1)/k at the last k
     with u_k > t_k.  The sum runs left to right as numpy's cumsum does, and
@@ -36,14 +35,10 @@ def _clip_spectra(w: np.ndarray) -> tuple[np.ndarray, bool]:
     -0.0, as numpy's maximum leaves it.  Raises NumericalError on a non-finite
     entry, and otherwise when a row loses its support.
     """
-    d = w.shape[-1]
-    out, tied, lost = [], False, None
-    for row in w.reshape(-1, d).tolist():
-        s, theta, prev = 0.0, None, None
+    out, lost = [], None
+    for row in w.reshape(-1, w.shape[-1]).tolist():
+        s, theta = 0.0, None
         for k, u in enumerate(row, 1):
-            if u == prev:
-                tied = True
-            prev = u
             s += u
             t = (s - 1.0) / k
             if u > t:
@@ -60,7 +55,7 @@ def _clip_spectra(w: np.ndarray) -> tuple[np.ndarray, bool]:
         raise linalg.NumericalError(
             f"simplex projection lost its support to rounding (max entry {lost:.3e})"
         )
-    return np.array(out).reshape(w.shape), tied
+    return np.array(out).reshape(w.shape)
 
 
 class MapScratch:
@@ -101,18 +96,12 @@ def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = 
     `linalg.trusted_hermitian_eig` followed by the shifted exponential."""
     out, s = _buffers(y, out, s)
     w, v = linalg.eigh_ascending(y)
-    e = s.weights
-    if linalg.spectrum_ties(w):
-        order = np.argsort(-w, axis=-1, kind="stable")
-        w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
-        np.subtract(w, w[..., :1], out=e)
-    else:
-        # the descending spectrum, shifted, lands in e's order
-        np.subtract(w, w[..., -1:], out=s.weights_desc)
-        v = v[..., ::-1]
-    np.exp(e, out=e)
-    _synthesize(v, s.weight_rows, out, s)
-    np.add.reduce(e, -1, None, s.totals)
+    linalg.assert_finite_spectrum(w)
+    # the descending spectrum, shifted, lands in the weights' order
+    np.subtract(w, w[..., -1:], out=s.weights_desc)
+    np.exp(s.weights, out=s.weights)
+    _synthesize(v[..., ::-1], s.weight_rows, out, s)
+    np.add.reduce(s.weights, -1, None, s.totals)
     out /= s.total_blocks
     return linalg.hermitianize_in_place(out, s.conj)
 
@@ -121,22 +110,15 @@ def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None 
     """Euclidean projection onto the density-matrix set of an exactly
     Hermitian matrix or of each matrix in a (k, d, d) stack, written into
     `out` (which may be y) with the work arrays `s`, both fresh when not
-    given: one LAPACK call, then one pass over each row of its spectrum
-    (`_clip_spectra`).
-
-    Trusted kernel, with the preconditions, errors and bits of
-    `linalg.trusted_hermitian_eig` followed by the clip: eigenvectors of tied
-    eigenvalues keep their ascending solver order.
+    given: one LAPACK call, whose ascending eigenpairs are read backwards
+    through views, then one pass over each row of the spectrum
+    (`_clip_spectra`).  Trusted kernel, with the preconditions, errors and
+    bits of `linalg.trusted_hermitian_eig` followed by the clip.
     """
     out, s = _buffers(y, out, s)
     w, v = linalg.eigh_ascending(y)
-    lam, tied = _clip_spectra(w[..., ::-1])
-    if tied:
-        order = np.argsort(-w, axis=-1, kind="stable")
-        v = np.take_along_axis(v, order[..., None, :], -1)
-    else:
-        v = v[..., ::-1]
-    _synthesize(v, lam[..., None, :], out, s)
+    lam = _clip_spectra(w[..., ::-1])
+    _synthesize(v[..., ::-1], lam[..., None, :], out, s)
     return linalg.hermitianize_in_place(out, s.conj)
 
 

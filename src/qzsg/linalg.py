@@ -11,7 +11,8 @@ The trusted eigensolvers call the batched LAPACK gufuncs behind
 without the wrappers' per-call dispatch.  Those gufuncs are private numpy
 API; tests/test_linalg.py pins them to the public functions byte for byte.
 Every eigensolver call of the package goes through `_lapack`, so a LAPACK
-failure anywhere, set-up included, raises NumericalError.
+failure anywhere, set-up included, raises NumericalError.  Every descending
+spectrum is LAPACK's ascending one read backwards, equal eigenvalues too.
 """
 
 from __future__ import annotations
@@ -143,36 +144,26 @@ def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _lapack(_EIGH, "D->dD", h)
 
 
-def spectrum_ties(w: np.ndarray) -> bool:
-    """Whether some row of a sorted spectrum stack repeats an entry, found in
-    one pass over its entries as Python floats; NumericalError when an entry
-    is not finite."""
-    d = w.shape[-1]
+def assert_finite_spectrum(w: np.ndarray) -> None:
+    """NumericalError unless every entry of a spectrum stack is finite,
+    checked in one pass over its entries as Python floats."""
     flat = w.ravel().tolist()
     # the sum is finite unless an entry is not, or it overflows
     if not math.isfinite(sum(flat)) and not all(map(math.isfinite, flat)):
         raise NumericalError("eigensolver returned a non-finite spectrum")
-    if len(set(flat)) == len(flat):
-        return False
-    return any(len(set(flat[i:i + d])) < d for i in range(0, len(flat), d))
 
 
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
-    complex matrix or of each matrix in a (k, d, d) stack, in one call of the
-    LAPACK gufunc behind `numpy.linalg.eigh`, whose bits it has.
+    complex matrix or of each matrix in a (k, d, d) stack: one LAPACK call
+    (`eigh_ascending`) read backwards and copied, since numpy's complex
+    kernels round differently on strides.
 
     Trusted kernel with the preconditions and errors of `eigh_ascending`; a
-    non-finite spectrum raises NumericalError too (`spectrum_ties`).  Tied
-    eigenvalues keep their ascending solver order.
+    non-finite spectrum raises NumericalError too (`assert_finite_spectrum`).
     """
     w, v = eigh_ascending(h)
-    if spectrum_ties(w):
-        order = np.argsort(-w, axis=-1, kind="stable")
-        w, v = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
-        return Spectrum(w, v)
-    # eigh sorts ascending, so without ties the stable sort is a reversal; it
-    # is copied because numpy's complex kernels round differently on strides
+    assert_finite_spectrum(w)
     return Spectrum(w[..., ::-1].copy(), v[..., ::-1].copy())
 
 
@@ -248,10 +239,10 @@ def matrix_from_jsonable(rows) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValueError("matrix encoding must be a non-empty list of rows")
     n = len(rows)
+    if not all(isinstance(row, list) and len(row) == n for row in rows):
+        raise ValueError("matrix encoding must be square")
     m = np.zeros((n, n), dtype=complex)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ValueError("matrix encoding must be square")
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError("matrix entries must be [re, im] pairs")

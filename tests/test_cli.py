@@ -436,6 +436,18 @@ def test_a_qubit_count_no_array_can_hold_is_usage_error(tmp_path, kind):
                            "which no array has\n")
 
 
+@pytest.mark.parametrize("rows", [30_000, 200_000])
+def test_a_game_file_of_empty_rows_is_usage_error_before_any_allocation(tmp_path, rows):
+    # a 120 KB (800 KB) file whose n x n matrix would take 13.4 GiB (596 GiB):
+    # every row is checked before the matrix is allocated
+    doc = _v2_document(1, 1.0)
+    doc["payoff_observable"] = [[] for _ in range(rows)]
+    (tmp_path / "g.json").write_text(json.dumps(doc), encoding="utf-8")
+    proc = _run_child_with_two_gib(tmp_path, "solve", "--game", "g.json", "--iters", "5")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: matrix encoding must be square\n"
+
+
 def test_solve_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalError("eigensolver failed to converge at iteration 3")

@@ -18,6 +18,7 @@ from qzsg.linalg import (
     trace_inner,
 )
 from reference_games import spectral_fn
+from test_geometry import TIED_SPECTRUM
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -126,6 +127,29 @@ def test_trusted_eig_equals_public_on_exactly_hermitian_input():
         trusted, public = linalg.trusted_hermitian_eig(h), hermitian_eig(h)
         assert np.array_equal(trusted.eigenvalues, public.eigenvalues)
         assert np.array_equal(trusted.eigenvectors, public.eigenvectors)
+
+
+def test_trusted_hermitian_eig_equals_public_eigh_reversed():
+    # the one descending order: the public eigh's ascending eigenpairs read
+    # backwards and copied, on tied rows as on untied ones
+    rng = np.random.default_rng(28)
+
+    def members(d):
+        tied = np.resize(TIED_SPECTRUM[:max(d // 2, 1)], d)
+        drawn = rng.choice(TIED_SPECTRUM, size=d)
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return [np.diag(tied).astype(complex), np.diag(drawn).astype(complex),
+                hermitianize((q * drawn) @ q.conj().T), random_hermitian(d, rng)]
+
+    for d in (1, 2, 4, 8):
+        pool = members(d)
+        stacks = [np.array([m]) for m in pool]
+        stacks += [np.array([m, pool[i - 1]]) for i, m in enumerate(pool)]
+        for h in stacks:
+            w, v = linalg.trusted_hermitian_eig(h)
+            want_w, want_v = np.linalg.eigh(h)
+            assert w.tobytes() == want_w[..., ::-1].copy().tobytes(), h
+            assert v.tobytes() == want_v[..., ::-1].copy().tobytes(), h
 
 
 def test_trusted_eig_raises_numerical_errors(monkeypatch):
