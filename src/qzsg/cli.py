@@ -154,7 +154,7 @@ def _solver_config(args) -> solvers.SolverConfig:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 base = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid solver config: {exc}") from exc
         if not isinstance(base, dict):
             raise ValueError("solver config must be a JSON object")
@@ -360,7 +360,3 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

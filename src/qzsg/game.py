@@ -179,9 +179,9 @@ class QuantumGame:
 
 
 def uniform_state(game: QuantumGame) -> StackViews:
-    """Maximally mixed strategy for both players, as views into fresh
-    `profile_stacks`."""
-    profile = stack_views(profile_stacks(game))
+    """Maximally mixed strategy for both players, as `players` views into
+    fresh `profile_stacks`."""
+    profile = players(profile_stacks(game))
     for x in profile:
         x[...] = np.eye(len(x), dtype=complex) / len(x)
     return profile
@@ -213,17 +213,13 @@ def profile_stacks(game: QuantumGame, *lead: int) -> list[np.ndarray]:
     return [np.empty((*lead, da, da), dtype=complex), np.empty((*lead, db, db), dtype=complex)]
 
 
-def players(stacks) -> JointState:
-    """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
-    return JointState(*stacks) if len(stacks) == 2 else JointState(stacks[0][0], stacks[0][1])
-
-
 class StackViews(JointState):
     """A `players` pair that keeps the `profile_stacks` it views as `stacks`."""
 
 
-def stack_views(stacks: list) -> StackViews:
-    views = StackViews(*players(stacks))
+def players(stacks) -> StackViews:
+    """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
+    views = StackViews(*stacks) if len(stacks) == 2 else StackViews(*stacks[0])
     views.stacks = stacks
     return views
 
@@ -233,19 +229,19 @@ class FeedbackBuffers:
     profiles, in `profile_stacks(game, profiles)` layout.
 
     `vec` holds each input matrix x as xᵀ, whose rows laid end to end are
-    vec(xᵀ); `inputs` lists its slots profile by profile.  `out` receives the
+    vec(xᵀ); `inputs` views its slots profile by profile.  `out` receives the
     products with R, its first profile viewed per player as `views`, and
     `scratch` the conjugates of `linalg.hermitianize_in_place`.
     """
 
     def __init__(self, game: QuantumGame, profiles: int = 1):
         self.vec, self.out, self.scratch = (profile_stacks(game, profiles) for _ in range(3))
-        self.inputs = [[v[..., p, :, :] for v in self.vec] for p in range(profiles)]
+        self.inputs = [players([v[..., p, :, :] for v in self.vec]) for p in range(profiles)]
         vec, out = players(self.vec), players(self.out)
-        # per profile, as flat views: vec(bᵀ) and Alice's product, vec(aᵀ) and Bob's
-        flat = (m.reshape(-1, m.shape[-1] ** 2) for m in (vec.bob, out.alice, vec.alice, out.bob))
-        self.rows = list(zip(*flat))
-        self.views = stack_views([o[..., 0, :, :] for o in self.out])
+        # vec(bᵀ) and Alice's products as (profiles, D, 1) columns, vec(aᵀ) and Bob's as rows
+        self.column = [m.reshape(profiles, -1, 1) for m in (vec.bob, out.alice)]
+        self.row = [m.reshape(profiles, 1, -1) for m in (vec.alice, out.bob)]
+        self.views = players([o[..., 0, :, :] for o in self.out])
 
 
 def _player_matrix(m, dim: int, who: str) -> np.ndarray:
@@ -255,27 +251,23 @@ def _player_matrix(m, dim: int, who: str) -> np.ndarray:
     return m
 
 
-def _transpose_into(state: JointState, inputs: list) -> None:
-    """Write aᵀ and bᵀ of a matrix pair into one profile's `inputs` slots."""
-    for x, v in zip(state, players(inputs)):
-        np.copyto(v, x.T)
-
-
-def _realigned_products(game: QuantumGame, buf: FeedbackBuffers) -> None:
-    """R vec(bᵀ) into Alice's and vec(aᵀ)ᵀ R into Bob's matrix of `buf.out`,
-    for each profile of `buf.vec`: one matrix-vector product each."""
+def _products(game: QuantumGame, states: list, buf: FeedbackBuffers) -> None:
+    """Write aᵀ and bᵀ of each matrix pair into its profile's `buf.inputs`,
+    then R vec(bᵀ) into Alice's and vec(aᵀ)ᵀ R into Bob's matrices of
+    `buf.out`: one matrix product per player for every profile."""
+    for state, inputs in zip(states, buf.inputs):
+        for x, v in zip(state, inputs):
+            np.copyto(v, x.T)
     r = game.realigned
-    for vb, fa, va, fb in buf.rows:
-        np.matmul(r, vb, out=fa)
-        np.matmul(va, r, out=fb)
+    np.matmul(r, buf.column[0], out=buf.column[1])
+    np.matmul(buf.row[0], r, out=buf.row[1])
 
 
 def payoff_gradient_into(game: QuantumGame, state: JointState, buf: FeedbackBuffers) -> StackViews:
     """`payoff_gradient` at a pair of matrices of the game's dimensions,
     unchecked, written into `buf` (a `FeedbackBuffers(game)`): Bob's product
     is negated and each stack replaced by its Hermitian part in place."""
-    _transpose_into(state, buf.inputs[0])
-    _realigned_products(game, buf)
+    _products(game, [state], buf)
     bob = buf.views.bob
     np.negative(bob, out=bob)
     for s, c in zip(buf.out, buf.scratch):
@@ -290,9 +282,7 @@ def duality_gaps_into(game: QuantumGame, states: list, buf: FeedbackBuffers) -> 
     best reply is the top eigenvalue of F_alice(b'); Bob's is the bottom one
     of -F_bob(a'), which is the Hermitian part of vec(aᵀ)ᵀ R, since negation
     is exact."""
-    for state, inputs in zip(states, buf.inputs):
-        _transpose_into(state, inputs)
-    _realigned_products(game, buf)
+    _products(game, states, buf)
     for s, c in zip(buf.out, buf.scratch):
         linalg.hermitianize_in_place(s, c)
     w = players([linalg.trusted_eigvalsh(s) for s in buf.out])
@@ -552,7 +542,7 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if not isinstance(data, dict):
         raise ValueError("game document must be a JSON object")
     version = data.get("format_version")
-    if version not in _DOCUMENT_KEYS:
+    if not linalg.is_number(version, int) or version not in _DOCUMENT_KEYS:
         raise ValueError(f"unsupported format_version {version!r}")
     missing = _DOCUMENT_KEYS[version] - data.keys()
     if missing:
@@ -596,6 +586,6 @@ def load_game(path) -> QuantumGame:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"invalid game file: {exc}") from exc
     return game_from_json_dict(data)

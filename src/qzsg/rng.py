@@ -19,15 +19,23 @@ STREAM_LIPSCHITZ = 3
 STREAM_PROPERTIES = 4
 
 
+def check_seed(seed: int) -> int:
+    """`seed`, if 0 <= seed < 2^64, else a ValueError: any other seed would
+    replay the draws of seed mod 2^64."""
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be at least 0 and below 2^64, got {seed}")
+    return seed
+
+
 def stream(seed: int, component: int) -> np.random.Generator:
     """Generator for (seed, component); same arguments always replay the same draws."""
-    key = ((component & _MASK64) << 64) | (seed & _MASK64)
+    key = ((component & _MASK64) << 64) | check_seed(seed)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def derive_seed(master_seed: int, index: int) -> int:
     """Stateless 64-bit child seed for item `index`, via the SplitMix64 finalizer."""
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    z = (check_seed(master_seed) + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64

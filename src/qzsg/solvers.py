@@ -53,7 +53,6 @@ from .game import (
     payoff_gradient_into,
     players,
     profile_stacks,
-    stack_views,
     uniform_state,
 )
 
@@ -186,7 +185,7 @@ class Stepper:
         state.alice[...], state.bob[...] = start
         self.feedback = FeedbackBuffers(game)
         self.scaled = profile_stacks(game)  # eta G, or eta W for dual averaging
-        self.point = stack_views(profile_stacks(game))
+        self.point = players(profile_stacks(game))
         self.scratch = [geometry.MapScratch(s.shape) for s in self.stacks]
         # whether `scaled` holds eta F of the last point, to extrapolate with
         self.stored = False
@@ -210,7 +209,7 @@ class Stepper:
             reg.advance(s, step, s, c)
         if not self.optimistic:
             played = zip(self.stacks, point.stacks, self.scratch)
-            return stack_views([reg.play(s, p, c) for s, p, c in played]), calls
+            return players([reg.play(s, p, c) for s, p, c in played]), calls
         # a non-finite gradient fails the eigendecomposition after it, but
         # ommwu adds this one to its state without one: check it here
         if not all(map(linalg.all_finite, fresh.stacks)):
@@ -287,9 +286,10 @@ def run(
     else:
         due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
     # the run's own arrays, beside the stepper's: the sum of the played
-    # points, their average and the checkpoint gaps' work arrays
+    # points, their average and the checkpoint gaps' work arrays.  The points
+    # are exactly Hermitian, so are their sum and average: no Hermitian pass
     sums = [np.zeros_like(s) for s in psi.stacks]
-    avg, avg_scratch = stack_views(profile_stacks(game)), profile_stacks(game)
+    avg = players(profile_stacks(game))
     gap_buffers = FeedbackBuffers(game, 2)
     rows: list[TraceRow] = []
     calls = done = 0
@@ -306,8 +306,8 @@ def run(
             calls += fresh
             done = t + 1
             if done == cfg.max_iters or done in due:
-                for a, s, c in zip(avg.stacks, sums, avg_scratch):
-                    linalg.hermitianize_in_place(np.divide(s, done, out=a), c)
+                for a, s in zip(avg.stacks, sums):
+                    np.divide(s, done, out=a)
                 try:
                     gap_avg, gap_last = duality_gaps_into(game, [avg, psi], gap_buffers)
                 except _KERNEL_ERRORS as exc:

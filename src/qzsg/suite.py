@@ -64,6 +64,7 @@ class ExperimentSpec:
         )
 
     def validate(self) -> None:
+        rng.check_seed(self.master_seed)
         if self.games < 1:
             raise ValueError("games must be >= 1")
         if not self.algorithms:
@@ -196,9 +197,11 @@ def aggregate(spec: ExperimentSpec, runs: list) -> list:
 
 def run_suite(spec: ExperimentSpec) -> dict:
     """Execute the full suite and assemble the comparison report, on
-    `worker_count()` threads; one worker runs the games in this thread."""
+    `worker_count()` threads, but no more than games or CPUs: a pool starts
+    a thread per game up to its size, and outputs do not depend on it.  One
+    worker runs the games in this thread."""
     spec.validate()
-    workers = worker_count()
+    workers = min(worker_count(), spec.games, os.cpu_count() or 1)
     games = range(spec.games)
     if workers == 1:
         per_game = [execute_game(spec, g) for g in games]

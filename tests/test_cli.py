@@ -269,11 +269,15 @@ def test_solve_shows_each_flag_in_its_summary(capsys):
     ]
 
 
+# 200 000 nested arrays: deeper than the JSON decoder's recursion can go
+NESTED_JSON = "[" * 200_000 + "]" * 200_000
+
+
 @pytest.mark.parametrize(
     "content, message",
     [(None, "invalid solver config"), ("{", "invalid solver config"),
-     ("[]", "must be a JSON object")],
-    ids=["missing", "not-json", "list"],
+     ("[]", "must be a JSON object"), (NESTED_JSON, "invalid solver config")],
+    ids=["missing", "not-json", "list", "nested"],
 )
 def test_solve_rejects_an_unreadable_config(tmp_path, capsys, content, message):
     cfg = tmp_path / "cfg.json"
@@ -448,6 +452,15 @@ def test_a_game_file_of_empty_rows_is_usage_error_before_any_allocation(tmp_path
     assert proc.stderr == "error: matrix encoding must be square\n"
 
 
+def test_a_deeply_nested_game_file_is_usage_error(tmp_path, capsys):
+    game = tmp_path / "g.json"
+    game.write_text(NESTED_JSON, encoding="utf-8")
+    assert run_cli("solve", "--game", str(game), "--iters", "5") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid game file: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
 def test_solve_numerical_failure_exit_code(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise NumericalError("eigensolver failed to converge at iteration 3")
@@ -605,6 +618,20 @@ def test_compare_bounds_a_defaulted_outcome_count_before_any_game(
                    "--algorithms", "ommwu", "-o", str(out))
     assert code == 2
     assert "--outcomes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "compare"])
+def test_a_seed_of_2_to_the_64_is_usage_error(tmp_path, monkeypatch, capsys, command):
+    # it would replay seed 0 while recording 2^64; compare fails before any game
+    monkeypatch.setattr(suite, "random_game", _unexpected)
+    out = tmp_path / "out"
+    argv = ["-n", "1", "-m", "1", "--seed", str(2**64), "-o", str(out)]
+    if command == "compare":
+        argv += ["--games", "1", "--iters", "5", "--algorithms", "ommwu"]
+    assert run_cli(command, *argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: seed must be at least 0 and below 2^64, got {2**64}\n")
     assert not out.exists()
 
 

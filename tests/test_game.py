@@ -775,8 +775,9 @@ def test_game_json_preserves_null_seed():
 
 def test_game_from_json_dict_validates():
     doc = game_to_json_dict(matching_pennies())
-    with pytest.raises(ValueError, match="format_version"):
-        game_from_json_dict({**doc, "format_version": 99})
+    for version in (99, True, 2.0):  # a bool or a float is not a version
+        with pytest.raises(ValueError, match="format_version"):
+            game_from_json_dict({**doc, "format_version": version})
     with pytest.raises(ValueError, match="missing keys"):
         game_from_json_dict({"format_version": 1, "n": 1})
     with pytest.raises(ValueError, match="integers"):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from qzsg import rng
 
@@ -55,3 +56,15 @@ def test_complex_normal_shape_and_scale():
     assert abs(np.mean(np.abs(z) ** 2) - 1.0) < 0.02
     again = rng.complex_normal(rng.stream(0, rng.STREAM_PROPERTIES), (200, 200))
     assert np.array_equal(z, again)
+
+
+def test_seeds_outside_64_bits_are_refused():
+    # the key holds 64 bits: 2^64 would replay seed 0, and -1 seed 2^64 - 1
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match="seed must be at least 0 and below 2\\^64"):
+            rng.stream(seed, rng.STREAM_POVM)
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            rng.derive_seed(seed, 0)
+    top = np.random.Generator(np.random.Philox(key=(rng.STREAM_POVM << 64) | (2**64 - 1)))
+    assert np.array_equal(rng.stream(2**64 - 1, rng.STREAM_POVM).standard_normal(4),
+                          top.standard_normal(4))

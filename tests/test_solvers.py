@@ -213,6 +213,17 @@ def test_iterates_and_averages_are_density_matrices():
             assert_density_matrix(state.bob)
 
 
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+@pytest.mark.parametrize("n, m", [(2, 2), (1, 2)])
+def test_run_average_equals_its_hermitian_part(alias, n, m):
+    # every played point is exactly Hermitian, so the average of the points,
+    # formed without a Hermitian pass, is its own Hermitian part bit for bit
+    game = random_game(n, m, seed=30 + n + m)
+    res = run(game, SolverConfig.from_alias(alias, max_iters=60, gap_check_interval=20))
+    for x in (*res.average, *res.last):
+        assert x.tobytes() == linalg.hermitianize(x).tobytes()
+
+
 def test_step_size_recorded_in_result():
     game = matching_pennies()
     res = run(game, SolverConfig(max_iters=10))

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -266,6 +267,32 @@ def test_run_suite_deterministic_across_worker_counts(monkeypatch):
     monkeypatch.setenv(suite.THREADS_ENV_VAR, "4")
     pooled = mask_wall_times(run_suite(spec))
     assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+
+
+def test_run_suite_starts_no_more_threads_than_games_or_cpus(monkeypatch):
+    spec = small_spec(games=3)
+    serial = mask_wall_times(run_suite(spec))
+    sizes = []
+
+    class RecordingPool:
+        # records the pool size it is asked for and runs `map` in this thread
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(suite, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, "1000000")
+    pooled = mask_wall_times(run_suite(spec))
+    assert all(size <= min(3, os.cpu_count() or 1) for size in sizes)
+    assert json.dumps(pooled, sort_keys=True) == json.dumps(serial, sort_keys=True)
 
 
 def test_run_suite_records_failures_without_aborting(monkeypatch):
