@@ -16,6 +16,15 @@ A game stores U's realignment R[(a,c),(b,d)] = U[(a,b),(c,d)], a
 row-major flattening, F_alice(b) = R vec(bᵀ), F_bob(a) = -(vec(aᵀ)ᵀ R) and
 u(a, b) = vec(aᵀ)ᵀ R vec(bᵀ): each is one matrix product.
 
+The solver loop reads a Hermitian matrix the way LAPACK's eigh does: as its
+lower triangle and its real diagonal.  So each game also keeps, per player,
+one real matrix that maps the float64 view of the other player's matrix,
+read by that rule, to the float64 view of this player's feedback
+(`feedback_maps`).  Its entries are R's, gathered and summed in pairs; the
+transposes, Bob's negation and the Hermitian part are folded in, and the
+columns of the upper triangle and of the imaginary diagonal are zero.  The
+maps hold four times R's bytes: 256 KB at 3+3, 4 MB at 4+4.
+
 Random games are built in one pass over their raw POVM elements A_w: since
 P_w = S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, U is one sandwich
 S^(-1/2) (sum_w u(w) A_w) S^(-1/2), and no P_w is ever made.
@@ -85,15 +94,19 @@ class QuantumGame:
     """An (n, m)-qubit zero-sum game, stored as the realignment R of its
     payoff observable U.
 
-    Every solver, gradient and gap reads only R, so the POVM a game came from
-    is not kept (a random game never makes its elements): `outcomes` records
-    its size and `povm` is always empty.  R is the game's own array, the
-    realignment of a U that equals U† bit for bit, so U is also read as U†.
+    Every solver, gradient and gap reads only R, or the feedback maps built
+    from it, so the POVM a game came from is not kept (a random game never
+    makes its elements): `outcomes` records its size and `povm` is always
+    empty.  R is the game's own array, the realignment of a U that equals U†
+    bit for bit, so U is also read as U†.  `feedback_maps` is in
+    `profile_stacks` layout: one (2, 2d², 2d²) stack when d_A = d_B, else
+    Alice's (2d_A², 2d_B²) map and Bob's (2d_B², 2d_A²) one.
     """
 
     n: int
     m: int
     realigned: np.ndarray
+    feedback_maps: list
     u_inf_norm: float
     outcomes: int
     seed: int | None = None
@@ -128,10 +141,12 @@ class QuantumGame:
             )
         u_obs = linalg.hermitianize(u_obs)
         da, db = 2**n, 2**m
+        r = u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1)
         return cls(
             n=int(n),
             m=int(m),
-            realigned=u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1),
+            realigned=r,
+            feedback_maps=_feedback_maps(r, da, db),
             u_inf_norm=linalg.spectral_norm(u_obs),
             outcomes=int(outcomes),
             seed=None if seed is None else int(seed),
@@ -178,6 +193,23 @@ class QuantumGame:
         return cls.from_observable(n, m, u_obs, len(povm), seed)
 
 
+def _feedback_maps(r: np.ndarray, da: int, db: int) -> list:
+    """The feedback maps of R, in `profile_stacks` layout: the real maps
+    (`linalg.lower_triangle_map`) of b -> R vec(bᵀ) (Alice) and of
+    a -> -(vec(aᵀ)ᵀ R) (Bob).  R is the realignment of an exactly Hermitian
+    U, so r[(c,a), (l,k)] = conj(r[(a,c), (k,l)]) bit for bit, for Rᵀ too:
+    the rows of output (c, a) repeat those of (a, c), the imaginary ones
+    negated, and each output is its own Hermitian part with nothing added.
+    """
+    rows, cols = 2 * da * da, 2 * db * db
+    maps = [np.zeros((2, rows, cols))] if da == db else [
+        np.zeros((rows, cols)), np.zeros((cols, rows))]
+    alice, bob = players(maps)
+    linalg.lower_triangle_map(r, db, alice)
+    np.negative(linalg.lower_triangle_map(r.T, da, bob), out=bob)
+    return maps
+
+
 def uniform_state(game: QuantumGame) -> StackViews:
     """Maximally mixed strategy for both players, as `players` views into
     fresh `profile_stacks`."""
@@ -189,9 +221,7 @@ def uniform_state(game: QuantumGame) -> StackViews:
 
 def expected_utility(game: QuantumGame, state: JointState) -> float:
     """Alice's expected payoff tr[U† (a ⊗ b)]; real for Hermitian inputs."""
-    a, b = state
-    a = linalg.as_matrix(a)
-    b = linalg.as_matrix(b)
+    a, b = (linalg.as_matrix(x) for x in state)
     if a.shape[0] != game.dim_alice or b.shape[0] != game.dim_bob:
         raise ValueError(
             f"state dimensions {a.shape[0]}x{b.shape[0]} do not match the game"
@@ -219,87 +249,77 @@ class StackViews(JointState):
 
 def players(stacks) -> StackViews:
     """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
-    views = StackViews(*stacks) if len(stacks) == 2 else StackViews(*stacks[0])
+    views = StackViews(*(stacks if len(stacks) == 2 else stacks[0]))
     views.stacks = stacks
     return views
 
 
 class FeedbackBuffers:
-    """The work arrays of the feedback kernels for a stack of `profiles`
-    profiles, in `profile_stacks(game, profiles)` layout.
-
-    `vec` holds each input matrix x as xᵀ, whose rows laid end to end are
-    vec(xᵀ); `inputs` views its slots profile by profile.  `out` receives the
-    products with R, its first profile viewed per player as `views`, and
-    `scratch` the conjugates of `linalg.hermitianize_in_place`.
+    """The output arrays of the feedback kernels, in `profile_stacks(game,
+    *lead)` layout: viewed per player as `views`, and as one float64 column
+    per matrix as `columns`.  `maps` views the game's feedback maps with one
+    broadcast axis per lead axis, so a stack of profiles makes one
+    matrix-vector product per matrix, with the bits of one profile at a time.
     """
 
-    def __init__(self, game: QuantumGame, profiles: int = 1):
-        self.vec, self.out, self.scratch = (profile_stacks(game, profiles) for _ in range(3))
-        self.inputs = [players([v[..., p, :, :] for v in self.vec]) for p in range(profiles)]
-        vec, out = players(self.vec), players(self.out)
-        # vec(bᵀ) and Alice's products as (profiles, D, 1) columns, vec(aᵀ) and Bob's as rows
-        self.column = [m.reshape(profiles, -1, 1) for m in (vec.bob, out.alice)]
-        self.row = [m.reshape(profiles, 1, -1) for m in (vec.alice, out.bob)]
-        self.views = players([o[..., 0, :, :] for o in self.out])
+    def __init__(self, game: QuantumGame, *lead: int):
+        self.out = profile_stacks(game, *lead)
+        self.views = players(self.out)
+        self.columns = [_columns(o) for o in self.out]
+        self.maps = [m.reshape(*m.shape[:-2], *(1,) * len(lead), *m.shape[-2:])
+                     for m in game.feedback_maps]
 
 
-def _player_matrix(m, dim: int, who: str) -> np.ndarray:
-    m = linalg.as_matrix(m)
-    if m.shape[0] != dim:
-        raise ValueError(f"{who} state dimension {m.shape[0]} does not match the game")
-    return m
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The float64 view of each matrix of a stack as one (2d², 1) column."""
+    return x.view(np.float64).reshape(*x.shape[:-2], -1, 1)
 
 
-def _products(game: QuantumGame, states: list, buf: FeedbackBuffers) -> None:
-    """Write aᵀ and bᵀ of each matrix pair into its profile's `buf.inputs`,
-    then R vec(bᵀ) into Alice's and vec(aᵀ)ᵀ R into Bob's matrices of
-    `buf.out`: one matrix product per player for every profile."""
-    for state, inputs in zip(states, buf.inputs):
-        for x, v in zip(state, inputs):
-            np.copyto(v, x.T)
-    r = game.realigned
-    np.matmul(r, buf.column[0], out=buf.column[1])
-    np.matmul(buf.row[0], r, out=buf.row[1])
-
-
-def payoff_gradient_into(game: QuantumGame, state: JointState, buf: FeedbackBuffers) -> StackViews:
-    """`payoff_gradient` at a pair of matrices of the game's dimensions,
-    unchecked, written into `buf` (a `FeedbackBuffers(game)`): Bob's product
-    is negated and each stack replaced by its Hermitian part in place."""
-    _products(game, [state], buf)
-    bob = buf.views.bob
-    np.negative(bob, out=bob)
-    for s, c in zip(buf.out, buf.scratch):
-        linalg.hermitianize_in_place(s, c)
+def payoff_gradient_into(game: QuantumGame, state: StackViews, buf: FeedbackBuffers) -> StackViews:
+    """F at a `players` pair, unchecked, written into `buf` (a
+    `FeedbackBuffers(game)`, or a `FeedbackBuffers(game, k)` for k-profile
+    stacks): one product with the feedback maps, over the (2, d, d) stack
+    with its player axis reversed when d_A = d_B, else one per player.  Each
+    matrix is read by its lower triangle and real diagonal, and the result
+    is exactly Hermitian."""
+    sources = [_columns(s) for s in state.stacks[::-1]]
+    for m, x, y in zip(buf.maps, sources, buf.columns):
+        np.matmul(m, x[::-1] if len(sources) == 1 else x, out=y)
     return buf.views
 
 
-def duality_gaps_into(game: QuantumGame, states: list, buf: FeedbackBuffers) -> list[float]:
-    """`duality_gap` of each of k matrix pairs, unchecked, in one pass through
-    `buf` (a `FeedbackBuffers(game, k)`): Hermitian parts of both products,
-    then one `linalg.trusted_eigvalsh` per stack for all of them.  Alice's
-    best reply is the top eigenvalue of F_alice(b'); Bob's is the bottom one
-    of -F_bob(a'), which is the Hermitian part of vec(aᵀ)ᵀ R, since negation
-    is exact."""
-    _products(game, states, buf)
-    for s, c in zip(buf.out, buf.scratch):
-        linalg.hermitianize_in_place(s, c)
-    w = players([linalg.trusted_eigvalsh(s) for s in buf.out])
-    return (w.alice[..., -1] - w.bob[..., 0]).tolist()
+def duality_gaps_into(game: QuantumGame, state: StackViews, buf: FeedbackBuffers) -> list[float]:
+    """`duality_gap` of each profile of a `players` pair of k-profile stacks,
+    unchecked and read as `payoff_gradient_into` reads it, through `buf` (a
+    `FeedbackBuffers(game, k)`): the feedback of all k profiles, then one
+    `linalg.trusted_eigvalsh` per stack, which reads the lower triangles.
+    Alice's best reply is the top eigenvalue of F_alice(b') and Bob's the
+    top one of F_bob(a'), as u(a', b) = -<b, F_bob(a')>."""
+    out = payoff_gradient_into(game, state, buf).stacks
+    w = players([linalg.trusted_eigvalsh(s) for s in out])
+    return (w.alice[..., -1] + w.bob[..., -1]).tolist()
 
 
-def _checked(game: QuantumGame, state: JointState) -> JointState:
-    return JointState(
-        _player_matrix(state.alice, game.dim_alice, "Alice"),
-        _player_matrix(state.bob, game.dim_bob, "Bob"),
-    )
+def _hermitian_part(game: QuantumGame, state: JointState, *lead: int) -> StackViews:
+    """`players` views of fresh `profile_stacks(game, *lead)` holding, at
+    every lead position, the Hermitian part of each matrix of `state`,
+    checked against the game's dimensions."""
+    profile = players(profile_stacks(game, *lead))
+    for x, m, who in zip(profile, state, ("Alice", "Bob")):
+        m = linalg.as_matrix(m)
+        if m.shape != x.shape[-2:]:
+            raise ValueError(f"{who} state dimension {m.shape[0]} does not match the game")
+        x[...] = linalg.hermitianize(m)
+    return profile
 
 
 def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
-    """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)]),
-    as views into fresh `profile_stacks`-shaped arrays it keeps as `.stacks`."""
-    return payoff_gradient_into(game, _checked(game, state), FeedbackBuffers(game))
+    """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)])
+    at the Hermitian parts of a and b, with which F commutes, as exactly
+    Hermitian views into fresh `profile_stacks`-shaped arrays it keeps as
+    `.stacks`."""
+    grads = payoff_gradient_into(game, _hermitian_part(game, state), FeedbackBuffers(game))
+    return players([linalg.hermitianize(s) for s in grads.stacks])
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -307,9 +327,10 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
 
     Both extremes of a linear payoff over density matrices are attained at
     eigenvectors, so the gap reduces to two extreme eigenvalues, of
-    F_alice(b') and of -F_bob(a') (`duality_gaps_into`).
+    F_alice(b') and of F_bob(a') at the Hermitian parts of a' and b'
+    (`duality_gaps_into`).
     """
-    return duality_gaps_into(game, [_checked(game, state)], FeedbackBuffers(game))[0]
+    return duality_gaps_into(game, _hermitian_part(game, state, 1), FeedbackBuffers(game, 1))[0]
 
 
 def random_density(dim: int, generator: np.random.Generator) -> np.ndarray:
@@ -400,6 +421,8 @@ def random_game_with_bound(
         # u_w A_w first: folding A into S overwrites a[0]
         _fold(weighted, np.multiply(utilities[start:start + k, None, None], a, out=g_k))
         _fold(total, a)
+    # the chunk stacks go back before the game's feedback maps are made
+    del raw, g, scratch, a, g_k, z
     spectrum = linalg.hermitian_eig(total)
     v = spectrum.eigenvectors
     inv_sqrt = linalg.hermitianize((v * spectrum.eigenvalues**-0.5) @ v.conj().T)

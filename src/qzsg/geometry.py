@@ -61,7 +61,8 @@ def _clip_spectra(w: np.ndarray) -> np.ndarray:
 class MapScratch:
     """Work arrays of the in-place mirror maps for a matrix or a (k, d, d)
     stack of `shape`: the spectral weights and their row sums, V·diag(weights)
-    and conj(V), whose memory also serves `linalg.hermitianize_in_place`."""
+    and conj(V), whose memory can also serve `linalg.hermitianize_in_place`
+    after a map."""
 
     def __init__(self, shape: tuple):
         self.weights = np.empty(shape[:-1])
@@ -90,10 +91,12 @@ def _synthesize(v: np.ndarray, weight_rows: np.ndarray, out: np.ndarray, s: MapS
 
 
 def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
-    """Λ of an exactly Hermitian matrix or of each matrix in a (k, d, d) stack,
-    written into `out` (which may be y) with the work arrays `s`, both fresh
-    when not given; the preconditions, errors and bits of
-    `linalg.trusted_hermitian_eig` followed by the shifted exponential."""
+    """Λ of a Hermitian matrix or of each matrix in a (k, d, d) stack, read by
+    its lower triangle and real diagonal, written into `out` (which may be y)
+    with the work arrays `s`, both fresh when not given; the errors and bits
+    of `linalg.trusted_hermitian_eig` followed by the shifted exponential.
+    The result is V diag(e) V† / sum(e) as the product rounds it, Hermitian
+    to rounding; `logit_map` is its Hermitian part."""
     out, s = _buffers(y, out, s)
     w, v = linalg.eigh_ascending(y)
     linalg.assert_finite_spectrum(w)
@@ -103,37 +106,40 @@ def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = 
     _synthesize(v[..., ::-1], s.weight_rows, out, s)
     np.add.reduce(s.weights, -1, None, s.totals)
     out /= s.total_blocks
-    return linalg.hermitianize_in_place(out, s.conj)
+    return out
 
 
 def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
-    """Euclidean projection onto the density-matrix set of an exactly
-    Hermitian matrix or of each matrix in a (k, d, d) stack, written into
-    `out` (which may be y) with the work arrays `s`, both fresh when not
-    given: one LAPACK call, whose ascending eigenpairs are read backwards
-    through views, then one pass over each row of the spectrum
-    (`_clip_spectra`).  Trusted kernel, with the preconditions, errors and
-    bits of `linalg.trusted_hermitian_eig` followed by the clip.
+    """Euclidean projection onto the density-matrix set of a Hermitian matrix
+    or of each matrix in a (k, d, d) stack, read by its lower triangle and
+    real diagonal, written into `out` (which may be y) with the work arrays
+    `s`, both fresh when not given: one LAPACK call, whose ascending
+    eigenpairs are read backwards through views, then one pass over each row
+    of the spectrum (`_clip_spectra`), then V diag(λ) V† as the product
+    rounds it, Hermitian to rounding.  Trusted kernel, with the errors and
+    bits of `linalg.trusted_hermitian_eig` followed by the clip;
+    `orth_project_spectraplex` is its Hermitian part.
     """
     out, s = _buffers(y, out, s)
     w, v = linalg.eigh_ascending(y)
     lam = _clip_spectra(w[..., ::-1])
-    _synthesize(v[..., ::-1], lam[..., None, :], out, s)
-    return linalg.hermitianize_in_place(out, s.conj)
+    return _synthesize(v[..., ::-1], lam[..., None, :], out, s)
 
 
 def logit_map(y) -> np.ndarray:
     """Λ(Y) = exp(Y)/tr[exp(Y)] for Hermitian Y, stabilized by a λ_max shift.
 
     The shift multiplies numerator and denominator by the same scalar, so the
-    output is exact while every intermediate stays in [0, 1].
+    output is exact while every intermediate stays in [0, 1].  The result
+    is the Hermitian part of the trusted map's, exactly Hermitian.
     """
-    return _logit(linalg.hermitianize(linalg.assert_hermitian(y)))
+    return linalg.hermitianize(_logit(linalg.hermitianize(linalg.assert_hermitian(y))))
 
 
 def orth_project_spectraplex(y) -> np.ndarray:
-    """Euclidean projection onto the density-matrix set: project the spectrum."""
-    return _project(linalg.hermitianize(linalg.assert_hermitian(y)))
+    """Euclidean projection onto the density-matrix set: project the spectrum.
+    The result is the Hermitian part of the trusted map's, exactly Hermitian."""
+    return linalg.hermitianize(_project(linalg.hermitianize(linalg.assert_hermitian(y))))
 
 
 @dataclass(frozen=True)
@@ -197,11 +203,11 @@ class Regularizer:
 
         Y is a matrix or a (k, d, d) stack of them, mapped in one pass into
         `out` (which may be Y) with the work arrays `scratch` (a `MapScratch`
-        of Y's shape), both fresh when not given.  Each matrix must be
-        exactly Hermitian (see `linalg.trusted_hermitian_eig`): a
-        `hermitianize` output, or a real-weighted sum of such outputs.  On
-        such Y each result equals `logit_map` or `orth_project_spectraplex`
-        of its matrix bit for bit.
+        of Y's shape), both fresh when not given.  Each matrix is read as
+        LAPACK's eigh reads it, by its lower triangle and real diagonal, and
+        its result is Hermitian to rounding, with no Hermitian pass.  On an
+        exactly Hermitian Y, the Hermitian part of each result equals
+        `logit_map` or `orth_project_spectraplex` of its matrix bit for bit.
         """
         kernel = _logit if self.kind == VN_ENTROPY_ID else _project
         return kernel(y, out, scratch)
@@ -214,8 +220,8 @@ class Regularizer:
         which plays the same point without the rounding of a logarithm.
         Frobenius: the Hermitian part of X.  X is validated here, once, as a
         density matrix (`game.assert_density_matrix`): this is the only way
-        outside state enters a stepper, and play/advance trust every state
-        and gradient to be exactly Hermitian.
+        outside state enters a stepper, and play/advance read every state
+        and gradient by its lower triangle and real diagonal.
         """
         x = linalg.hermitianize(game.assert_density_matrix(x, "state"))
         if self.kind != VN_ENTROPY_ID:
@@ -246,9 +252,9 @@ class Regularizer:
         formed.  play(D') reproduces proximal_map(play(D), G, eta) because the
         logit map is invariant to the trace-normalization shift hiding in
         log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
-        eta) without its input checks.  G must be exactly Hermitian, as payoff
-        gradients are, and eta positive and finite, as `solvers.run` makes it
-        from a validated config.
+        eta) without its input checks and its final Hermitian pass.  The sum
+        is read by its lower triangle, and eta must be positive and finite,
+        as `solvers.run` makes it from a validated config.
         """
         y = np.add(state, step, out=out)
         if self.kind == VN_ENTROPY_ID:

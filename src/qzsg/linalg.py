@@ -1,10 +1,13 @@
 """Dense complex linear algebra for Hermitian matrices of dimension 2^k.
 
 All functions operate on square complex numpy arrays and return fresh arrays;
-only `hermitianize_in_place` mutates its input.  Results that are Hermitian
-in exact arithmetic are re-symmetrized through the (A + A†)/2 guard so that
-downstream tolerance checks stay sharp after long chains of floating-point
-arithmetic.
+only `hermitianize_in_place` and `lower_triangle_map` write into arrays they
+are given.  Results that are Hermitian in exact arithmetic are re-symmetrized
+through the (A + A†)/2 guard so that downstream tolerance checks stay sharp
+after long chains of floating-point arithmetic.  The solver loop's trusted
+kernels are the exception: they read a Hermitian matrix as LAPACK's eigh
+reads it, by its lower triangle and real diagonal (`lower_triangle_map` is
+that rule as a real matrix), so no (A + A†)/2 pass runs inside the loop.
 
 The trusted eigensolvers call the batched LAPACK gufuncs behind
 `numpy.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
@@ -86,6 +89,33 @@ def hermitianize_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> n
     return a
 
 
+def lower_triangle_map(s: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """Write into `out`, a zeroed (2N, 2dim²) real array, the real matrix of
+    b -> s vec(bᵀ) for a complex (N, dim²) `s`, with vec the row-major
+    flattening and b Hermitian, read as LAPACK's eigh reads it: by its lower
+    triangle and real diagonal.  Returns `out`.
+
+    Both sides are float64 views: b.view(float64) flattened, and each output
+    entry as its real part then its imaginary part.  With b[l, k] = x + iy
+    for l > k, the upper entry b[k, l] is x - iy, so the pair adds
+    (s[:, (k,l)] + s[:, (l,k)]) x + i (s[:, (k,l)] - s[:, (l,k)]) y; the
+    columns of the upper triangle and of the imaginary diagonal stay zero.
+    Gathers and sums only, written into `out`: no temporary of its size.
+    """
+    blocks = s.reshape(-1, dim, dim)  # blocks[i, k, l] multiplies b[l, k]
+    swapped = blocks.swapaxes(1, 2)  # swapped[i, l, k] multiplies b[l, k]
+    m = out.reshape(-1, 2, dim, dim, 2)  # (output, re/im, l, k, x/y)
+    lower = np.tri(dim, k=-1, dtype=bool)
+    np.add(swapped.real, blocks.real, out=m[:, 0, :, :, 0], where=lower)
+    np.subtract(blocks.imag, swapped.imag, out=m[:, 0, :, :, 1], where=lower)
+    np.add(swapped.imag, blocks.imag, out=m[:, 1, :, :, 0], where=lower)
+    np.subtract(swapped.real, blocks.real, out=m[:, 1, :, :, 1], where=lower)
+    diagonal = np.arange(dim)
+    m[:, 0, diagonal, diagonal, 0] = blocks.real[:, diagonal, diagonal]
+    m[:, 1, diagonal, diagonal, 0] = blocks.imag[:, diagonal, diagonal]
+    return out
+
+
 def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     """Validate M = M† within HERMITIAN_RTOL relative to the largest entry.
 
@@ -121,8 +151,9 @@ def _lapack(gufunc, signature: str, h: np.ndarray):
 
 
 def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of an exactly Hermitian complex matrix or of
-    each matrix in a stack, with the bits of `numpy.linalg.eigvalsh`.
+    """Eigenvalues, ascending, of a Hermitian complex matrix or of each matrix
+    in a stack, read by its lower triangle and real diagonal, with the bits
+    of `numpy.linalg.eigvalsh`.
 
     Trusted kernel: nothing is checked.  A solver failure raises
     NumericalError; non-finite input can give a non-finite spectrum.
@@ -131,11 +162,12 @@ def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
 
 
 def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues, ascending, and eigenvectors of an exactly Hermitian complex
-    matrix or of each matrix in a stack, as the LAPACK gufunc behind
-    `numpy.linalg.eigh` returns them.
+    """Eigenvalues, ascending, and eigenvectors of a Hermitian complex matrix
+    or of each matrix in a stack, as the LAPACK gufunc behind
+    `numpy.linalg.eigh` returns them: it reads H by its lower triangle and
+    real diagonal, so H need be Hermitian only there.
 
-    Trusted kernel: H must equal H† bit for bit, which is not checked.
+    Trusted kernel: nothing of H is checked but its finiteness.
     Non-finite input, for which `eigh` can return finite eigenvalues, and a
     solver failure raise NumericalError; the spectrum is not checked.
     """
@@ -154,8 +186,8 @@ def assert_finite_spectrum(w: np.ndarray) -> None:
 
 
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
-    """Eigendecomposition, eigenvalues descending, of an exactly Hermitian
-    complex matrix or of each matrix in a (k, d, d) stack: one LAPACK call
+    """Eigendecomposition, eigenvalues descending, of a Hermitian complex
+    matrix or of each matrix in a (k, d, d) stack: one LAPACK call
     (`eigh_ascending`) read backwards and copied, since numpy's complex
     kernels round differently on strides.
 

@@ -21,12 +21,19 @@ is the regularizer's (Regularizer.start/play/advance): for the entropy the
 accumulated dual matrix, played through the logit map, so no logarithm of a
 nearly singular iterate is taken; for Frobenius the primal point, advanced
 by projection.  Both players are stepped as one (2, d, d) stack when their
-dimensions agree.  The loop uses the trusted kernels, since every state and
-gradient in it is exactly Hermitian; outside state is validated once, by
-Regularizer.start.  Each run makes its arrays once, in its stepper and in
-`run`, and every kernel of the loop writes into them.  All solvers start
-from the maximally mixed profile and report the uniform average of the
-played iterates, whose duality gap is the convergence certificate.
+dimensions agree.  The loop uses the trusted kernels, which read a Hermitian
+matrix as LAPACK's eigh does, by its lower triangle and real diagonal: so no
+Hermitian pass runs inside it, and its mirror maps' outputs are Hermitian
+only to rounding.  Dual averaging is the exception: it plays the Hermitian
+part of its mirror map, bit for bit the public `geometry` map of its dual
+sum.  Outside state is validated once, by Regularizer.start, and exactly
+Hermitian arrays are made where arrays leave the loop: each checkpoint takes
+the Hermitian parts of the average and the last iterate, whose gaps it
+reports and which `run` returns.  Each run makes its arrays once, in its
+stepper and in `run`, and every kernel of the loop writes into them.  All
+solvers start from the maximally mixed profile and report the uniform
+average of the played iterates, whose duality gap is the convergence
+certificate.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .game import (
     duality_gaps_into,
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
-    payoff_gradient,  # noqa: F401 -- kept importable here, where perfbench counts its calls
+    payoff_gradient,
     payoff_gradient_into,
     players,
     profile_stacks,
@@ -194,11 +201,18 @@ class Stepper:
         for g, out in zip(stacks, self.scaled):
             np.multiply(eta, g, out=out)
 
+    def _gradient(self, psi: JointState) -> StackViews:
+        """F at a point this stepper returned, read in place, or at a start
+        from outside, whose Hermitian parts the public map takes."""
+        if isinstance(psi, StackViews):
+            return payoff_gradient_into(self.game, psi, self.feedback)
+        return payoff_gradient(self.game, psi)
+
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
         eta = self.eta_fn(t)
         calls = 1  # the fresh gradient at the extrapolated point
         if not self.stored:
-            self._scale(eta, payoff_gradient_into(self.game, psi, self.feedback).stacks)
+            self._scale(eta, self._gradient(psi).stacks)
             calls += 1
         reg, point = self.reg, self.point
         for s, step, p, c in zip(self.stacks, self.scaled, point.stacks, self.scratch):
@@ -221,14 +235,15 @@ class Stepper:
 
 class DualAveragingStepper(Stepper):
     """Dual averaging (mda) on the same stacks: the state is the feedback sum
-    W, started at zero; W += F(Ψ_t), then play mirror(eta_t W)."""
+    W, started at zero; W += F(Ψ_t), then play the Hermitian part of
+    mirror(eta_t W), which is the public map of eta_t W bit for bit."""
 
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
-        for s, g in zip(self.stacks, payoff_gradient_into(self.game, psi, self.feedback).stacks):
+        for s, g in zip(self.stacks, self._gradient(psi).stacks):
             s += g
         self._scale(self.eta_fn(t), self.stacks)
         for y, out, c in zip(self.scaled, self.point.stacks, self.scratch):
-            self.reg.trusted_mirror_map(y, out, c)
+            linalg.hermitianize_in_place(self.reg.trusted_mirror_map(y, out, c), c.conj)
         return self.point, 1
 
 
@@ -286,10 +301,11 @@ def run(
     else:
         due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
     # the run's own arrays, beside the stepper's: the sum of the played
-    # points, their average and the checkpoint gaps' work arrays.  The points
-    # are exactly Hermitian, so are their sum and average: no Hermitian pass
+    # points, the checkpoint gaps' input (the average and the last iterate
+    # as profiles 0 and 1, each replaced by its Hermitian part) and their
+    # work arrays
     sums = [np.zeros_like(s) for s in psi.stacks]
-    avg = players(profile_stacks(game))
+    exact = players(profile_stacks(game, 2))
     gap_buffers = FeedbackBuffers(game, 2)
     rows: list[TraceRow] = []
     calls = done = 0
@@ -306,10 +322,12 @@ def run(
             calls += fresh
             done = t + 1
             if done == cfg.max_iters or done in due:
-                for a, s in zip(avg.stacks, sums):
-                    np.divide(s, done, out=a)
                 try:
-                    gap_avg, gap_last = duality_gaps_into(game, [avg, psi], gap_buffers)
+                    for c, s, x in zip(exact.stacks, sums, psi.stacks):
+                        np.divide(s, done, out=c[..., 0, :, :])
+                        c[..., 1, :, :] = x
+                        linalg.hermitianize_in_place(c)
+                    gap_avg, gap_last = duality_gaps_into(game, exact, gap_buffers)
                 except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(
                         f"duality gap failed at iteration {done}: {exc}"
@@ -321,11 +339,12 @@ def run(
                 )
                 if cfg.target_gap > 0.0 and gap_avg <= cfg.target_gap:
                     break
-    # the last iteration is always a checkpoint, so avg is the final average;
-    # both profiles are copied out of the run's arrays
+    # the last iteration is always a checkpoint, so `exact` holds the final
+    # average and last iterate; both are copied out of the run's arrays
+    average, last = (JointState(*(x[k].copy() for x in exact)) for k in (0, 1))
     return RunResult(
-        average=JointState(*(x.copy() for x in avg)),
-        last=JointState(psi.alice.copy(), psi.bob.copy()),
+        average=average,
+        last=last,
         trace=rows,
         iterations=done,
         gradient_calls=calls,

@@ -829,61 +829,61 @@ _CLI_OUTPUT_SHA256 = {
     "g22.json":
         "6112e3882d1db8389884a2c6ef7413d7dd0a3e55af1aa822a43db37edf347b47",
     "solve g12.json mda-frobenius json":
-        "642dc1b85c014b5add3944ba9d6105f9528f0f7864bde52309781a47a8cb8dc4",
+        "1f702a0e79d901db864b40be14ed2bc61cce389188b353c714e144c21d053ec3",
     "solve g12.json mda-frobenius csv":
-        "b3ff525bb17fbc612d851c04663aa464efc63e3b7cae687d845906f1e4aa0fe3",
+        "ce0db3375a564ababeeb87f03c92f899a03c040b91ac22ce15b11b7ebd75ee7d",
     "solve g12.json mmp-entropy json":
-        "58b7db14178759dfefcd76867443a62cf3c205dd08ba30ad600d5bc499e74695",
+        "afe858c067fab4e23ad016fe4801e5b5de15c65b451d81d0e4ecc065c6fa7679",
     "solve g12.json mmp-entropy csv":
-        "c8853576f9775ac2d5249e94c7e7a686857bd94a768b088a85c34a0e2cdde773",
+        "735dd10dfc04f1e91a8d87cfec425cb154df35fd76a439704dfde8b3353604f3",
     "solve g12.json mmp-frobenius json":
-        "c89199c2fd568e3de7e75cf49ef329e67c5c23f12c106b6db0826deb32abe8fb",
+        "ae64ffc115a1ec5602aadefd288fffacc92d330afc33c3cf6ff85ae7ae64d98f",
     "solve g12.json mmp-frobenius csv":
-        "b264009ac28fecf4e9e498f5ed0f2b5af9782620f1503b41887f2db570ecbbfd",
+        "1e263a5df481fd64c8fd51160584fffb7fba43c7030a3199cf558359e9db4458",
     "solve g12.json mmwu json":
-        "74d58365fee8665e51704ce68b08456f421f6b053c67062fe2df52394a6727f2",
+        "e28d011c29b97f475a8c2132895efc10219a75e2f3ae3921b2dd4a8c8008771a",
     "solve g12.json mmwu csv":
-        "66d68f3c2a2a795660999cff9fedd9d1b136ed333f88b78be83648d314648212",
+        "96467f0c4c4dc9b38a2796ce85b3fa33fd709bb4a5fc4f4906635556962e1114",
     "solve g12.json mmwu-sd json":
-        "843a6660e28ccd21b80433cf587cb05cbfa3fd69a7d8b6f2da1e91a8c931af1b",
+        "8526cc14370b039921a44b35b6ad85a0f849bdf7f75b4933a479acded3ba1599",
     "solve g12.json mmwu-sd csv":
-        "0a3a0ee14068b1b276efecef6e73885db1685f543660dde885d9e7821a8d46e4",
+        "bbfc09615462f8eb0a5c655e5783d96171a8e374872e855ef5af6c7606a86191",
     "solve g12.json omeg json":
-        "541d5ae33bc1ae03e8bf96c0519f5344de7ffa66f959a0fabcddcdf901afc7b8",
+        "c3dcb967b4171a95d33e3623c0121d47d6067e4e3d2955c30965328883c55b99",
     "solve g12.json omeg csv":
-        "6ec33a4935bbdb9bd34a9eff23e3fba12b06ed2b0eccf851757805f47c6c8fbd",
+        "2cd06aee42ae3fb6d1cbd361006bc4c4734195f7e9b6600a5ee42b9e1fa3c83f",
     "solve g12.json ommwu json":
-        "60f87bc5c4d953ac31bc7767f9a97e45b8fb9b2dcec35a3edc769f7209868aaf",
+        "5f93081d8fd9190a400cb6c62dbbab3a1e2c6a48a0d009a3f274ce67fe26fc10",
     "solve g12.json ommwu csv":
-        "9676bb93b29566efb7cd79360e684600d094811ea89b88ae495dcee0c96f77ab",
+        "fba6d209761b788797c5a6d79e69a455ffec2aea32660c16ff18f86131be05b3",
     "solve g22.json mda-frobenius json":
-        "143e70186bd41ea1efc470333853547902b9b84c31a621b800657677c234c4dc",
+        "06641a898663002c9e1cf2158c6e721caf95f544cb4f98be132ea6795f6405b3",
     "solve g22.json mda-frobenius csv":
-        "848ff04cbefc9a83045a214aebbcb48906623b2964350bd226746b3cb7dce0c8",
+        "2a47d20acce4c20aaae5a854c5df5bb59d9b304342dca40c45065b7b3fa8d30d",
     "solve g22.json mmp-entropy json":
-        "e982934f6f4aa7af78cb6d8b217b5ff4aef086f86ad4ef5e53a83f69be3b888e",
+        "79b4cbc751dd41df8dc5235bdf500408134fbb3db37773b676588416e44dd924",
     "solve g22.json mmp-entropy csv":
-        "04a9fc8f7803e6916349b76de0b107e5b73e97dc8b677f1f3737b534c9a42520",
+        "d62d84e69eb8ec48f156407dd14128f92a5b53564508b787b4a4342ee7c4fcfa",
     "solve g22.json mmp-frobenius json":
-        "78b7e82eb969257d8ab7170aeb0b73a9297896de6fcd58f35b50bf1ab61c3ec4",
+        "97be370d789e193ee58d41c67e40b7b20401ce58505f3eb8a6a41a4f86b93cd0",
     "solve g22.json mmp-frobenius csv":
-        "d0364a1dae82ccf0bd26289dd7d340950107e22da640610430c3deaa89c0ea6d",
+        "601f2caa3c1b98c26fe3e3f4670fb2e28b7763476ac11b27b79c3d1266d11ab3",
     "solve g22.json mmwu json":
-        "8bc2fc88fbc35a827d92b32b2ddd42bdd703ad91e8b8bac6e7af933fec7de9fb",
+        "f6deb0938572b1111ce54e7eb65710cce289b5f4a9931f0975de993e9ce3198d",
     "solve g22.json mmwu csv":
-        "365298e210ffb4e182c97baa432dafa5ec7ca07bc8c1552343bbc64e75d5a6f6",
+        "b3a97dd907d12b38a59e8f15d50adfdaee88c9914d261f9967eedfe8a6160962",
     "solve g22.json mmwu-sd json":
-        "3b853eb7639a121474673887f2cf9adf37e49f264e1a7e2d9ac6deefc0e6b72e",
+        "48abdad7d24751a1ff132bfc70c833a12c75bc71916a48383332ea3228bbdab0",
     "solve g22.json mmwu-sd csv":
-        "8d73ec49df0c3bf6f687137bd7e4fb8d34006d6b5a31c66b839f068b0a84d5a6",
+        "c98db67edc2e1f0a98ebaaffacf6b514ecaac9fcabc5bd33a6692028b87ed981",
     "solve g22.json omeg json":
-        "a65e1ed572a526fdcb9a3ce76036a81327095349d4860f547881547572da2a40",
+        "a45de81a84808f51ed41ffb33e15cd0064cfba278e1bf1b47842e981d19070c3",
     "solve g22.json omeg csv":
-        "ebfd08c9ba9cc229dc7ff099a89aa2d0f11ec54a8a8a1d34e8cbcf9aceadd4ac",
+        "3c8db99f65bf9f2deac22fb6fc7824dd9b5fca0be014575399400db3c43589ac",
     "solve g22.json ommwu json":
-        "fd4d112df02e2e86caabcc9fe8e473b37155c087d04652a299798608000d6b60",
+        "57a9af5e885337f872e456ed6cd41e2aebc4a6f200a72a947a2482d956525cce",
     "solve g22.json ommwu csv":
-        "3673adf5f3727595a47c813b976e15041fd5f4ab9de08b940ffbb441c7407896",
+        "0a52a9a6aa15e0bce7a9622d5e3503fda2aab698c20eb3a8e7f8084f9daac778",
     "solve builtin:matching-pennies mda-frobenius json":
         "877607becd2491c8ef434532fde9e14e5f4dfee2e82262f8f2d41492471fc127",
     "solve builtin:matching-pennies mda-frobenius csv":
@@ -915,27 +915,27 @@ _CLI_OUTPUT_SHA256 = {
     "compare":
         "5003944840259c4988d86d2494daed59c3ee08ee6a2378907ae33e29707fa7d1",
     "cmp/report.json":
-        "9f785e043f2f32e02e0081e22de128424d25ef3c9f925d980791a06d9fb646ea",
+        "fdf9b99b7640e9096454110925b406e4a49e338e0b6ec3488802e3a5207276c7",
     "cmp/runs/game0000_mmwu-sd.csv":
-        "ff4edb22b4a688dc7e8e1a0e94c31e7a26bdb954e37c5ba9259e2c639e4cf4ae",
+        "58f1a73056476c45922d2a51da9145609534ad91b916efdc5a69b6437dca7087",
     "cmp/runs/game0000_omeg.csv":
-        "233eed9700cc762d4e26dff255fcd9bb801a3d554ccd63a9b8a1e82040b4c7d6",
+        "9e6053a02158b251f1fd8cece81d96b77f2457598ba3dfecbe86e57ba49b9a9c",
     "cmp/runs/game0000_ommwu.csv":
-        "64e55284ec81a0b7f2a378bc2f8b7be4b3737e0d7e6543c910accd7e6c51db6e",
+        "a380569a2eaf7a207f591fdc41a044bbe10f0f4bf344545782c550b9e1ede37d",
     "cmp/runs/game0001_mmwu-sd.csv":
-        "8cc451c48fa32eacdad51817d8045b051e6de87f866aa80b1cb6185c92a8d3ee",
+        "b0c3da091447158972ee47b44c22d92ef39238dcb39706f1c7e37a59f0f353db",
     "cmp/runs/game0001_omeg.csv":
-        "031046745808b2a1972dd1317b47a1bf6963a494331df75c5dc125d18887ded8",
+        "27782ef8578b594ad32aa0d68bb44181d554c208923e3bea538249c4f24aa650",
     "cmp/runs/game0001_ommwu.csv":
-        "ef7074930759cdf2ab672d666a70967eda32078f9fee8e4ae70ef1e5f11ac97c",
+        "fdfc2ddf1c409a91d15dcf11de0700aa599cb8b514f479620c121223abc39e9a",
     "cmp/runs/game0002_mmwu-sd.csv":
-        "cd87601a570b1a4d5d34e530a7bf673d1b1b4f982d70cd8b7f5d280ede67c072",
+        "c650123567c3479027364f5725c8acc9cb50d506c89c9a0e41a11b046208abc6",
     "cmp/runs/game0002_omeg.csv":
-        "ae21232ddf223f1587bab0e32cdda812ba01cac51d9b8e71cfe49c905a112b12",
+        "a61410f258398fb5f0287fc588229c62077f041dadcc55f25dddcce1a9ed0b74",
     "cmp/runs/game0002_ommwu.csv":
-        "6ae039521f5a9dfa93813706a5c96d40e5173e27612aecf9a44c6c4842a482c8",
+        "d21991afafb99f486ea1eaa74b8ad80564292735fda7c5a9283347f1d6080f4d",
     "verify":
-        "d35f9bc5a8344c1064132d7bac7ee10c81062184ef6fc7b2ec08157772e7fb8f",
+        "13d211a66aaea11d862c19c8a8e8f89cc459618b47631052502c431db068d25d",
 }
 
 

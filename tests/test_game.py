@@ -38,6 +38,7 @@ from qzsg.game import (
     payoff_gradient,
     payoff_gradient_into,
     players,
+    profile_stacks,
     random_density,
     random_game,
     random_game_with_bound,
@@ -352,10 +353,11 @@ def test_duality_gap_nonnegative():
 
 
 # ---------------------------------------------------------------- workspace kernels
-# The solver loop evaluates F and the checkpoint gaps in buffers it made once;
-# both must equal the allocating entry points, and the kernels as composed
-# before, byte for byte.  d_A = d_B steps one (2, d, d) stack, 1+2 and 2+3 one
-# matrix per player.
+# The solver loop evaluates F and the checkpoint gaps in buffers it made once,
+# reading each matrix by its lower triangle and real diagonal; on the
+# Hermitian part of a profile both must equal the allocating entry points
+# byte for byte, and the kernels as composed with R before, within rounding.
+# d_A = d_B steps one (2, d, d) stack, 1+2 and 2+3 one matrix per player.
 
 
 @functools.lru_cache(maxsize=None)
@@ -386,7 +388,8 @@ def game_and_profiles(draw):
 
 
 def composed_feedback(game, state):
-    # F as composed before the workspace: transposed copies, R, negation
+    # F as composed with R before the feedback maps: transposed copies, R,
+    # negation and the Hermitian part
     a, b = state
     r = game.realigned
     fa = linalg.hermitianize((r @ b.T.reshape(-1)).reshape(a.shape[0], -1))
@@ -397,6 +400,63 @@ def composed_feedback(game, state):
 def composed_gap(game, state):
     fa, fb = composed_feedback(game, state)
     return float(linalg.trusted_eigvalsh(fa)[-1] - linalg.trusted_eigvalsh(-fb)[0])
+
+
+def gamma(n):
+    # Higham's γ_n = n u / (1 - n u), u the unit roundoff
+    u = np.finfo(float).eps / 2.0
+    return n * u / (1.0 - n * u)
+
+
+def feedback_bounds(game, state):
+    """Entrywise bounds on |payoff_gradient - composed_feedback| per player:
+    Higham's γ_n |R| |v| + n η (Accuracy and Stability of Numerical
+    Algorithms, §3.1, and §3.6 for complex products; η the smallest
+    subnormal, for products that underflow) for products of length
+    n = 2D + 4, taken four times: each entry of a feedback map sums two of
+    R's, the map works on real and imaginary parts apart, and both kernels
+    round.  |v| covers the profile and its Hermitian part, and the bound of
+    entry (a, c) is added to that of (c, a), as both kernels end with a
+    Hermitian part."""
+    r = np.abs(game.realigned)
+    bounds = []
+    for x, m in ((state.bob, r), (state.alice, r.T)):
+        v = np.abs(x) + np.abs(x).T
+        b = (m @ v.reshape(-1)).reshape(int(math.isqrt(m.shape[0])), -1)
+        n = 2 * v.size + 4
+        bounds.append(4.0 * (gamma(n) * (b + b.T) + n * np.finfo(float).smallest_subnormal))
+    return bounds
+
+
+def within_rounding(game, state, got):
+    return all(
+        np.all(np.abs(g - want) <= bound)
+        for g, want, bound in zip(
+            got, composed_feedback(game, state), feedback_bounds(game, state))
+    )
+
+
+def loop_profiles(game, profiles, part=lambda m: m):
+    # k profiles as the solver loop holds them: `players` views of
+    # `profile_stacks(game, k)`, each matrix replaced by `part` of it
+    stacks = profile_stacks(game, len(profiles))
+    for k, p in enumerate(profiles):
+        for x, m in zip(players([s[..., k, :, :] for s in stacks]), p):
+            x[...] = part(m)
+    return players(stacks)
+
+
+def loop_profile(game, state):
+    # one profile as the solver loop holds it, in `profile_stacks(game)`
+    profile = players(profile_stacks(game))
+    for x, m in zip(profile, state):
+        x[...] = m
+    return profile
+
+
+def hermitian_profiles(game, profiles):
+    # the Hermitian parts of k profiles, as `duality_gap` reads them
+    return loop_profiles(game, profiles, linalg.hermitianize)
 
 
 def gap_outcome(call):
@@ -419,19 +479,75 @@ def same_matrix(got, want):
 def test_workspace_feedback_kernels_equal_the_public_ones(case):
     game, profiles = case
     grad_buf, gap_buf = FeedbackBuffers(game), FeedbackBuffers(game, 2)
-    for p in profiles:  # the same buffers twice: nothing carries over
-        got = payoff_gradient_into(game, p, grad_buf)
+    finite = [all(np.isfinite(x).all() for x in p) for p in profiles]
+    for p, ok in zip(profiles, finite):  # the same buffers twice: nothing carries over
+        hermitian = loop_profile(game, map(linalg.hermitianize, p))
+        got = payoff_gradient_into(game, hermitian, grad_buf)
         public = payoff_gradient(game, p)
-        for g, want, ref in zip(got, public, composed_feedback(game, p)):
-            assert same_matrix(g, want) and same_matrix(g, ref)
+        for g, want in zip(got, public):
+            assert same_matrix(g, want)
+        if ok:
+            assert within_rounding(game, p, public)
+        else:
+            assert not all(np.isfinite(f).all() for f in (*public, *composed_feedback(game, p)))
     gaps = [gap_outcome(lambda: duality_gap(game, p)) for p in profiles]
-    assert gaps == [gap_outcome(lambda: composed_gap(game, p)) for p in profiles]
+    for p, gap, ok in zip(profiles, gaps, finite):
+        if ok:  # eigenvalues move by at most the 2-norm of the change, which
+            # the sum of its entries' magnitudes bounds without squaring them
+            fa, fb = composed_feedback(game, p)
+            bound = sum(b.sum() for b in feedback_bounds(game, p))
+            norms = np.abs(fa).sum() + np.abs(fb).sum()
+            bound += 8.0 * gamma(fa.shape[0] + fb.shape[0]) * norms
+            assert abs(np.frombuffer(gap)[0] - composed_gap(game, p)) <= bound
     try:
-        fused = duality_gaps_into(game, profiles, gap_buf)
+        fused = duality_gaps_into(game, hermitian_profiles(game, profiles), gap_buf)
     except (linalg.NumericalError, ValueError) as exc:
         assert f"{type(exc).__name__}: {exc}" in gaps
     else:
         assert [gap_outcome(lambda: g) for g in fused] == gaps
+
+
+ORACLE_GAMES = ((1, 1, None), (1, 2, None), (2, 2, None), (2, 3, 64), (3, 3, 64))
+
+
+@pytest.mark.parametrize("n, m, outcomes", ORACLE_GAMES)
+def test_feedback_maps_oracle_hermitian_bounded_and_equal_below_the_diagonal(n, m, outcomes):
+    # F from the real feedback maps, against the complex product with R
+    game = random_game(n, m, outcomes, seed=50 + 10 * n + m)
+    gen = np.random.default_rng(51)
+
+    def member(dim):
+        g = rng.complex_normal(gen, (dim, dim))
+        return [random_density(dim, gen), linalg.hermitianize(g), g]  # g is not Hermitian
+
+    for _ in range(4):
+        for kind, state in enumerate(zip(member(game.dim_alice), member(game.dim_bob))):
+            state = JointState(*state)
+            public = payoff_gradient(game, state)
+            for g in public:
+                assert np.array_equal(g, g.conj().T)
+            assert within_rounding(game, state, public)
+            if kind < 2:  # exactly Hermitian: the kernel reads the profile as it is
+                got = payoff_gradient_into(game, loop_profile(game, state), FeedbackBuffers(game))
+                for g, want in zip(got, public):
+                    assert np.tril(g).tobytes() == np.tril(want).tobytes()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
+def test_checkpoint_gaps_of_two_profiles_equal_one_profile_gaps(n, m):
+    # profiles on a batch axis make one matrix-vector product each, so a
+    # checkpoint's two gaps have the bits of one profile at a time
+    game = random_game(n, m, 64 if n + m > 4 else None, seed=60 + 10 * n + m)
+    gen = np.random.default_rng(61)
+    pair, one = FeedbackBuffers(game, 2), FeedbackBuffers(game, 1)
+    for _ in range(60):
+        profiles = [random_joint(game, gen) for _ in range(2)]
+        gaps = duality_gaps_into(game, hermitian_profiles(game, profiles), pair)
+        products = [o.copy() for o in pair.out]
+        for k, p in enumerate(profiles):
+            assert gaps[k] == duality_gaps_into(game, hermitian_profiles(game, [p]), one)[0]
+            for both, alone in zip(products, one.out):
+                assert both[..., k, :, :].tobytes() == alone[..., 0, :, :].tobytes()
 
 
 # ---------------------------------------------------------------- properties

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import math
 import sys
 import threading
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -9,12 +11,15 @@ from test_linalg import failing_gufunc
 
 from qzsg import geometry, linalg, solvers
 from qzsg.game import (
+    FeedbackBuffers,
     JointState,
     duality_gap,
     lipschitz_constant,
     matching_pennies,
     payoff_gradient,
+    payoff_gradient_into,
     players,
+    profile_stacks,
     random_game,
     uniform_state,
     zero_game,
@@ -216,10 +221,31 @@ def test_iterates_and_averages_are_density_matrices():
 @pytest.mark.parametrize("alias", sorted(ALIASES))
 @pytest.mark.parametrize("n, m", [(2, 2), (1, 2)])
 def test_run_average_equals_its_hermitian_part(alias, n, m):
-    # every played point is exactly Hermitian, so the average of the points,
-    # formed without a Hermitian pass, is its own Hermitian part bit for bit
+    # mirror prox plays points that are Hermitian only to rounding; each
+    # checkpoint takes the Hermitian parts of the average and the last
+    # iterate, and those are what a run returns
     game = random_game(n, m, seed=30 + n + m)
     res = run(game, SolverConfig.from_alias(alias, max_iters=60, gap_check_interval=20))
+    for x in (*res.average, *res.last):
+        assert x.tobytes() == linalg.hermitianize(x).tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def recompute_game(name):
+    n, m, outcomes, seed = {"2+2": (2, 2, None, 31), "1+2": (1, 2, None, 32),
+                            "3+3": (3, 3, 64, 33)}[name]
+    return random_game(n, m, outcomes, seed=seed)
+
+
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+@pytest.mark.parametrize("name", ["2+2", "1+2", "3+3"])
+def test_recomputed_gap_of_the_average_equals_the_trace(alias, name):
+    # the gap the last checkpoint reports is the public gap of the returned
+    # average, bit for bit, and the returned profiles are exactly Hermitian
+    game = recompute_game(name)
+    res = run(game, SolverConfig.from_alias(alias, max_iters=300, gap_check_interval=10))
+    assert duality_gap(game, res.average) == res.trace[-1].gap_avg
+    assert duality_gap(game, res.last) == res.trace[-1].gap_last
     for x in (*res.average, *res.last):
         assert x.tobytes() == linalg.hermitianize(x).tobytes()
 
@@ -311,7 +337,26 @@ def test_mmp_and_ommp_converge_on_random_game():
 
 # ---------------------------------------------------------------- transcriptions
 # Bit-exact pins of each stepper against its update written out by hand, from
-# a non-uniform start on a 1+2 game.
+# a non-uniform start on a 1+2 game.  Dual averaging plays the public maps'
+# bits.  Mirror prox runs the loop's kernels, which read a Hermitian matrix by
+# its lower triangle and end without a Hermitian pass: its update is written
+# out with those kernels (LOOP) bit for bit, and with the public maps
+# (PUBLIC) to rounding.
+
+
+def loop_gradient(game, psi):
+    # F as the solver loop evaluates it, on the matrices copied into stacks
+    # and into fresh buffers
+    profile = players(profile_stacks(game))
+    profile.alice[...], profile.bob[...] = psi
+    return payoff_gradient_into(game, profile, FeedbackBuffers(game))
+
+
+Kernels = namedtuple("Kernels", "gradient logit project")
+LOOP = Kernels(
+    loop_gradient, geometry.VN_ENTROPY.trusted_mirror_map, geometry.FROBENIUS.trusted_mirror_map
+)
+PUBLIC = Kernels(payoff_gradient, geometry.logit_map, geometry.orth_project_spectraplex)
 
 
 def random_start(game, seed):
@@ -322,73 +367,87 @@ def random_start(game, seed):
     )
 
 
-def assert_stepper_matches(alias, transcription, calls, iters=60):
+def assert_stepper_matches(alias, transcription, calls, iters=60, public=None):
     game = random_game(1, 2, seed=15)
     eta = 0.3
     psi = random_start(game, 16)
     stepper = make_stepper(game, SolverConfig.from_alias(alias), eta, psi)
     expected = transcription(game, eta, psi)
+    rounded = public(game, eta, psi) if public else None
     for t in range(iters):
         psi, fresh = stepper.step(t, psi)
         want = next(expected)
         assert np.array_equal(psi.alice, want.alice), (alias, t)
         assert np.array_equal(psi.bob, want.bob), (alias, t)
         assert fresh == calls(t), (alias, t)
+        if rounded:
+            near = next(rounded)
+            assert max(np.max(np.abs(x - y)) for x, y in zip(psi, near)) < 1e-12, (alias, t)
+
+
+def assert_mirror_prox_matches(alias, transcription, calls):
+    assert_stepper_matches(
+        alias,
+        lambda *args: transcription(*args, LOOP),
+        calls,
+        public=lambda *args: transcription(*args, PUBLIC),
+    )
 
 
 def test_mmp_entropy_matches_dual_transcription():
     # the dual state starts at log psi0 and advances by eta times the corrector
-    def transcription(game, eta, psi):
+    def transcription(game, eta, psi, kernels):
+        gradient, logit = kernels.gradient, kernels.logit
         dual = JointState(linalg.herm_log(psi.alice), linalg.herm_log(psi.bob))
         while True:
-            g1 = payoff_gradient(game, psi)
+            g1 = gradient(game, psi)
             phi = JointState(
-                geometry.logit_map(dual.alice + eta * g1.alice),
-                geometry.logit_map(dual.bob + eta * g1.bob),
+                logit(dual.alice + eta * g1.alice),
+                logit(dual.bob + eta * g1.bob),
             )
-            g2 = payoff_gradient(game, phi)
+            g2 = gradient(game, phi)
             dual = JointState(dual.alice + eta * g2.alice, dual.bob + eta * g2.bob)
-            psi = JointState(geometry.logit_map(dual.alice), geometry.logit_map(dual.bob))
+            psi = JointState(logit(dual.alice), logit(dual.bob))
             yield psi
 
-    assert_stepper_matches("mmp-entropy", transcription, lambda t: 2)
+    assert_mirror_prox_matches("mmp-entropy", transcription, lambda t: 2)
 
 
 def test_mmp_frobenius_matches_projected_transcription():
-    def transcription(game, eta, psi):
-        project = geometry.orth_project_spectraplex
+    def transcription(game, eta, psi, kernels):
+        gradient, project = kernels.gradient, kernels.project
         while True:
-            g1 = payoff_gradient(game, psi)
+            g1 = gradient(game, psi)
             phi = JointState(
                 project(psi.alice + eta * g1.alice), project(psi.bob + eta * g1.bob)
             )
-            g2 = payoff_gradient(game, phi)
+            g2 = gradient(game, phi)
             psi = JointState(
                 project(psi.alice + eta * g2.alice), project(psi.bob + eta * g2.bob)
             )
             yield psi
 
-    assert_stepper_matches("mmp-frobenius", transcription, lambda t: 2)
+    assert_mirror_prox_matches("mmp-frobenius", transcription, lambda t: 2)
 
 
 def test_omeg_matches_projected_transcription():
-    def transcription(game, eta, psi):
-        project = geometry.orth_project_spectraplex
+    def transcription(game, eta, psi, kernels):
+        gradient, project = kernels.gradient, kernels.project
         momentum = psi
-        last = payoff_gradient(game, psi)
+        last = gradient(game, psi)
         while True:
             nxt = JointState(
                 project(momentum.alice + eta * last.alice),
                 project(momentum.bob + eta * last.bob),
             )
-            last = payoff_gradient(game, nxt)
+            last = gradient(game, nxt)
             momentum = JointState(
                 project(momentum.alice + eta * last.alice),
                 project(momentum.bob + eta * last.bob),
             )
             yield nxt
 
-    assert_stepper_matches("omeg", transcription, lambda t: 2 if t == 0 else 1)
+    assert_mirror_prox_matches("omeg", transcription, lambda t: 2 if t == 0 else 1)
 
 
 def test_mda_frobenius_matches_projected_closed_form():
@@ -406,19 +465,20 @@ def test_mda_frobenius_matches_projected_closed_form():
 
 def test_ommwu_matches_optimistic_dual_transcription():
     # the dual state extrapolates with the stored gradient; the extrapolated point is played
-    def transcription(game, eta, psi):
+    def transcription(game, eta, psi, kernels):
+        gradient, logit = kernels.gradient, kernels.logit
         dual = JointState(linalg.herm_log(psi.alice), linalg.herm_log(psi.bob))
-        last = payoff_gradient(game, psi)
+        last = gradient(game, psi)
         while True:
             nxt = JointState(
-                geometry.logit_map(dual.alice + eta * last.alice),
-                geometry.logit_map(dual.bob + eta * last.bob),
+                logit(dual.alice + eta * last.alice),
+                logit(dual.bob + eta * last.bob),
             )
-            last = payoff_gradient(game, nxt)
+            last = gradient(game, nxt)
             dual = JointState(dual.alice + eta * last.alice, dual.bob + eta * last.bob)
             yield nxt
 
-    assert_stepper_matches("ommwu", transcription, lambda t: 2 if t == 0 else 1)
+    assert_mirror_prox_matches("ommwu", transcription, lambda t: 2 if t == 0 else 1)
 
 
 def test_mmwu_matches_logit_closed_form():
@@ -441,7 +501,10 @@ def test_ommp_momentum_is_materialized_dual_state():
     for t in range(5):
         psi, _ = stepper.step(t, psi)
     mom = JointState(*(geometry.VN_ENTROPY.play(d) for d in players(stepper.stacks)))
-    assert np.array_equal(mom.alice, geometry.logit_map(players(stepper.stacks).alice))
+    # play ends without the public map's Hermitian pass
+    assert np.array_equal(
+        linalg.hermitianize(mom.alice), geometry.logit_map(players(stepper.stacks).alice)
+    )
     assert_density_matrix(mom.alice)
     assert_density_matrix(mom.bob)
 
@@ -494,20 +557,20 @@ def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
 # gradient count.  The engine may change how it steps; these bits may not.
 
 PINNED_TRAJECTORIES = {
-    ("2+2", "mda-frobenius"): "395e6e8b32c117d5",
-    ("2+2", "mmp-entropy"): "e6038c69bc3f8c6c",
-    ("2+2", "mmp-frobenius"): "5f5d0331751a1819",
-    ("2+2", "mmwu"): "214da2e5d0d3687a",
-    ("2+2", "mmwu-sd"): "cc4f524fa985e797",
-    ("2+2", "omeg"): "98097b8525e0bce6",
-    ("2+2", "ommwu"): "1adcd74e26fa8222",
-    ("1+2", "mda-frobenius"): "087b72d2ce9e8864",
-    ("1+2", "mmp-entropy"): "8ca0daaddf69854f",
-    ("1+2", "mmp-frobenius"): "5352849415e18cc1",
-    ("1+2", "mmwu"): "6bb5aa59e13cdd1f",
-    ("1+2", "mmwu-sd"): "472a22c4d0384801",
-    ("1+2", "omeg"): "5641814c43d48506",
-    ("1+2", "ommwu"): "1bbab1135db42fd4",
+    ("2+2", "mda-frobenius"): "f87e374b941776a5",
+    ("2+2", "mmp-entropy"): "c1d6f034477549e5",
+    ("2+2", "mmp-frobenius"): "60cbe1fc9ad97ca9",
+    ("2+2", "mmwu"): "d4cbf5287bac7baa",
+    ("2+2", "mmwu-sd"): "1a4780a97c01dd19",
+    ("2+2", "omeg"): "cb0abbfc948a9867",
+    ("2+2", "ommwu"): "1f6d0d09fc6a1ff1",
+    ("1+2", "mda-frobenius"): "5b737c28e360a92e",
+    ("1+2", "mmp-entropy"): "4986530f744f4d4f",
+    ("1+2", "mmp-frobenius"): "6459acabd5cae29c",
+    ("1+2", "mmwu"): "40aab432b98f75cd",
+    ("1+2", "mmwu-sd"): "0832f035dacf7eec",
+    ("1+2", "omeg"): "3a30662e19c7a014",
+    ("1+2", "ommwu"): "76c5be435dbc4185",
     ("pennies", "mda-frobenius"): "83c8b74ea3ad32cb",
     ("pennies", "mmp-entropy"): "1b13c7ffa8934c12",
     ("pennies", "mmp-frobenius"): "1b13c7ffa8934c12",
