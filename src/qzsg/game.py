@@ -17,10 +17,10 @@ row-major flattening, F_alice(b) = R vec(bᵀ), F_bob(a) = -(vec(aᵀ)ᵀ R) and
 u(a, b) = vec(aᵀ)ᵀ R vec(bᵀ): each is one matrix product.
 
 The solver loop reads a Hermitian matrix the way LAPACK's eigh does: as its
-lower triangle and its real diagonal.  So each game also keeps, per player,
-one real matrix that maps the float64 view of the other player's matrix,
-read by that rule, to the float64 view of this player's feedback
-(`feedback_maps`).  Its entries are R's, gathered and summed in pairs; the
+lower triangle and its real diagonal.  So each game also keeps, made on
+first use, one real matrix per player that maps the float64 view of the
+other player's matrix, read by that rule, to the float64 view of this
+player's feedback (`feedback_maps`).  Its entries are R's, gathered and summed in pairs; the
 transposes, Bob's negation and the Hermitian part are folded in, and the
 columns of the upper triangle and of the imaginary diagonal are zero.  The
 maps hold four times R's bytes: 256 KB at 3+3, 4 MB at 4+4.
@@ -32,6 +32,7 @@ S^(-1/2) (sum_w u(w) A_w) S^(-1/2), and no P_w is ever made.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -98,15 +99,12 @@ class QuantumGame:
     from it, so the POVM a game came from is not kept (a random game never
     makes its elements): `outcomes` records its size and `povm` is always
     empty.  R is the game's own array, the realignment of a U that equals U†
-    bit for bit, so U is also read as U†.  `feedback_maps` is in
-    `profile_stacks` layout: one (2, 2d², 2d²) stack when d_A = d_B, else
-    Alice's (2d_A², 2d_B²) map and Bob's (2d_B², 2d_A²) one.
+    bit for bit, so U is also read as U†.
     """
 
     n: int
     m: int
     realigned: np.ndarray
-    feedback_maps: list
     u_inf_norm: float
     outcomes: int
     seed: int | None = None
@@ -120,6 +118,25 @@ class QuantumGame:
     @property
     def dim_bob(self) -> int:
         return 2**self.m
+
+    @functools.cached_property
+    def feedback_maps(self) -> list:
+        """The real maps (`linalg.lower_triangle_map`) of b -> R vec(bᵀ)
+        (Alice) and of a -> -(vec(aᵀ)ᵀ R) (Bob), made on first use, so a game
+        that is only generated, saved or loaded makes none.  They are in
+        `profile_stacks` layout: one (2, 2d², 2d²) stack when d_A = d_B, else
+        Alice's (2d_A², 2d_B²) map and Bob's (2d_B², 2d_A²) one.  R is the
+        realignment of an exactly Hermitian U, so r[(c,a), (l,k)] =
+        conj(r[(a,c), (k,l)]) bit for bit, for Rᵀ too: the rows of output
+        (c, a) repeat those of (a, c), the imaginary ones negated."""
+        r, da, db = self.realigned, self.dim_alice, self.dim_bob
+        rows, cols = 2 * da * da, 2 * db * db
+        maps = [np.empty((2, rows, cols))] if da == db else [
+            np.empty((rows, cols)), np.empty((cols, rows))]
+        alice, bob = players(maps)
+        linalg.lower_triangle_map(r, db, alice)
+        np.negative(linalg.lower_triangle_map(r.T, da, bob), out=bob)
+        return maps
 
     @property
     def payoff_observable(self) -> np.ndarray:
@@ -141,12 +158,10 @@ class QuantumGame:
             )
         u_obs = linalg.hermitianize(u_obs)
         da, db = 2**n, 2**m
-        r = u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1)
         return cls(
             n=int(n),
             m=int(m),
-            realigned=r,
-            feedback_maps=_feedback_maps(r, da, db),
+            realigned=u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1),
             u_inf_norm=linalg.spectral_norm(u_obs),
             outcomes=int(outcomes),
             seed=None if seed is None else int(seed),
@@ -193,23 +208,6 @@ class QuantumGame:
         return cls.from_observable(n, m, u_obs, len(povm), seed)
 
 
-def _feedback_maps(r: np.ndarray, da: int, db: int) -> list:
-    """The feedback maps of R, in `profile_stacks` layout: the real maps
-    (`linalg.lower_triangle_map`) of b -> R vec(bᵀ) (Alice) and of
-    a -> -(vec(aᵀ)ᵀ R) (Bob).  R is the realignment of an exactly Hermitian
-    U, so r[(c,a), (l,k)] = conj(r[(a,c), (k,l)]) bit for bit, for Rᵀ too:
-    the rows of output (c, a) repeat those of (a, c), the imaginary ones
-    negated, and each output is its own Hermitian part with nothing added.
-    """
-    rows, cols = 2 * da * da, 2 * db * db
-    maps = [np.zeros((2, rows, cols))] if da == db else [
-        np.zeros((rows, cols)), np.zeros((cols, rows))]
-    alice, bob = players(maps)
-    linalg.lower_triangle_map(r, db, alice)
-    np.negative(linalg.lower_triangle_map(r.T, da, bob), out=bob)
-    return maps
-
-
 def uniform_state(game: QuantumGame) -> StackViews:
     """Maximally mixed strategy for both players, as `players` views into
     fresh `profile_stacks`."""
@@ -246,6 +244,14 @@ def profile_stacks(game: QuantumGame, *lead: int) -> list[np.ndarray]:
 class StackViews(JointState):
     """A `players` pair that keeps the `profile_stacks` it views as `stacks`."""
 
+    @functools.cached_property
+    def sources(self) -> list:
+        """The float64 column (`_columns`) of each matrix of `stacks`, the
+        other player's first, as the feedback maps read them; made on first
+        use, so a pair the solver loop keeps makes them once."""
+        columns = [_columns(s) for s in self.stacks[::-1]]
+        return [columns[0][::-1]] if len(columns) == 1 else columns
+
 
 def players(stacks) -> StackViews:
     """The per-player matrices of a `profile_stacks`-shaped profile, as views."""
@@ -281,10 +287,10 @@ def payoff_gradient_into(game: QuantumGame, state: StackViews, buf: FeedbackBuff
     stacks): one product with the feedback maps, over the (2, d, d) stack
     with its player axis reversed when d_A = d_B, else one per player.  Each
     matrix is read by its lower triangle and real diagonal, and the result
-    is exactly Hermitian."""
-    sources = [_columns(s) for s in state.stacks[::-1]]
-    for m, x, y in zip(buf.maps, sources, buf.columns):
-        np.matmul(m, x[::-1] if len(sources) == 1 else x, out=y)
+    is exactly Hermitian, as the product rounds mirrored rows of the maps
+    alike (tests/test_game.py checks it under one and two BLAS threads)."""
+    for m, x, y in zip(buf.maps, state.sources, buf.columns):
+        np.matmul(m, x, out=y)
     return buf.views
 
 
@@ -317,9 +323,9 @@ def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     """Joint feedback operator F(a, b) = (tr_B[U† (I ⊗ b)], -tr_A[U† (a ⊗ I)])
     at the Hermitian parts of a and b, with which F commutes, as exactly
     Hermitian views into fresh `profile_stacks`-shaped arrays it keeps as
-    `.stacks`."""
-    grads = payoff_gradient_into(game, _hermitian_part(game, state), FeedbackBuffers(game))
-    return players([linalg.hermitianize(s) for s in grads.stacks])
+    `.stacks`: `payoff_gradient_into`, whose result is its own Hermitian
+    part."""
+    return payoff_gradient_into(game, _hermitian_part(game, state), FeedbackBuffers(game))
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -421,8 +427,6 @@ def random_game_with_bound(
         # u_w A_w first: folding A into S overwrites a[0]
         _fold(weighted, np.multiply(utilities[start:start + k, None, None], a, out=g_k))
         _fold(total, a)
-    # the chunk stacks go back before the game's feedback maps are made
-    del raw, g, scratch, a, g_k, z
     spectrum = linalg.hermitian_eig(total)
     v = spectrum.eigenvectors
     inv_sqrt = linalg.hermitianize((v * spectrum.eigenvalues**-0.5) @ v.conj().T)

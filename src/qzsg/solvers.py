@@ -56,7 +56,7 @@ from .game import (
     duality_gaps_into,
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
-    payoff_gradient,
+    payoff_gradient,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     payoff_gradient_into,
     players,
     profile_stacks,
@@ -179,10 +179,13 @@ class Stepper:
 
     The stepper owns its run's workspace, made here once, and every kernel
     of a step writes its result into it; only LAPACK's outputs are fresh.
-    The point a step returns is a view into it, valid until the next step.
+    It reads each gradient at `played`, its copy of the Hermitian part of
+    psi0 and then the point its last step returned: the `psi` a step takes
+    is that point, passed back.  The point a step returns is a view into
+    the workspace, valid until the next step.
     """
 
-    def __init__(self, game, reg, eta_fn, start: JointState, optimistic=False):
+    def __init__(self, game, reg, eta_fn, start: JointState, psi0: JointState, optimistic=False):
         self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
@@ -193,6 +196,9 @@ class Stepper:
         self.feedback = FeedbackBuffers(game)
         self.scaled = profile_stacks(game)  # eta G, or eta W for dual averaging
         self.point = players(profile_stacks(game))
+        for x, m in zip(self.point, psi0):
+            x[...] = linalg.hermitianize(m)
+        self.played = self.point
         self.scratch = [geometry.MapScratch(s.shape) for s in self.stacks]
         # whether `scaled` holds eta F of the last point, to extrapolate with
         self.stored = False
@@ -201,18 +207,11 @@ class Stepper:
         for g, out in zip(stacks, self.scaled):
             np.multiply(eta, g, out=out)
 
-    def _gradient(self, psi: JointState) -> StackViews:
-        """F at a point this stepper returned, read in place, or at a start
-        from outside, whose Hermitian parts the public map takes."""
-        if isinstance(psi, StackViews):
-            return payoff_gradient_into(self.game, psi, self.feedback)
-        return payoff_gradient(self.game, psi)
-
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
         eta = self.eta_fn(t)
         calls = 1  # the fresh gradient at the extrapolated point
         if not self.stored:
-            self._scale(eta, self._gradient(psi).stacks)
+            self._scale(eta, payoff_gradient_into(self.game, self.played, self.feedback).stacks)
             calls += 1
         reg, point = self.reg, self.point
         for s, step, p, c in zip(self.stacks, self.scaled, point.stacks, self.scratch):
@@ -223,7 +222,8 @@ class Stepper:
             reg.advance(s, step, s, c)
         if not self.optimistic:
             played = zip(self.stacks, point.stacks, self.scratch)
-            return players([reg.play(s, p, c) for s, p, c in played]), calls
+            self.played = players([reg.play(s, p, c) for s, p, c in played])
+            return self.played, calls
         # a non-finite gradient fails the eigendecomposition after it, but
         # ommwu adds this one to its state without one: check it here
         if not all(map(linalg.all_finite, fresh.stacks)):
@@ -239,7 +239,8 @@ class DualAveragingStepper(Stepper):
     mirror(eta_t W), which is the public map of eta_t W bit for bit."""
 
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
-        for s, g in zip(self.stacks, self._gradient(psi).stacks):
+        grad = payoff_gradient_into(self.game, self.played, self.feedback)
+        for s, g in zip(self.stacks, grad.stacks):
             s += g
         self._scale(self.eta_fn(t), self.stacks)
         for y, out, c in zip(self.scaled, self.point.stacks, self.scratch):
@@ -253,8 +254,8 @@ def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointSt
     sqrt_decay = step_decay == "inverse_sqrt"
     eta_fn = (lambda t: eta / math.sqrt(t + 1.0)) if sqrt_decay else (lambda t: eta)
     if scheme == "mda":
-        return DualAveragingStepper(game, reg, eta_fn, JointState(*map(np.zeros_like, psi0)))
-    return Stepper(game, reg, eta_fn, JointState(*map(reg.start, psi0)), scheme == "ommp")
+        return DualAveragingStepper(game, reg, eta_fn, JointState(*map(np.zeros_like, psi0)), psi0)
+    return Stepper(game, reg, eta_fn, JointState(*map(reg.start, psi0)), psi0, scheme == "ommp")
 
 
 @dataclass
