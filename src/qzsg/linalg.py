@@ -227,17 +227,6 @@ def herm_log(h) -> np.ndarray:
     return hermitianize((v * np.log(np.maximum(w, LOG_EIG_FLOOR))) @ v.conj().T)
 
 
-def schatten1_norm(h) -> float:
-    """Trace norm (sum of |eigenvalues|) of a Hermitian matrix."""
-    return float(np.sum(np.abs(hermitian_eig(h).eigenvalues)))
-
-
-def spectral_norm(h) -> float:
-    """Operator norm (max |eigenvalue|) of a Hermitian matrix."""
-    w = hermitian_eig(h).eigenvalues
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
-
-
 def trace_inner(a, b) -> complex:
     """Hilbert-Schmidt inner product tr(A†B)."""
     a = as_matrix(a)

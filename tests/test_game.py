@@ -647,8 +647,69 @@ def test_lipschitz_estimate_deterministic_and_validated():
     assert a == b and a > 0.0
     with pytest.raises(ValueError, match="norm pair"):
         lipschitz_estimate(game, "nuc-nuc")
-    with pytest.raises(ValueError, match="samples"):
-        lipschitz_estimate(game, "fro-fro", samples=0)
+    for samples in (0, 2.5, True):
+        with pytest.raises(ValueError, match="samples"):
+            lipschitz_estimate(game, "fro-fro", samples=samples)
+
+
+def per_pair_lipschitz_ratios(game, samples, seed):
+    # the sampled ratio one pair at a time, every difference checked: the
+    # (inf-one, fro-fro) ratio of each pair, or None when it is not apart
+    generator = rng.stream(seed, rng.STREAM_LIPSCHITZ)
+
+    def density(dim):
+        g = rng.complex_normal(generator, (dim, dim))
+        a = g.conj().T @ g
+        return linalg.hermitianize(a / np.trace(a).real)
+
+    ratios = []
+    for _ in range(samples):
+        x, y = (JointState(density(game.dim_alice), density(game.dim_bob)) for _ in range(2))
+        fx, fy = payoff_gradient(game, x), payoff_gradient(game, y)
+        d_f = [np.abs(linalg.hermitian_eig(p - q).eigenvalues) for p, q in zip(fx, fy)]
+        d_x = [np.abs(linalg.hermitian_eig(p - q).eigenvalues) for p, q in zip(x, y)]
+        trace_den = sum(float(np.sum(w)) for w in d_x)
+        if not trace_den > 1e-14:
+            ratios.append(None)
+            continue
+        fro_num = np.sqrt(sum(np.linalg.norm(p - q) ** 2 for p, q in zip(fx, fy)))
+        fro_den = np.sqrt(sum(np.linalg.norm(p - q) ** 2 for p, q in zip(x, y)))
+        ratios.append((float(max(max(w[0], w[-1]) for w in d_f) / trace_den),
+                       float(fro_num / fro_den)))
+    return ratios
+
+
+@pytest.mark.parametrize("n, m, outcomes", [
+    (1, 1, None), (1, 2, None), (2, 1, None), (2, 2, None), (1, 3, None), (3, 1, None),
+    (2, 3, 64), (3, 2, 64), (3, 3, None), (3, 3, 64),
+])
+def test_chunked_lipschitz_ratio_equals_per_pair_loop(n, m, outcomes):
+    # at 3+3 a chunk holds 64 pairs, so 64 and 65 samples straddle its end;
+    # the first s pairs of one stream are the pairs of an s-sample estimate
+    game = random_game(n, m, outcomes, seed=70 + 10 * n + m)
+    seed = 7 * n + m
+    ratios = per_pair_lipschitz_ratios(game, 1000, seed)
+    for samples in (1, 7, 64, 65, 1000):
+        apart = [r for r in ratios[:samples] if r is not None]
+        inf_one, fro_fro = (max([0.0, *(r[i] for r in apart)]) for i in range(2))
+        assert lipschitz_estimate(game, "inf-one", samples, seed) == inf_one
+        # eigenvalue sums of squares replace entry norms: rounding only
+        got = lipschitz_estimate(game, "fro-fro", samples, seed)
+        assert abs(got - fro_fro) <= 4 * np.finfo(float).eps * fro_fro
+
+
+def test_lipschitz_estimate_memory_is_flat_in_samples():
+    # pairs go in chunks of at most CHUNK_BYTES; one batch of 5000 pairs
+    # would take over 40 MB at 3+3
+    game = random_game(3, 3, 64, seed=1)
+    lipschitz_estimate(game, samples=1)  # first-call allocations, the feedback maps
+    tracemalloc.start()
+    try:
+        lipschitz_estimate(game, samples=5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def pauli_lipschitz_constant(game):

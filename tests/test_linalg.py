@@ -13,8 +13,6 @@ from qzsg.linalg import (
     hermitianize,
     matrix_from_jsonable,
     matrix_to_jsonable,
-    schatten1_norm,
-    spectral_norm,
     trace_inner,
 )
 from reference_games import spectral_fn
@@ -189,14 +187,6 @@ def test_herm_log_rejects_negative_and_clamps_underflow():
     # 0 is treated as underflow of a positive value
     w = np.linalg.eigvalsh(herm_log(np.diag([1.0, 0.0])))
     assert w == pytest.approx([np.log(linalg.LOG_EIG_FLOOR), 0.0])
-
-
-def test_norm_helpers_agree_with_numpy():
-    rng = np.random.default_rng(4)
-    h = random_hermitian(5, rng)
-    w = np.linalg.eigvalsh(h)
-    assert schatten1_norm(h) == pytest.approx(np.sum(np.abs(w)))
-    assert spectral_norm(h) == pytest.approx(np.max(np.abs(w)))
 
 
 def test_trace_inner_pauli():
