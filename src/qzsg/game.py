@@ -150,8 +150,8 @@ class QuantumGame:
     @classmethod
     def from_observable(cls, n, m, u_obs, outcomes, seed=None) -> "QuantumGame":
         """The one way U enters a game: checks its size, finiteness and
-        Hermiticity, then stores the realignment R of its Hermitian part,
-        whose U equals its U†."""
+        Hermiticity, and the seed (`rng.check_seed`), then stores the
+        realignment R of its Hermitian part, whose U equals its U†."""
         u_obs = linalg.assert_hermitian(u_obs, "payoff observable")
         dim = side(n, m)
         if u_obs.shape != (dim, dim):
@@ -166,7 +166,7 @@ class QuantumGame:
             realigned=u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1),
             u_inf_norm=float(np.max(np.abs(linalg.trusted_hermitian_eig(u_obs).eigenvalues))),
             outcomes=int(outcomes),
-            seed=None if seed is None else int(seed),
+            seed=None if seed is None else rng.check_seed(int(seed)),
         )
 
     @classmethod
@@ -308,7 +308,7 @@ def duality_gaps_into(game: QuantumGame, state: StackViews, buf: FeedbackBuffers
     return (w.alice[..., -1] + w.bob[..., -1]).tolist()
 
 
-def _hermitian_part(game: QuantumGame, state: JointState, *lead: int) -> StackViews:
+def hermitian_profile(game: QuantumGame, state: JointState, *lead: int) -> StackViews:
     """`players` views of fresh `profile_stacks(game, *lead)` holding, at
     every lead position, the Hermitian part of each matrix of `state`,
     checked against the game's dimensions."""
@@ -327,7 +327,7 @@ def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     Hermitian views into fresh `profile_stacks`-shaped arrays it keeps as
     `.stacks`: `payoff_gradient_into`, whose result is its own Hermitian
     part."""
-    return payoff_gradient_into(game, _hermitian_part(game, state), FeedbackBuffers(game))
+    return payoff_gradient_into(game, hermitian_profile(game, state), FeedbackBuffers(game))
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -338,7 +338,7 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
     F_alice(b') and of F_bob(a') at the Hermitian parts of a' and b'
     (`duality_gaps_into`).
     """
-    return duality_gaps_into(game, _hermitian_part(game, state, 1), FeedbackBuffers(game, 1))[0]
+    return duality_gaps_into(game, hermitian_profile(game, state, 1), FeedbackBuffers(game, 1))[0]
 
 
 def gram_density(g: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import game, linalg
+from . import linalg
 
 VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
@@ -154,9 +154,12 @@ class Regularizer:
 
     def dgf_value(self, x) -> float:
         """Value of the distance-generating function at a density matrix."""
-        x = linalg.assert_hermitian(x, "state")
+        return self._value(linalg.assert_hermitian(x, "state"))
+
+    def _value(self, x: np.ndarray) -> float:
+        """`dgf_value` of an X that `linalg.assert_hermitian` has checked."""
         if self.kind == VN_ENTROPY_ID:
-            w = linalg.hermitian_eig(x).eigenvalues
+            w = linalg.trusted_hermitian_eig(linalg.hermitianize(x)).eigenvalues
             w = w[w > 0.0]
             return float(np.sum(w * np.log(w)))
         return 0.5 * float(np.linalg.norm(x)) ** 2
@@ -172,14 +175,12 @@ class Regularizer:
         if x.shape != y.shape:
             raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
         if self.kind == VN_ENTROPY_ID:
-            wy = linalg.hermitian_eig(y).eigenvalues
-            if wy[-1] <= linalg.LOG_EIG_FLOOR:
-                raise ValueError(
-                    f"reference state is singular (min eigenvalue {wy[-1]:.3e}); "
-                    "entropy divergence is infinite"
-                )
-            cross = linalg.trace_inner(x, linalg.herm_log(y)).real
-            return self.dgf_value(x) - float(cross)
+            spec = linalg.trusted_hermitian_eig(linalg.hermitianize(y))
+            if spec.eigenvalues[-1] <= linalg.LOG_EIG_FLOOR:
+                raise ValueError(f"reference state is singular (min eigenvalue "
+                                 f"{spec.eigenvalues[-1]:.3e}); entropy divergence is infinite")
+            cross = linalg.trace_inner(x, linalg.spectral_log(spec)).real
+            return self._value(x) - float(cross)
         return 0.5 * float(np.linalg.norm(x - y)) ** 2
 
     def proximal_map(self, x, g, eta: float) -> np.ndarray:
@@ -212,29 +213,22 @@ class Regularizer:
         kernel = _logit if self.kind == VN_ENTROPY_ID else _project
         return kernel(y, out, scratch)
 
-    def start(self, x) -> np.ndarray:
-        """Initial stepper state for a start at the density matrix X.
-
-        Entropy: the dual matrix log X, which plays X, so X must be full
-        rank; when X is exactly the maximally mixed state, the zero matrix,
-        which plays the same point without the rounding of a logarithm.
-        Frobenius: the Hermitian part of X.  X is validated here, once, as a
-        density matrix (`game.assert_density_matrix`): this is the only way
-        outside state enters a stepper, and play/advance read every state
-        and gradient by its lower triangle and real diagonal.
-        """
-        x = linalg.hermitianize(game.assert_density_matrix(x, "state"))
+    def start(self, x: np.ndarray) -> np.ndarray:
+        """Initial stepper state at the density matrix X, trusted as
+        `solvers.make_stepper` checks it and makes it exactly Hermitian.
+        Entropy: the dual matrix log X, which plays X, so X must be full rank
+        (a ValueError otherwise), or the zero matrix when X is exactly the
+        maximally mixed state, which plays it without a logarithm's
+        rounding.  Frobenius: X itself."""
         if self.kind != VN_ENTROPY_ID:
             return x
-        dim = x.shape[0]
-        if np.array_equal(x, np.eye(dim) / dim):
+        if np.array_equal(x, np.eye(len(x)) / len(x)):
             return np.zeros_like(x)
-        w_min = linalg.hermitian_eig(x).eigenvalues[-1]
-        if w_min <= linalg.LOG_EIG_FLOOR:
-            raise ValueError(
-                f"entropy start needs a full-rank state (min eigenvalue {w_min:.3e})"
-            )
-        return linalg.herm_log(x)
+        spec = linalg.trusted_hermitian_eig(x)
+        if spec.eigenvalues[-1] <= linalg.LOG_EIG_FLOOR:
+            raise ValueError("entropy start needs a full-rank state "
+                             f"(min eigenvalue {spec.eigenvalues[-1]:.3e})")
+        return linalg.spectral_log(spec)
 
     def play(self, state: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """The density matrix a stepper state stands for: Λ(D), written as

@@ -26,7 +26,7 @@ matrix as LAPACK's eigh does, by its lower triangle and real diagonal: so no
 Hermitian pass runs inside it, and its mirror maps' outputs are Hermitian
 only to rounding.  Dual averaging is the exception: it plays the Hermitian
 part of its mirror map, bit for bit the public `geometry` map of its dual
-sum.  Outside state is validated once, by Regularizer.start, and exactly
+sum.  Outside state is validated once, by `make_stepper`, and exactly
 Hermitian arrays are made where arrays leave the loop: each checkpoint takes
 the Hermitian parts of the average and the last iterate, whose gaps it
 reports and which `run` returns.  Each run makes its arrays once, in its
@@ -46,14 +46,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry, linalg
+from . import geometry, linalg, rng
 from .game import (
     FeedbackBuffers,
     JointState,
     QuantumGame,
     StackViews,
+    assert_density_matrix,
     duality_gap,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     duality_gaps_into,
+    hermitian_profile,
     lipschitz_constant,
     lipschitz_estimate,  # noqa: F401 -- kept importable here, where perfbench counts its calls
     payoff_gradient,  # noqa: F401 -- kept importable here, where perfbench counts its calls
@@ -125,6 +127,7 @@ class SolverConfig:
         for key in ("max_iters", "gap_check_interval", "seed"):
             if not linalg.is_number(getattr(self, key), numbers.Integral):
                 raise ValueError(f"{key} must be an integer")
+        rng.check_seed(self.seed)
         target_gap = linalg.real_number(self.target_gap, "target_gap")
         if self.step_size != "auto":
             step = linalg.real_number(self.step_size, "step_size", " or 'auto'")
@@ -177,15 +180,15 @@ class Stepper:
     the stored gradient when optimistic, then advance the state with one
     fresh gradient at the extrapolated point.
 
-    The stepper owns its run's workspace, made here once, and every kernel
-    of a step writes its result into it; only LAPACK's outputs are fresh.
-    It reads each gradient at `played`, its copy of the Hermitian part of
-    psi0 and then the point its last step returned: the `psi` a step takes
-    is that point, passed back.  The point a step returns is a view into
-    the workspace, valid until the next step.
+    The stepper owns its run's workspace, made once, and every kernel of a
+    step writes its result into it; only LAPACK's outputs are fresh.  It
+    reads each gradient at `played`: first `point`, psi0 as `make_stepper`
+    makes it, then the point its last step returned, which the `psi` a step
+    takes passes back.  That point is a view into the workspace, valid
+    until the next step.
     """
 
-    def __init__(self, game, reg, eta_fn, start: JointState, psi0: JointState, optimistic=False):
+    def __init__(self, game, reg, eta_fn, start: JointState, point: StackViews, optimistic=False):
         self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
@@ -195,10 +198,7 @@ class Stepper:
         state.alice[...], state.bob[...] = start
         self.feedback = FeedbackBuffers(game)
         self.scaled = profile_stacks(game)  # eta G, or eta W for dual averaging
-        self.point = players(profile_stacks(game))
-        for x, m in zip(self.point, psi0):
-            x[...] = linalg.hermitianize(m)
-        self.played = self.point
+        self.point = self.played = point
         self.scratch = [geometry.MapScratch(s.shape) for s in self.stacks]
         # whether `scaled` holds eta F of the last point, to extrapolate with
         self.stored = False
@@ -249,7 +249,10 @@ class DualAveragingStepper(Stepper):
 
 
 def make_stepper(game: QuantumGame, cfg: SolverConfig, eta: float, psi0: JointState):
-    """Instantiate the update rule of cfg's alias with a resolved step size."""
+    """The update rule of cfg's alias at a resolved step size, started at
+    psi0: the one check of outside state, of each matrix as given
+    (`assert_density_matrix`) and of its dimension, once."""
+    psi0 = hermitian_profile(game, [assert_density_matrix(m) for m in psi0])
     scheme, reg, step_decay = ALIASES[cfg.algorithm]
     sqrt_decay = step_decay == "inverse_sqrt"
     eta_fn = (lambda t: eta / math.sqrt(t + 1.0)) if sqrt_decay else (lambda t: eta)

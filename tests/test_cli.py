@@ -621,18 +621,50 @@ def test_compare_bounds_a_defaulted_outcome_count_before_any_game(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "compare"])
+@pytest.mark.parametrize("command", ["generate", "compare", "solve"])
 def test_a_seed_of_2_to_the_64_is_usage_error(tmp_path, monkeypatch, capsys, command):
-    # it would replay seed 0 while recording 2^64; compare fails before any game
+    # it would replay seed 0 while recording 2^64, or, in solve, record a
+    # seed no draw can use; compare fails before any game, solve before a run
     monkeypatch.setattr(suite, "random_game", _unexpected)
+    monkeypatch.setattr(solvers, "run", _unexpected)
     out = tmp_path / "out"
-    argv = ["-n", "1", "-m", "1", "--seed", str(2**64), "-o", str(out)]
+    argv = ["--seed", str(2**64), "-o", str(out)]
+    if command == "solve":
+        argv += ["--game", "builtin:matching-pennies"]
+    else:
+        argv += ["-n", "1", "-m", "1"]
     if command == "compare":
         argv += ["--games", "1", "--iters", "5", "--algorithms", "ommwu"]
     assert run_cli(command, *argv) == 2
     assert capsys.readouterr().err == (
         f"error: seed must be at least 0 and below 2^64, got {2**64}\n")
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "kind, seed",
+    [("config", -5), ("config", 2**64 + 1), ("v1", -1), ("v2", 2**64)],
+    ids=["config-negative", "config-above-64-bits", "v1-negative", "v2-2-to-the-64"],
+)
+def test_solve_rejects_a_file_seed_outside_64_bits(tmp_path, monkeypatch, capsys, kind, seed):
+    monkeypatch.setattr(solvers, "run", _unexpected)
+    path = tmp_path / "in.json"
+    if kind == "config":
+        doc = {"algorithm": "ommwu", "seed": seed}
+        argv = ["--game", "builtin:matching-pennies", "--config", str(path)]
+    else:
+        doc = _v1_document(1, [1.0, -1.0, -1.0, 1.0]) if kind == "v1" else _v2_document(1, 1.0)
+        doc["seed"] = seed
+        argv = ["--game", str(path)]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("solve", *argv, "--iters", "5", "--format", "json") == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: seed must be at least 0 and below 2^64, got {seed}\n"
+    doc["seed"] = 2**64 - 1
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.undo()
+    assert run_cli("solve", *argv, "--iters", "5", "--format", "json") == 0
 
 
 TOO_MANY_OUTCOMES = "10000000000000000000000"

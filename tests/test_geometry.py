@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qzsg import geometry, linalg
+from qzsg.game import JointState, random_game
 from qzsg.geometry import (
     FROBENIUS,
     VN_ENTROPY,
@@ -15,6 +17,7 @@ from qzsg.geometry import (
     logit_map,
     orth_project_spectraplex,
 )
+from qzsg.solvers import ALIASES, SolverConfig, make_stepper
 
 
 def random_density(dim, rng):
@@ -369,6 +372,15 @@ NON_FINITE = [np.diag([math.nan, 1.0]).astype(complex), np.diag([math.inf, 0.0])
 HUGE = np.diag([1.5e308, 1.5e308]).astype(complex)
 
 
+def stepper_starts(alice):
+    """`make_stepper` of every alias on a 1+1 game, with Alice started at
+    `alice` and Bob maximally mixed: a start enters a stepper only there."""
+    game = random_game(1, 1, seed=1)
+    psi0 = JointState(alice, np.eye(2, dtype=complex) / 2.0)
+    return [functools.partial(make_stepper, game, SolverConfig.from_alias(alias), 0.3, psi0)
+            for alias in ALIASES]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "bad,match",
@@ -392,18 +404,19 @@ def test_public_maps_and_start_reject_bad_input(bad, match):
             lambda: reg.bregman(bad, x),
             lambda: reg.bregman(x, bad),
             lambda: reg.dgf_value(bad),
-            lambda: reg.start(bad),
         ):
             with pytest.raises(ValueError, match=match):
                 call()
+    for call in stepper_starts(bad):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_start_rejects_a_state_that_is_not_a_density_matrix():
-    for reg in (VN_ENTROPY, FROBENIUS):
-        with pytest.raises(ValueError, match="trace"):
-            reg.start(np.diag([2.0, 0.5]).astype(complex))
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            reg.start(np.diag([1.5, -0.5]).astype(complex))
+    for diagonal, match in (([2.0, 0.5], "trace"), ([1.5, -0.5], "negative eigenvalue")):
+        for call in stepper_starts(np.diag(diagonal).astype(complex)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
 
 # ---------------------------------------------------------------- stack kernels

@@ -49,3 +49,8 @@ def test_solvers_load_neither_the_suite_nor_scipy_stats():
 
 def test_cli_loads_no_scipy_stats_until_compare_needs_it():
     assert _loaded_after("qzsg.cli", ["scipy.stats"]) == {"scipy.stats": False}
+
+
+def test_geometry_loads_neither_the_game_nor_its_random_streams():
+    assert _loaded_after("qzsg.geometry", ["qzsg.game", "qzsg.rng"]) == {
+        "qzsg.game": False, "qzsg.rng": False}

@@ -65,6 +65,10 @@ def test_config_validate_rejects_bad_fields():
         SolverConfig(target_gap=-1.0).validate()
     with pytest.raises(ValueError, match="gap_check_interval"):
         SolverConfig(gap_check_interval=0).validate()
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="below 2\\^64"):
+            SolverConfig(seed=seed).validate()
+    SolverConfig(seed=2**64 - 1).validate()
 
 
 def test_alias_table():
@@ -525,11 +529,51 @@ def test_mirror_prox_starts_at_a_non_uniform_psi0(alias):
 
 
 def test_entropy_mirror_prox_rejects_a_rank_deficient_start():
+    # dual averaging starts its state at zero and Frobenius at the point
+    # itself, so only a logarithm needs full rank
     game = random_game(1, 1, seed=15)
     pure = JointState(np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex) / 2)
-    with pytest.raises(ValueError, match="full-rank"):
-        make_stepper(game, SolverConfig.from_alias("ommwu"), 0.3, pure)
-    make_stepper(game, SolverConfig.from_alias("omeg"), 0.3, pure)
+    for alias in ALIASES:
+        cfg = SolverConfig.from_alias(alias)
+        if alias in ("ommwu", "mmp-entropy"):
+            with pytest.raises(ValueError, match="full-rank"):
+                make_stepper(game, cfg, 0.3, pure)
+        else:
+            make_stepper(game, cfg, 0.3, pure).step(0, pure)
+
+
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_a_start_of_the_wrong_dimension_names_the_player(alias):
+    game, cfg = random_game(1, 1, seed=15), SolverConfig.from_alias(alias)
+    half, quarter = np.eye(2, dtype=complex) / 2, np.eye(4, dtype=complex) / 4
+    with pytest.raises(ValueError, match="^Bob state dimension 4 does not match the game$"):
+        make_stepper(game, cfg, 0.3, JointState(half, quarter))
+    with pytest.raises(ValueError, match="^Alice state dimension 4 does not match the game$"):
+        make_stepper(game, cfg, 0.3, JointState(quarter, half))
+
+
+def test_entropy_start_and_bregman_check_each_matrix_once(monkeypatch):
+    # a start: the density check decomposes each matrix once, the logarithm
+    # once more; bregman: one check and one decomposition per argument
+    calls = {"_lapack": 0, "assert_hermitian": 0}
+
+    def counted(name):
+        inner = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    game = random_game(1, 2, seed=15)
+    psi0 = random_start(game, 16)
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
+    make_stepper(game, SolverConfig.from_alias("ommwu"), 0.3, psi0)
+    assert calls == {"_lapack": 4, "assert_hermitian": 2}
+    calls.update(dict.fromkeys(calls, 0))
+    geometry.VN_ENTROPY.bregman(psi0.alice, np.eye(2) / 2)
+    assert calls == {"_lapack": 2, "assert_hermitian": 2}
 
 
 # ---------------------------------------------------------------- pins
