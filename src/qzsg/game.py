@@ -166,7 +166,7 @@ class QuantumGame:
             realigned=u_obs.reshape(da, db, da, db).transpose(0, 2, 1, 3).reshape(da * da, -1),
             u_inf_norm=float(np.max(np.abs(linalg.trusted_hermitian_eig(u_obs).eigenvalues))),
             outcomes=int(outcomes),
-            seed=None if seed is None else rng.check_seed(int(seed)),
+            seed=None if seed is None else int(rng.check_seed(seed)),
         )
 
     @classmethod
@@ -367,11 +367,13 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
 
 
 def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
-    """The outcome count of a random n+m-qubit game: `outcomes`, from 2 to
-    MAX_OUTCOMES, or 4^(n+m) without one; a ValueError for counts `side`
-    refuses, and for a defaulted count above MAX_DEFAULTED_QUBITS."""
+    """The outcome count of a random n+m-qubit game: `outcomes`, an integer
+    from 2 to MAX_OUTCOMES, or 4^(n+m) without one; a ValueError for counts
+    `side` refuses, and for a defaulted count above MAX_DEFAULTED_QUBITS."""
     side(n, m)
     if outcomes is not None:
+        if not linalg.is_number(outcomes, numbers.Integral):
+            raise ValueError("outcomes must be an integer")
         if outcomes < 2:
             raise ValueError("outcomes must be ≥ 2")
         if outcomes > MAX_OUTCOMES:

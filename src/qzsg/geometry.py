@@ -186,7 +186,9 @@ class Regularizer:
     def proximal_map(self, x, g, eta: float) -> np.ndarray:
         """Bregman proximal step from X along the ascent direction G.
 
-        Entropy: Λ(log X + eta G).  Frobenius: project(X + eta G).
+        Entropy: Λ(log X + eta G).  Frobenius: project(X + eta G).  X and G
+        are checked once each, and so is the step log X + eta G or X + eta G,
+        which raises a ValueError if it overflows.
         """
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
@@ -194,9 +196,16 @@ class Regularizer:
         g = linalg.assert_hermitian(g, "gradient")
         if x.shape != g.shape:
             raise ValueError(f"shape mismatch {x.shape} vs {g.shape}")
-        if self.kind == VN_ENTROPY_ID:
-            return logit_map(linalg.herm_log(x) + eta * g)
-        return orth_project_spectraplex(x + eta * g)
+        entropy = self.kind == VN_ENTROPY_ID
+        if entropy:
+            # log X from the X checked above, as herm_log would take it
+            x = linalg.spectral_log(linalg.trusted_hermitian_eig(linalg.hermitianize(x)))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                step = x + eta * g
+        except FloatingPointError:
+            raise ValueError(f"the proximal step at eta {eta!r} overflows") from None
+        return logit_map(step) if entropy else orth_project_spectraplex(step)
 
     def trusted_mirror_map(self, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """The mirror map without input checks, for the solver loop: the logit

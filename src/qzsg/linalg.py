@@ -213,20 +213,19 @@ def hermitian_eig(h) -> Spectrum:
 
 
 def spectral_log(spec: Spectrum) -> np.ndarray:
-    """Logarithm of a matrix from its unchecked `Spectrum` (w, V), eigenvalues
-    clamped up to LOG_EIG_FLOOR: the Hermitian part of V log(w) V†."""
+    """Logarithm of a PSD matrix from its `Spectrum` (w, V), descending: the
+    Hermitian part of V log(w) V†.  An eigenvalue below -PSD_EIG_TOL is
+    rejected, and one in [-PSD_EIG_TOL, LOG_EIG_FLOOR) is taken as underflow
+    of a positive one and clamped."""
     w, v = spec
+    if w[-1] < -PSD_EIG_TOL:
+        raise ValueError(f"matrix is not PSD (min eigenvalue {w[-1]:.3e})")
     return hermitianize((v * np.log(np.maximum(w, LOG_EIG_FLOOR))) @ v.conj().T)
 
 
 def herm_log(h) -> np.ndarray:
-    """Matrix logarithm of a PSD matrix, `spectral_log` of its spectrum: an
-    eigenvalue below -PSD_EIG_TOL is rejected, and one in [-PSD_EIG_TOL,
-    LOG_EIG_FLOOR) is taken as underflow of a positive one and clamped."""
-    spec = hermitian_eig(h)
-    if spec.eigenvalues[-1] < -PSD_EIG_TOL:
-        raise ValueError(f"matrix is not PSD (min eigenvalue {spec.eigenvalues[-1]:.3e})")
-    return spectral_log(spec)
+    """Matrix logarithm of a PSD matrix: `spectral_log` of `hermitian_eig`."""
+    return spectral_log(hermitian_eig(h))
 
 
 def trace_inner(a, b) -> complex:

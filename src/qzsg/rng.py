@@ -8,7 +8,11 @@ is set directly (no entropy pool), so all draws are bit-reproducible.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from . import linalg
 
 _MASK64 = (1 << 64) - 1
 
@@ -20,8 +24,10 @@ STREAM_PROPERTIES = 4
 
 
 def check_seed(seed: int) -> int:
-    """`seed`, if 0 <= seed < 2^64, else a ValueError: any other seed would
-    replay the draws of seed mod 2^64."""
+    """`seed`, if an integer (not a bool) with 0 <= seed < 2^64, else a
+    ValueError: any other integer would replay the draws of seed mod 2^64."""
+    if not linalg.is_number(seed, numbers.Integral):
+        raise ValueError("seed must be an integer")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be at least 0 and below 2^64, got {seed}")
     return seed

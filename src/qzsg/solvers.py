@@ -102,6 +102,8 @@ class SolverConfig:
     quotient overflows), since any step up to mu / (2 gamma) keeps the
     guarantee.  Step decay "inverse_sqrt" scales the step by 1/sqrt(t+1) at
     iteration t.  seed is recorded with the run; no solver draws from it.
+    Every field is checked at construction, `dataclasses.replace` included,
+    so a config that exists is valid.
     """
 
     algorithm: str = "ommwu"
@@ -119,12 +121,12 @@ class SolverConfig:
     def step_decay(self) -> str:
         return ALIASES[self.algorithm][2]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not isinstance(self.algorithm, str) or self.algorithm not in ALIASES:
             raise ValueError(
                 f"unknown solver alias {self.algorithm!r}; expected one of {sorted(ALIASES)}"
             )
-        for key in ("max_iters", "gap_check_interval", "seed"):
+        for key in ("max_iters", "gap_check_interval"):
             if not linalg.is_number(getattr(self, key), numbers.Integral):
                 raise ValueError(f"{key} must be an integer")
         rng.check_seed(self.seed)
@@ -143,10 +145,8 @@ class SolverConfig:
 
     @classmethod
     def from_alias(cls, alias: str, **overrides) -> "SolverConfig":
-        """Build and validate a config for a solver alias (e.g. "ommwu", "mmwu-sd")."""
-        cfg = cls(algorithm=alias, **overrides)
-        cfg.validate()
-        return cfg
+        """The config of a solver alias (e.g. "ommwu", "mmwu-sd")."""
+        return cls(algorithm=alias, **overrides)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SolverConfig":
@@ -158,9 +158,17 @@ class SolverConfig:
             raise ValueError(f"unknown solver config keys {sorted(unknown)}")
         if "algorithm" not in data:
             raise ValueError("solver config must name an algorithm alias")
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
+
+
+def checkpoint_set(checkpoints) -> set:
+    """The iterations named by `checkpoints`, each an integer (not a bool)
+    >= 1, else a ValueError.  One above a run's iterations is never reached,
+    and allowed."""
+    for t in checkpoints:
+        if not (linalg.is_number(t, numbers.Integral) and t >= 1):
+            raise ValueError(f"checkpoints must be integers >= 1, got {t!r}")
+    return {int(t) for t in checkpoints}
 
 
 def resolve_step_size(game: QuantumGame, cfg: SolverConfig) -> float:
@@ -290,20 +298,19 @@ def run(
     """Run a solver from the maximally mixed profile.
 
     Gaps are evaluated every cfg.gap_check_interval iterations (or at the
-    explicit sorted `checkpoints`), always including the final iteration; the
-    run stops early once the average-iterate gap reaches cfg.target_gap (when
-    positive).  The average at checkpoint T spans the played iterates
-    Ψ_0 .. Ψ_{T-1}.  Gap evaluations are diagnostics and are not counted as
-    gradient calls.
+    explicit `checkpoints`, see `checkpoint_set`), always including the final
+    iteration; the run stops early once the average-iterate gap reaches
+    cfg.target_gap (when positive).  The average at checkpoint T spans the
+    played iterates Ψ_0 .. Ψ_{T-1}.  Gap evaluations are diagnostics and are
+    not counted as gradient calls.
     """
-    cfg.validate()
+    if checkpoints is not None:
+        due = checkpoint_set(checkpoints)
+    else:
+        due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
     eta = resolve_step_size(game, cfg)
     psi = uniform_state(game)
     stepper = make_stepper(game, cfg, eta, psi)
-    if checkpoints is not None:
-        due = {int(c) for c in checkpoints}
-    else:
-        due = range(cfg.gap_check_interval, cfg.max_iters + 1, cfg.gap_check_interval)
     # the run's own arrays, beside the stepper's: the sum of the played
     # points, the checkpoint gaps' input (the average and the last iterate
     # as profiles 0 and 1, each replaced by its Hermitian part) and their

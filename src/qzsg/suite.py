@@ -1,18 +1,19 @@
 """Multi-game comparison suites with deterministic scheduling.
 
 A suite runs each named solver variant on the same set of seeded random
-games.  The spec, with every variant's solver config, is validated once,
-before any game is built.  Per-game seeds derive from the master seed by
-fixed offsets.  Each game is built once and runs every variant in turn, and
-results come in game order, then the spec's alias order, so the report is
-identical however the worker pool interleaves the games.  Gap statistics
-aggregate in the natural-log domain (gaps live on a log scale) with
-Student-t 95% confidence intervals.
+games.  A spec checks itself, with every variant's solver config, when it
+is made, so no game is built for an invalid one.  Per-game seeds derive from
+the master seed by fixed offsets.  Each game is built once and runs every
+variant in turn, and results come in game order, then the spec's alias
+order, so the report is identical however the worker pool interleaves the
+games.  Gap statistics aggregate in the natural-log domain (gaps live on a
+log scale) with Student-t 95% confidence intervals.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,9 +21,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import rng
+from . import linalg, rng
 from .game import default_outcomes, random_game
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, checkpoint_set, run
 
 # Checkpoint grid used by the logarithmically spaced ten-point preset.
 PAPER_EXP2_SCHEDULE = (1, 3, 13, 51, 189, 703, 2610, 9687, 35949, 49999)
@@ -39,7 +40,8 @@ THREADS_ENV_VAR = "QZSG_THREADS"
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A comparison suite: games x algorithms under one master seed."""
+    """A comparison suite: games x algorithms under one master seed.  Every
+    field, and every alias's solver config, is checked at construction."""
 
     n: int
     m: int
@@ -54,7 +56,7 @@ class ExperimentSpec:
     target_gap: float = SolverConfig.target_gap
 
     def solver_config(self, alias: str) -> SolverConfig:
-        """The validated config that runs `alias` on every game of the suite."""
+        """The config that runs `alias` on every game of the suite."""
         return SolverConfig.from_alias(
             alias,
             step_size=self.step_size,
@@ -63,7 +65,10 @@ class ExperimentSpec:
             gap_check_interval=self.check_interval,
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for key in ("n", "m", "games"):
+            if not linalg.is_number(getattr(self, key), numbers.Integral):
+                raise ValueError(f"{key} must be an integer")
         rng.check_seed(self.master_seed)
         if self.games < 1:
             raise ValueError("games must be >= 1")
@@ -73,6 +78,8 @@ class ExperimentSpec:
         if repeated:
             raise ValueError(f"repeated solver aliases {repeated}")
         default_outcomes(self.n, self.m, self.outcomes)
+        if self.checkpoints is not None:
+            checkpoint_set(self.checkpoints)
         for alias in self.algorithms:
             self.solver_config(alias)
 
@@ -200,7 +207,6 @@ def run_suite(spec: ExperimentSpec) -> dict:
     `worker_count()` threads, but no more than games or CPUs: a pool starts
     a thread per game up to its size, and outputs do not depend on it.  One
     worker runs the games in this thread."""
-    spec.validate()
     workers = min(worker_count(), spec.games, os.cpu_count() or 1)
     games = range(spec.games)
     if workers == 1:

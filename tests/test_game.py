@@ -875,6 +875,9 @@ def test_random_game_keeps_no_povm_element():
 def test_random_game_validates():
     with pytest.raises(ValueError, match="outcomes"):
         random_game(1, 1, outcomes=1)
+    for outcomes in (4.0, True):
+        with pytest.raises(ValueError, match="outcomes must be an integer"):
+            random_game(1, 1, outcomes=outcomes)
     with pytest.raises(ValueError, match="qubit counts"):
         random_game(0, 1)
 

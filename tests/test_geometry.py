@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,38 @@ def test_proximal_map_validates():
         VN_ENTROPY.proximal_map(x, np.zeros((3, 3)), 0.5)
 
 
+def test_entropy_proximal_map_checks_each_matrix_once(monkeypatch):
+    # X, G and the step log X + eta G are each checked once; log X and the
+    # logit map are one decomposition each
+    rng = np.random.default_rng(29)
+    x, g = random_density(4, rng), random_hermitian(4, rng)
+    expected = logit_map(linalg.herm_log(x) + 0.3 * g)
+    calls = {"_lapack": 0, "assert_hermitian": 0}
+
+    def counted(name):
+        inner = getattr(linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
+    assert np.array_equal(VN_ENTROPY.proximal_map(x, g, 0.3), expected)
+    assert calls == {"_lapack": 2, "assert_hermitian": 3}
+
+
+@pytest.mark.parametrize("reg", [VN_ENTROPY, FROBENIUS], ids=lambda r: r.kind)
+def test_an_overflowing_proximal_step_is_one_value_error(reg):
+    # eta G overflows: an error that names the step, with no RuntimeWarning
+    x, g = np.diag([0.7, 0.3]), np.diag([5e307, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the proximal step at eta 10.0 overflows$"):
+            reg.proximal_map(x, g, 10.0)
+
+
 def test_entropy_proximal_matches_classical_mwu():
     # commuting diagonals reduce to multiplicative weights x_i e^(eta g_i) / Z
     rng = np.random.default_rng(23)
@@ -537,8 +570,11 @@ def test_projection_entry_points_equal_the_composed_reference_pinned(y, eta):
     assert outcome(lambda: FROBENIUS.advance(y, eta * g)) == outcome(trusted(y + eta * g))
     for x, gx in zip(y, g):
         assert outcome(lambda: orth_project_spectraplex(x)) == outcome(public(x))
-        assert outcome(lambda: FROBENIUS.proximal_map(x, gx, eta)) == outcome(
-            public(x + eta * gx)
+        # a step that overflows is refused by name before it is projected
+        step = x + eta * gx
+        assert outcome(lambda: FROBENIUS.proximal_map(x, gx, eta)) == (
+            outcome(public(step)) if linalg.all_finite(step)
+            else f"ValueError: the proximal step at eta {eta!r} overflows"
         )
 
 

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from qzsg import rng
+from qzsg.game import QuantumGame, lipschitz_estimate, matching_pennies, random_game
+from qzsg.solvers import SolverConfig
+from qzsg.suite import ExperimentSpec
 
 
 def splitmix64_reference(master, index):
@@ -68,3 +71,31 @@ def test_seeds_outside_64_bits_are_refused():
     top = np.random.Generator(np.random.Philox(key=(rng.STREAM_POVM << 64) | (2**64 - 1)))
     assert np.array_equal(rng.stream(2**64 - 1, rng.STREAM_POVM).standard_normal(4),
                           top.standard_normal(4))
+
+
+@pytest.mark.parametrize(
+    "seed", [1.5, True, "1", np.float64(2.0)], ids=["1.5", "True", "'1'", "float64(2.0)"]
+)
+def test_a_seed_that_is_not_an_integer_is_refused_everywhere(seed):
+    # 1.5 was stored as seed 1 by from_observable and raised TypeError from a
+    # draw; True ran as seed 1
+    game = matching_pennies()
+    u = game.payoff_observable
+    for call in (
+        lambda: rng.check_seed(seed),
+        lambda: rng.stream(seed, rng.STREAM_POVM),
+        lambda: rng.derive_seed(seed, 0),
+        lambda: SolverConfig(seed=seed),
+        lambda: ExperimentSpec(1, 1, 1, seed, ("ommwu",), 10, 4),
+        lambda: QuantumGame.from_observable(1, 1, u, 4, seed),
+        lambda: random_game(1, 1, seed=seed),
+        lambda: lipschitz_estimate(game, seed=seed),
+    ):
+        with pytest.raises(ValueError, match="^seed must be an integer$"):
+            call()
+
+
+def test_a_numpy_integer_seed_is_stored_as_an_int():
+    game = matching_pennies()
+    stored = QuantumGame.from_observable(1, 1, game.payoff_observable, 4, np.uint64(3)).seed
+    assert type(stored) is int and stored == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -53,22 +54,25 @@ def stepper_loop(game, cfg, eta, psi, iters):
 
 
 def test_config_validate_rejects_bad_fields():
-    SolverConfig().validate()
+    SolverConfig()
     with pytest.raises(ValueError, match="unknown solver alias"):
-        SolverConfig(algorithm="newton").validate()
+        SolverConfig(algorithm="newton")
     for bad in (0.0, -0.5, math.inf):
         with pytest.raises(ValueError, match="step_size"):
-            SolverConfig(step_size=bad).validate()
+            SolverConfig(step_size=bad)
     with pytest.raises(ValueError, match="max_iters"):
-        SolverConfig(max_iters=0).validate()
+        SolverConfig(max_iters=0)
     with pytest.raises(ValueError, match="target_gap"):
-        SolverConfig(target_gap=-1.0).validate()
+        SolverConfig(target_gap=-1.0)
     with pytest.raises(ValueError, match="gap_check_interval"):
-        SolverConfig(gap_check_interval=0).validate()
+        SolverConfig(gap_check_interval=0)
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match="below 2\\^64"):
-            SolverConfig(seed=seed).validate()
-    SolverConfig(seed=2**64 - 1).validate()
+            SolverConfig(seed=seed)
+    SolverConfig(seed=2**64 - 1)
+    # a replaced field is checked too
+    with pytest.raises(ValueError, match="step_size"):
+        dataclasses.replace(SolverConfig(), step_size=0.0)
 
 
 def test_alias_table():
@@ -189,6 +193,14 @@ def test_explicit_checkpoints_clip_and_include_final():
     game = random_game(1, 1, seed=3)
     res = run(game, SolverConfig(max_iters=100), checkpoints=[10, 20, 10000])
     assert [row.t for row in res.trace] == [10, 20, 100]
+
+
+@pytest.mark.parametrize("bad", [2.5, -1, 0, True, "2"])
+def test_run_refuses_a_checkpoint_that_is_not_an_integer_at_least_one(bad):
+    # 2.5 was read as a checkpoint at t=2, and -1 and 0 were dropped unsaid
+    game = random_game(1, 1, seed=3)
+    with pytest.raises(ValueError, match=f"checkpoints must be integers >= 1, got {bad!r}"):
+        run(game, SolverConfig(max_iters=10), checkpoints=[5, bad])
 
 
 def test_run_is_deterministic():

@@ -57,41 +57,62 @@ def test_paper_exp2_schedule_is_frozen():
 
 
 def test_spec_validation():
-    small_spec().validate()
+    small_spec()
     with pytest.raises(ValueError, match="qubit counts"):
-        small_spec(n=0).validate()
+        small_spec(n=0)
     with pytest.raises(ValueError, match="games"):
-        small_spec(games=0).validate()
+        small_spec(games=0)
     with pytest.raises(ValueError, match="iters"):
-        small_spec(iters=0).validate()
+        small_spec(iters=0)
     with pytest.raises(ValueError, match="at least one algorithm"):
-        small_spec(algorithms=()).validate()
+        small_spec(algorithms=())
     with pytest.raises(ValueError, match="unknown solver alias"):
-        small_spec(algorithms=("sgd",)).validate()
+        small_spec(algorithms=("sgd",))
     with pytest.raises(ValueError, match="outcomes"):
-        small_spec(outcomes=1).validate()
+        small_spec(outcomes=1)
     with pytest.raises(ValueError, match="check_interval"):
-        small_spec(check_interval=0).validate()
+        small_spec(check_interval=0)
     with pytest.raises(ValueError, match=r"repeated solver aliases \['ommwu'\]"):
-        small_spec(algorithms=("ommwu", "mmp-frobenius", "ommwu")).validate()
+        small_spec(algorithms=("ommwu", "mmp-frobenius", "ommwu"))
     for step in (-1.0, 0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step_size must be positive and finite"):
-            small_spec(step_size=step).validate()
+            small_spec(step_size=step)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("games", 2.0, "games must be an integer"),
+        ("outcomes", 4.0, "outcomes must be an integer"),
+        ("n", 1.0, "n must be an integer"),
+        ("m", True, "m must be an integer"),
+        ("master_seed", 1.5, "seed must be an integer"),
+        ("master_seed", True, "seed must be an integer"),
+        ("checkpoints", (2.5, 7), "checkpoints must be integers >= 1, got 2.5"),
+        ("checkpoints", ("a",), "checkpoints must be integers >= 1, got 'a'"),
+        ("checkpoints", (0, 7), "checkpoints must be integers >= 1, got 0"),
+    ],
+    ids=["games=2.0", "outcomes=4.0", "n=1.0", "m=True", "seed=1.5", "seed=True",
+         "t=2.5", "t='a'", "t=0"],
+)
+def test_spec_refuses_ill_typed_fields_at_construction(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        small_spec(**{field: value})
 
 
 def test_spec_rejects_a_non_finite_target_gap():
     # the report would hold "target_gap": Infinity, which is not JSON
     for gap in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="target_gap must be finite and >= 0"):
-            small_spec(target_gap=gap).validate()
-    small_spec(target_gap=0.0).validate()
+            small_spec(target_gap=gap)
+    small_spec(target_gap=0.0)
 
 
 def test_spec_bounds_a_defaulted_outcome_count():
     with pytest.raises(ValueError, match="--outcomes"):
-        small_spec(n=4, m=4, outcomes=None).validate()
-    small_spec(n=4, m=4, outcomes=64).validate()
-    small_spec(n=3, m=4, outcomes=None).validate()
+        small_spec(n=4, m=4, outcomes=None)
+    small_spec(n=4, m=4, outcomes=64)
+    small_spec(n=3, m=4, outcomes=None)
 
 
 def test_spec_solver_config_carries_the_spec_settings():
@@ -184,19 +205,25 @@ def test_execute_run_records_accounting():
         assert rec["final_gap_avg"] == rec["checkpoints"][-1]["gap_avg"]
 
 
-def test_execute_run_captures_failures():
-    spec = small_spec(outcomes=1, algorithms=("ommwu", "mmwu"))
-    # an invalid outcome count surfaces in every cell of the game
+def test_execute_run_captures_failures(monkeypatch):
+    spec = small_spec(algorithms=("ommwu", "mmwu"))
+    game = suite.random_game(1, 1, 4, 0)
+
+    def failing(*args, **kwargs):
+        raise ValueError("refused")
+
+    # a game that cannot be built fails every cell of the game
+    monkeypatch.setattr(suite, "random_game", failing)
     recs = execute_game(spec, 0)
     assert [r["algorithm"] for r in recs] == ["ommwu", "mmwu"]
     assert all(r["status"] == "error" for r in recs)
-    assert all(r["error"].startswith("ValueError:") for r in recs)
+    assert all(r["error"] == "ValueError: refused" for r in recs)
     assert all(r["seed"] == suite_game_seed(0, 0) for r in recs)
     # a failing solve is reported in its own cell
-    game = suite.random_game(1, 1, 4, 0)
-    rec = execute_run(small_spec(step_size=-1.0), 0, "ommwu", game)
+    monkeypatch.setattr(suite, "run", failing)
+    rec = execute_run(spec, 0, "ommwu", game)
     assert rec["status"] == "error"
-    assert rec["error"].startswith("ValueError:")
+    assert rec["error"] == "ValueError: refused"
 
 
 # ---------------------------------------------------------------- workers
