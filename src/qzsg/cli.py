@@ -7,6 +7,10 @@ inputs and seeds, except wall-clock timing fields.  Numeric fields are
 serialized with shortest round-trip decimals (at most 17 significant digits),
 so re-reading a file reproduces the exact doubles.
 
+Integer flags are plain `int`s: the function that owns each value checks
+its range, so a flag out of range exits 2 with the message that a config
+file, a game file or an API call gets.
+
 Exit codes: 0 success, 1 `verify` found a failing property, 2 usage or
 validation error, 3 numerical failure or memory exhausted, 4 partial suite
 failure.
@@ -35,21 +39,6 @@ OUTCOMES_HELP = (
     "POVM outcome count per game (default 4^(n+m), "
     f"only while n + m <= {game_mod.MAX_DEFAULTED_QUBITS})"
 )
-
-
-def _integer(floor: int):
-    """The argparse type of an integer of at least `floor`."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < floor:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {floor}, got {value}")
-        return value
-
-    return parse
 
 
 def _step_size(text: str):
@@ -167,8 +156,8 @@ def _solver_config(args) -> solvers.SolverConfig:
 
 
 def _cmd_solve(args) -> int:
+    cfg = _solver_config(args)  # first, so a bad flag fails before a game file is read
     game = _load_game(args.game)
-    cfg = _solver_config(args)
     result = solvers.run(game, cfg)
     summary = {
         "game": args.game,
@@ -208,8 +197,6 @@ def _parse_schedule(text: str, iters: int) -> dict:
             interval = int(text[len("every-"):])
         except ValueError:
             raise ValueError(f"invalid schedule {text!r}") from None
-        if interval < 1:
-            raise ValueError("schedule interval must be >= 1")
         return {"check_interval": interval}
     if text == "paper-exp2":
         points = suite.PAPER_EXP2_SCHEDULE
@@ -218,7 +205,7 @@ def _parse_schedule(text: str, iters: int) -> dict:
             points = sorted({int(p) for p in text.split(",") if p.strip()})
         except ValueError:
             raise ValueError(f"invalid schedule {text!r}") from None
-        if not points or points[0] < 1:
+        if not points:
             raise ValueError(f"invalid schedule {text!r}")
     points = tuple(t for t in points if t <= iters)
     if not points:
@@ -288,10 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate a random game file")
-    p_gen.add_argument("--alice-qubits", "-n", type=_integer(1), required=True)
-    p_gen.add_argument("--bob-qubits", "-m", type=_integer(1), required=True)
+    p_gen.add_argument("--alice-qubits", "-n", type=int, required=True)
+    p_gen.add_argument("--bob-qubits", "-m", type=int, required=True)
     p_gen.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
-    p_gen.add_argument("--seed", type=_integer(0), default=0)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--output", "-o", required=True)
     p_gen.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.set_defaults(func=_cmd_generate)
@@ -302,11 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", default=None, help="solver config JSON file")
     p_solve.add_argument("--algorithm", choices=sorted(solvers.ALIASES), default=None)
     p_solve.add_argument("--step-size", type=_step_size, default=None)
-    p_solve.add_argument("--iters", type=_integer(1), default=None, dest="max_iters")
+    p_solve.add_argument("--iters", type=int, default=None, dest="max_iters")
     p_solve.add_argument("--target-gap", type=float, default=None)
-    p_solve.add_argument("--check-interval", type=_integer(1), default=None,
+    p_solve.add_argument("--check-interval", type=int, default=None,
                          dest="gap_check_interval")
-    p_solve.add_argument("--seed", type=_integer(0), default=None,
+    p_solve.add_argument("--seed", type=int, default=None,
                          help="recorded in the output, not used: no solver draws "
                               "random numbers")
     p_solve.add_argument("--output", "-o", default=None,
@@ -315,27 +302,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(func=_cmd_solve)
 
     p_cmp = sub.add_parser("compare", help="compare solver variants on a suite")
-    p_cmp.add_argument("--alice-qubits", "-n", type=_integer(1), required=True)
-    p_cmp.add_argument("--bob-qubits", "-m", type=_integer(1), required=True)
-    p_cmp.add_argument("--games", type=_integer(1), required=True)
+    p_cmp.add_argument("--alice-qubits", "-n", type=int, required=True)
+    p_cmp.add_argument("--bob-qubits", "-m", type=int, required=True)
+    p_cmp.add_argument("--games", type=int, required=True)
     p_cmp.add_argument("--algorithms", required=True,
                        help="comma-separated solver aliases")
-    p_cmp.add_argument("--iters", type=_integer(1), required=True)
+    p_cmp.add_argument("--iters", type=int, required=True)
     p_cmp.add_argument("--outcomes", type=int, default=None, help=OUTCOMES_HELP)
     p_cmp.add_argument("--schedule", default=None,
                        help="'every-K', 'paper-exp2', or comma-separated checkpoints")
     p_cmp.add_argument("--step-size", type=_step_size,
                        default=solvers.SolverConfig.step_size)
-    p_cmp.add_argument("--seed", type=_integer(0), default=0)
+    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--output", "-o", required=True, help="report directory")
     p_cmp.add_argument("--format", choices=("text", "json"), default="text")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run randomized property checks")
     p_ver.add_argument("--property", choices=properties.PROPERTY_NAMES, default=None)
-    p_ver.add_argument("--samples", type=_integer(1), default=50)
-    p_ver.add_argument("--seeds", type=_integer(1), default=10)
-    p_ver.add_argument("--dims", type=_integer(1), default=3,
+    p_ver.add_argument("--samples", type=int, default=50)
+    p_ver.add_argument("--seeds", type=int, default=10)
+    p_ver.add_argument("--dims", type=int, default=3,
                        help="largest per-player qubit count")
     p_ver.add_argument("--output", "-o", default=None)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")

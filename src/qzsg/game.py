@@ -65,7 +65,10 @@ BUILTIN_PREFIX = "builtin:"
 
 def side(n: int, m: int) -> int:
     """2^(n+m), the side of an n+m-qubit game's matrices; a ValueError for a
-    qubit count below 1, and from n + m = 63 on, a side no array can have."""
+    qubit count that is not an integer (a bool is not) or is below 1, and
+    from n + m = 63 on, a side no array can have."""
+    if not (linalg.is_number(n, numbers.Integral) and linalg.is_number(m, numbers.Integral)):
+        raise ValueError("qubit counts must be integers")
     if n < 1 or m < 1:
         raise ValueError("qubit counts must be >= 1")
     if n + m >= 63:
@@ -402,8 +405,8 @@ def random_game_with_bound(
     construction.  Utilities u_w are uniform on [-1, 1], from their own
     stream.  P_w is linear in A_w, so U = S^(-1/2) V S^(-1/2) with
     V = sum_w u_w A_w, and one pass over the POVM stream sums S and V, left
-    to right in outcome order; no P_w is made.  The outcome count is
-    `default_outcomes(n, m, outcomes)`, checked before any draw.
+    to right in outcome order; no P_w is made.  The seed and the outcome
+    count, `default_outcomes(n, m, outcomes)`, are checked before any draw.
 
     The pass works on chunks, (k, d, d) stacks of at most CHUNK_BYTES.  Each
     chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
@@ -413,6 +416,7 @@ def random_game_with_bound(
     """
     outcomes = default_outcomes(n, m, outcomes)
     dim = side(n, m)
+    rng.check_seed(seed)
     utilities = rng.stream(seed, rng.STREAM_UTILITIES).uniform(-1.0, 1.0, size=outcomes)
     gen_povm = rng.stream(seed, rng.STREAM_POVM)
     ridge = RANK_RIDGE * np.eye(dim)
@@ -585,10 +589,9 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     if missing:
         raise ValueError(f"game document missing keys {sorted(missing)}")
     n, m, seed = data["n"], data["m"], data["seed"]
-    if not all(linalg.is_number(k, int) for k in (n, m)):
-        raise ValueError("qubit counts must be integers")
-    if seed is not None and not linalg.is_number(seed, int):
-        raise ValueError("seed must be an integer or null")
+    side(n, m)
+    if seed is not None:
+        rng.check_seed(seed)
     if version == 1:
         if not (isinstance(data["povm"], list) and isinstance(data["utilities"], list)):
             raise ValueError("povm and utilities must be lists")

@@ -101,18 +101,18 @@ def test_generate_rejects_bad_outcomes(tmp_path, capsys):
 
 
 def test_generate_argparse_failures(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("generate", "-n", "0", "-m", "1", "-o", str(tmp_path / "g.json"))
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run_cli("generate", "-n", "1", "-m", "1", "--seed", "-4",
-                "-o", str(tmp_path / "g.json"))
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # a count out of range is refused by the function that owns it, with exit 2
+    assert run_cli("generate", "-n", "0", "-m", "1", "-o", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err == "error: qubit counts must be >= 1\n"
+    assert run_cli("generate", "-n", "1", "-m", "1", "--seed", "-4",
+                   "-o", str(tmp_path / "g.json")) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0 and below 2^64, got -4\n"
+    # text that is no integer is argparse's to refuse
     with pytest.raises(SystemExit) as exc:
         run_cli("generate", "-n", "1.5", "-m", "1", "-o", str(tmp_path / "g.json"))
     assert exc.value.code == 2
-    assert "expected an integer, got '1.5'" in capsys.readouterr().err
+    assert "invalid int value: '1.5'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_generate_unwritable_path_is_usage_error(capsys):
@@ -122,7 +122,7 @@ def test_generate_unwritable_path_is_usage_error(capsys):
 
 
 def _unexpected(*args, **kwargs):
-    raise AssertionError("work started before the output path was checked")
+    raise AssertionError("work started before the inputs and the output path were checked")
 
 
 def test_generate_rejects_a_missing_output_dir_before_any_game(
@@ -790,10 +790,131 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("FAIL linearity")
 
 
-def test_verify_rejects_dims_zero():
-    with pytest.raises(SystemExit) as exc:
-        run_cli("verify", "--dims", "0")
-    assert exc.value.code == 2
+def test_verify_rejects_dims_zero(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "random_game", _unexpected)
+    assert run_cli("verify", "--dims", "0") == 2
+    assert capsys.readouterr().err == "error: max_qubits must be >= 1\n"
+
+
+# ---------------------------------------------------------------- input rules
+
+SEED_MINUS_4 = "seed must be at least 0 and below 2^64, got -4"
+QUBITS_BELOW_1 = "qubit counts must be >= 1"
+COMPARE_1_1 = ("compare", "-n", "1", "-m", "1", "--games", "1", "--algorithms", "ommwu")
+PENNIES = ("solve", "--game", "builtin:matching-pennies")
+
+
+def _refuse_all_work(monkeypatch):
+    """Make every function that draws, decodes a matrix, builds a game or
+    runs a solver fail the test."""
+    for module, name in ((rng, "stream"), (linalg, "matrix_from_jsonable"),
+                         (game_mod, "builtin_game"), (suite, "random_game"),
+                         (properties, "random_game"), (solvers, "run")):
+        monkeypatch.setattr(module, name, _unexpected)
+
+
+def _usage_error(capsys, *argv):
+    """The message with which the CLI exits 2 on `argv`, printing nothing else."""
+    assert run_cli(*argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    return out.err[len("error: "):-1]
+
+
+def _value_error(fn, *args, **kwargs):
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+def test_one_rule_gives_one_message_at_every_entrance(tmp_path, monkeypatch, capsys):
+    _refuse_all_work(monkeypatch)
+    out = str(tmp_path / "out")
+    doc = tmp_path / "in.json"
+
+    def from_file(kind, **fields):
+        base = {"v1": _v1_document(1, [1.0, -1.0, -1.0, 1.0]),
+                "v2": _v2_document(1, 1.0), "config": {"algorithm": "ommwu"}}[kind]
+        doc.write_text(json.dumps({**base, **fields}), encoding="utf-8")
+        if kind == "config":
+            return _usage_error(capsys, *PENNIES, "--config", str(doc), "-o", out)
+        return _usage_error(capsys, "solve", "--game", str(doc), "-o", out)
+
+    seed_messages = {
+        "generate --seed": _usage_error(capsys, "generate", "-n", "1", "-m", "1",
+                                        "--seed", "-4", "-o", out),
+        "solve --seed": _usage_error(capsys, *PENNIES, "--seed", "-4", "-o", out),
+        "compare --seed": _usage_error(capsys, *COMPARE_1_1, "--iters", "5",
+                                       "--seed", "-4", "-o", out),
+        "config seed": from_file("config", seed=-4),
+        "v1 seed": from_file("v1", seed=-4),
+        "v2 seed": from_file("v2", seed=-4),
+        "check_seed": _value_error(rng.check_seed, -4),
+        "random_game": _value_error(random_game, 1, 1, seed=-4),
+        "ExperimentSpec": _value_error(suite.ExperimentSpec, n=1, m=1, games=1, master_seed=-4,
+                                       algorithms=("ommwu",), iters=5),
+        "SolverConfig": _value_error(solvers.SolverConfig, seed=-4),
+    }
+    assert seed_messages == dict.fromkeys(seed_messages, SEED_MINUS_4)
+    qubit_messages = {
+        "generate -n": _usage_error(capsys, "generate", "-n", "0", "-m", "1", "-o", out),
+        "compare -m": _usage_error(capsys, "compare", "-n", "1", "-m", "0", "--games", "1",
+                                   "--algorithms", "ommwu", "--iters", "5", "-o", out),
+        "v1 n": from_file("v1", n=0),
+        "v2 n": from_file("v2", n=0),
+        "ExperimentSpec": _value_error(suite.ExperimentSpec, n=0, m=1, games=1, master_seed=0,
+                                       algorithms=("ommwu",), iters=5),
+        "random_game": _value_error(random_game, 0, 1),
+        "side": _value_error(game_mod.side, 0, 1),
+    }
+    assert qubit_messages == dict.fromkeys(qubit_messages, QUBITS_BELOW_1)
+    assert list(tmp_path.iterdir()) == [doc]
+
+
+def test_a_game_file_of_40_plus_40_qubits_fails_before_its_matrix_is_decoded(
+        tmp_path, monkeypatch, capsys):
+    _refuse_all_work(monkeypatch)
+    doc = {**_v2_document(40, 1.0), "m": 40}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _usage_error(capsys, "solve", "--game", str(path)) == (
+        "40+40 qubits need matrices of side 2^80, which no array has")
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        (("generate", "-n", "0", "-m", "1"), None, QUBITS_BELOW_1),
+        (("generate", "-n", "1", "-m", "1", "--seed", "-4"), None, SEED_MINUS_4),
+        (("compare", "-n", "1", "-m", "1", "--games", "0", "--algorithms", "ommwu",
+          "--iters", "30"), None, "games must be >= 1"),
+        ((*COMPARE_1_1, "--iters", "0"), None, "max_iters must be >= 1"),
+        ((*COMPARE_1_1, "--iters", "30", "--schedule", "every-0"), None,
+         "gap_check_interval must be >= 1"),
+        ((*COMPARE_1_1, "--iters", "30", "--schedule", "0,3"), None,
+         "checkpoints must be integers >= 1, got 0"),
+        ((*PENNIES, "--iters", "0"), None, "max_iters must be >= 1"),
+        ((*PENNIES, "--check-interval", "0"), None, "gap_check_interval must be >= 1"),
+        (("verify", "--dims", "0"), None, "max_qubits must be >= 1"),
+        (("verify", "--seeds", "0"), None, "n_seeds and samples must be >= 1"),
+        (("verify", "--samples", "0"), None, "n_seeds and samples must be >= 1"),
+        (("solve", "--game"), {"n": 1.5}, "qubit counts must be integers"),
+        (("solve", "--game"), {"seed": 1.5}, "seed must be an integer"),
+    ],
+    ids=["n-0", "seed-minus-4", "games-0", "iters-0", "every-0", "checkpoint-0",
+         "solve-iters-0", "check-interval-0", "dims-0", "seeds-0", "samples-0",
+         "file-n-1.5", "file-seed-1.5"],
+)
+def test_an_out_of_range_value_exits_2_before_any_work(
+        tmp_path, monkeypatch, capsys, argv, document, message):
+    _refuse_all_work(monkeypatch)
+    made = []
+    if document is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({**_v2_document(1, 1.0), **document}), encoding="utf-8")
+        argv, made = (*argv, str(path)), [path]
+    assert _usage_error(capsys, *argv, "-o", str(tmp_path / "out")) == message
+    assert list(tmp_path.iterdir()) == made
 
 
 # ---------------------------------------------------------------- output pins

@@ -17,10 +17,11 @@ import qzsg
 _SRC_DIR = str(Path(qzsg.__file__).resolve().parent.parent)
 
 
-def _loaded_after(module: str, names) -> dict:
-    """Which of `names` are in sys.modules after a child imports `module`."""
+def _loaded_after(module: str, names, then: str = "pass") -> dict:
+    """Which of `names` are in sys.modules after a child imports `module`
+    and runs the statement `then`."""
     code = (
-        f"import json, sys, {module}; "
+        f"import json, sys, {module}; {then}; "
         f"print(json.dumps({{n: n in sys.modules for n in {list(names)!r}}}))"
     )
     env = dict(os.environ)
@@ -49,6 +50,12 @@ def test_solvers_load_neither_the_suite_nor_scipy_stats():
 
 def test_cli_loads_no_scipy_stats_until_compare_needs_it():
     assert _loaded_after("qzsg.cli", ["scipy.stats"]) == {"scipy.stats": False}
+
+
+def test_suite_stats_load_scipy_special_and_no_scipy_stats():
+    names = ["scipy.special", "scipy.stats"]
+    assert _loaded_after("qzsg.suite", names, then="qzsg.suite._stats([1e-3, 2e-3])") == {
+        "scipy.special": True, "scipy.stats": False}
 
 
 def test_geometry_loads_neither_the_game_nor_its_random_streams():

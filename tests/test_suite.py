@@ -84,8 +84,8 @@ def test_spec_validation():
     [
         ("games", 2.0, "games must be an integer"),
         ("outcomes", 4.0, "outcomes must be an integer"),
-        ("n", 1.0, "n must be an integer"),
-        ("m", True, "m must be an integer"),
+        ("n", 1.0, "qubit counts must be integers"),
+        ("m", True, "qubit counts must be integers"),
         ("master_seed", 1.5, "seed must be an integer"),
         ("master_seed", True, "seed must be an integer"),
         ("checkpoints", (2.5, 7), "checkpoints must be integers >= 1, got 2.5"),
@@ -98,6 +98,16 @@ def test_spec_validation():
 def test_spec_refuses_ill_typed_fields_at_construction(field, value, match):
     with pytest.raises(ValueError, match=match):
         small_spec(**{field: value})
+
+
+@pytest.mark.parametrize("algorithms", ["ommwu", "omeg"])
+def test_spec_refuses_a_string_of_algorithms(algorithms):
+    # iterated, a string is its characters: "repeated solver aliases ['m']"
+    # for "ommwu" and "unknown solver alias 'o'" for "omeg"
+    with pytest.raises(
+        ValueError, match="^algorithms must be a sequence of solver aliases, not a string$"
+    ):
+        small_spec(algorithms=algorithms)
 
 
 def test_spec_rejects_a_non_finite_target_gap():
@@ -158,6 +168,19 @@ def test_stats_matches_log_domain_student_t():
     assert s["ci95_low"] == pytest.approx(math.exp(np.mean(logs) - half))
     assert s["ci95_high"] == pytest.approx(math.exp(np.mean(logs) + half))
     assert s["ci95_low"] <= s["geomean"] <= s["ci95_high"]
+
+
+def test_stats_interval_is_equal_to_the_scipy_stats_quantile():
+    # _stats takes its quantile from scipy.special, which imports faster; the
+    # interval has the bits of the scipy.stats formula at every sample size
+    for n in range(2, 51):
+        values = np.random.default_rng(n).lognormal(-6.0, 2.0, size=n).tolist()
+        logs = np.log(values)
+        log_mean = float(np.mean(logs))
+        half = float(student_t.ppf(0.975, n - 1)) * float(np.std(logs, ddof=1)) / math.sqrt(n)
+        s = _stats(values)
+        assert s["ci95_low"].hex() == math.exp(log_mean - half).hex(), n
+        assert s["ci95_high"].hex() == math.exp(log_mean + half).hex(), n
 
 
 def test_stats_floors_exact_zeros():
