@@ -17,13 +17,15 @@ row-major flattening, F_alice(b) = R vec(bᵀ), F_bob(a) = -(vec(aᵀ)ᵀ R) and
 u(a, b) = vec(aᵀ)ᵀ R vec(bᵀ): each is one matrix product.
 
 The solver loop reads a Hermitian matrix the way LAPACK's eigh does: as its
-lower triangle and its real diagonal.  So each game also keeps, made on
-first use, one real matrix per player that maps the float64 view of the
-other player's matrix, read by that rule, to the float64 view of this
-player's feedback (`feedback_maps`).  Its entries are R's, gathered and summed in pairs; the
-transposes, Bob's negation and the Hermitian part are folded in, and the
-columns of the upper triangle and of the imaginary diagonal are zero.  The
-maps hold four times R's bytes: 256 KB at 3+3, 4 MB at 4+4.
+lower triangle and its real diagonal.  So each game also keeps, made on first
+use, one real matrix per player that maps the float64 view of the other
+player's matrix, read by that rule, to the float64 view of this player's
+feedback (`feedback_maps`, built by `_lower_triangle_map`).  Its entries are
+R's, gathered and summed in pairs; the transposes, Bob's negation and the
+Hermitian part are folded in, and the columns of the upper triangle and of the
+imaginary diagonal are zero.  The maps hold four times R's bytes: 256 KB at
+3+3, 4 MB at 4+4.  `StackViews.sources` and `FeedbackBuffers` share their
+layout, so a feedback kernel takes only a profile and its buffers.
 
 Random games are built in one pass over their raw POVM elements A_w: since
 P_w = S^(-1/2) A_w S^(-1/2) with S = sum_w A_w, U is one sandwich
@@ -95,6 +97,36 @@ def assert_density_matrix(x, what: str = "state") -> np.ndarray:
     return x
 
 
+def _lower_triangle_map(s: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
+    """Write into `out`, a (2N, 2dim²) real array, the real matrix of
+    b -> s vec(bᵀ) for a complex (N, dim²) `s`, with vec the row-major
+    flattening and b Hermitian, read as LAPACK's eigh reads it: by its lower
+    triangle and real diagonal.  Returns `out`.
+
+    Both sides are float64 views: b.view(float64) flattened, and each output
+    entry as its real part then its imaginary part.  With b[l, k] = x + iy
+    for l > k, the upper entry b[k, l] is x - iy, so the pair adds
+    (s[:, (k,l)] + s[:, (l,k)]) x + i (s[:, (k,l)] - s[:, (l,k)]) y, and the
+    columns of the upper triangle and of the imaginary diagonal are zero.
+    Sums and gathers only, written into `out` by unbuffered ufuncs: no
+    temporary of its size.
+    """
+    blocks = s.reshape(-1, dim, dim)  # blocks[i, k, l] multiplies b[l, k]
+    swapped = blocks.swapaxes(1, 2)  # swapped[i, l, k] multiplies b[l, k]
+    m = out.reshape(-1, 2, dim, dim, 2)  # (output, re/im, l, k, x/y)
+    np.add(swapped.real, blocks.real, out=m[:, 0, :, :, 0])
+    np.subtract(blocks.imag, swapped.imag, out=m[:, 0, :, :, 1])
+    np.add(swapped.imag, blocks.imag, out=m[:, 1, :, :, 0])
+    np.subtract(swapped.real, blocks.real, out=m[:, 1, :, :, 1])
+    # on the diagonal the differences are x - x = +0, the imaginary
+    # diagonal's columns, and the sums twice the entry, replaced here
+    diagonal = np.arange(dim)
+    m[:, 0, diagonal, diagonal, 0] = blocks.real[:, diagonal, diagonal]
+    m[:, 1, diagonal, diagonal, 0] = blocks.imag[:, diagonal, diagonal]
+    m[:, :, ~np.tri(dim, dtype=bool)] = 0.0
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class QuantumGame:
     """An (n, m)-qubit zero-sum game, stored as the realignment R of its
@@ -126,7 +158,7 @@ class QuantumGame:
 
     @functools.cached_property
     def feedback_maps(self) -> list:
-        """The real maps (`linalg.lower_triangle_map`) of b -> R vec(bᵀ)
+        """The real maps (`_lower_triangle_map`) of b -> R vec(bᵀ)
         (Alice) and of a -> -(vec(aᵀ)ᵀ R) (Bob), made on first use, so a game
         that is only generated, saved or loaded makes none.  They are in
         `profile_stacks` layout: one (2, 2d², 2d²) stack when d_A = d_B, else
@@ -139,8 +171,8 @@ class QuantumGame:
         maps = [np.empty((2, rows, cols))] if da == db else [
             np.empty((rows, cols)), np.empty((cols, rows))]
         alice, bob = players(maps)
-        linalg.lower_triangle_map(r, db, alice)
-        np.negative(linalg.lower_triangle_map(r.T, da, bob), out=bob)
+        _lower_triangle_map(r, db, alice)
+        np.negative(_lower_triangle_map(r.T, da, bob), out=bob)
         return maps
 
     @property
@@ -286,7 +318,7 @@ def _columns(x: np.ndarray) -> np.ndarray:
     return x.view(np.float64).reshape(*x.shape[:-2], -1, 1)
 
 
-def payoff_gradient_into(game: QuantumGame, state: StackViews, buf: FeedbackBuffers) -> StackViews:
+def payoff_gradient_into(state: StackViews, buf: FeedbackBuffers) -> StackViews:
     """F at a `players` pair, unchecked, written into `buf` (a
     `FeedbackBuffers(game)`, or a `FeedbackBuffers(game, k)` for k-profile
     stacks): one product with the feedback maps, over the (2, d, d) stack
@@ -299,26 +331,25 @@ def payoff_gradient_into(game: QuantumGame, state: StackViews, buf: FeedbackBuff
     return buf.views
 
 
-def duality_gaps_into(game: QuantumGame, state: StackViews, buf: FeedbackBuffers) -> list[float]:
-    """`duality_gap` of each profile of a `players` pair of k-profile stacks,
-    unchecked and read as `payoff_gradient_into` reads it, through `buf` (a
-    `FeedbackBuffers(game, k)`): the feedback of all k profiles, then one
-    `linalg.trusted_eigvalsh` per stack, which reads the lower triangles.
-    Alice's best reply is the top eigenvalue of F_alice(b') and Bob's the
-    top one of F_bob(a'), as u(a', b) = -<b, F_bob(a')>."""
-    out = payoff_gradient_into(game, state, buf).stacks
+def duality_gaps_into(state: StackViews, buf: FeedbackBuffers) -> float | list[float]:
+    """`duality_gap` of a `players` pair, unchecked and read as
+    `payoff_gradient_into` reads it, through `buf`: a float for one profile
+    and a `FeedbackBuffers(game)`, a list for k-profile stacks and a
+    `FeedbackBuffers(game, k)`.  The feedback, then one `trusted_eigvalsh`
+    per stack: Alice's best reply is the top eigenvalue of F_alice(b') and
+    Bob's the top one of F_bob(a'), as u(a', b) = -<b, F_bob(a')>."""
+    out = payoff_gradient_into(state, buf).stacks
     w = players([linalg.trusted_eigvalsh(s) for s in out])
     return (w.alice[..., -1] + w.bob[..., -1]).tolist()
 
 
-def hermitian_profile(game: QuantumGame, state: JointState, *lead: int) -> StackViews:
-    """`players` views of fresh `profile_stacks(game, *lead)` holding, at
-    every lead position, the Hermitian part of each matrix of `state`,
-    checked against the game's dimensions."""
-    profile = players(profile_stacks(game, *lead))
+def hermitian_profile(game: QuantumGame, state: JointState) -> StackViews:
+    """`players` views of fresh `profile_stacks(game)` holding the Hermitian
+    part of each matrix of `state`, checked against the game's dimensions."""
+    profile = players(profile_stacks(game))
     for x, m, who in zip(profile, state, ("Alice", "Bob")):
         m = linalg.as_matrix(m)
-        if m.shape != x.shape[-2:]:
+        if m.shape != x.shape:
             raise ValueError(f"{who} state dimension {m.shape[0]} does not match the game")
         x[...] = linalg.hermitianize(m)
     return profile
@@ -330,7 +361,7 @@ def payoff_gradient(game: QuantumGame, state: JointState) -> StackViews:
     Hermitian views into fresh `profile_stacks`-shaped arrays it keeps as
     `.stacks`: `payoff_gradient_into`, whose result is its own Hermitian
     part."""
-    return payoff_gradient_into(game, hermitian_profile(game, state), FeedbackBuffers(game))
+    return payoff_gradient_into(hermitian_profile(game, state), FeedbackBuffers(game))
 
 
 def duality_gap(game: QuantumGame, state: JointState) -> float:
@@ -341,7 +372,7 @@ def duality_gap(game: QuantumGame, state: JointState) -> float:
     F_alice(b') and of F_bob(a') at the Hermitian parts of a' and b'
     (`duality_gaps_into`).
     """
-    return duality_gaps_into(game, hermitian_profile(game, state, 1), FeedbackBuffers(game, 1))[0]
+    return duality_gaps_into(hermitian_profile(game, state), FeedbackBuffers(game))
 
 
 def gram_density(g: np.ndarray) -> np.ndarray:
@@ -378,7 +409,7 @@ def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
         if not linalg.is_number(outcomes, numbers.Integral):
             raise ValueError("outcomes must be an integer")
         if outcomes < 2:
-            raise ValueError("outcomes must be ≥ 2")
+            raise ValueError("outcomes must be >= 2")
         if outcomes > MAX_OUTCOMES:
             raise ValueError(
                 f"outcomes must be at most {MAX_OUTCOMES}, the largest utility vector "
@@ -489,7 +520,7 @@ def sampled_lipschitz_ratio(
         for i, xy, x in itertools.product(range(k), range(2), g):
             x[xy, i] = rng.complex_normal(generator, x.shape[-2:])
         pairs = players([gram_density(s) for s in g.stacks])
-        feedback = payoff_gradient_into(game, pairs, FeedbackBuffers(game, 2, k))
+        feedback = payoff_gradient_into(pairs, FeedbackBuffers(game, 2, k))
         (a, b), (fa, fb) = (players([np.abs(linalg.trusted_hermitian_eig(
             s[..., 0, :, :, :] - s[..., 1, :, :, :]).eigenvalues) for s in p.stacks])
             for p in (pairs, feedback))

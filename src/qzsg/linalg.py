@@ -1,13 +1,12 @@
 """Dense complex linear algebra for Hermitian matrices of dimension 2^k.
 
-All functions operate on square complex numpy arrays and return fresh arrays;
-only `hermitianize_in_place` and `lower_triangle_map` write into arrays they
-are given.  Results that are Hermitian in exact arithmetic are re-symmetrized
-through the (A + A†)/2 guard so that downstream tolerance checks stay sharp
-after long chains of floating-point arithmetic.  The solver loop's trusted
-kernels are the exception: they read a Hermitian matrix as LAPACK's eigh
-reads it, by its lower triangle and real diagonal (`lower_triangle_map` is
-that rule as a real matrix), so no (A + A†)/2 pass runs inside the loop.
+All functions operate on square complex numpy arrays and return fresh arrays,
+except `hermitianize_in_place`.  Results that are Hermitian in exact
+arithmetic are re-symmetrized through the (A + A†)/2 guard so that downstream
+tolerance checks stay sharp after long chains of floating-point arithmetic.
+The solver loop's trusted kernels are the exception: they read a Hermitian
+matrix as LAPACK's eigh reads it, by its lower triangle and real diagonal, so
+no (A + A†)/2 pass runs inside the loop.
 
 The trusted eigensolvers call the batched LAPACK gufuncs behind
 `numpy.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
@@ -87,36 +86,6 @@ def hermitianize_in_place(a: np.ndarray, scratch: np.ndarray | None = None) -> n
     a += np.conjugate(a, out=scratch).swapaxes(-1, -2)
     a /= 2.0
     return a
-
-
-def lower_triangle_map(s: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Write into `out`, a (2N, 2dim²) real array, the real matrix of
-    b -> s vec(bᵀ) for a complex (N, dim²) `s`, with vec the row-major
-    flattening and b Hermitian, read as LAPACK's eigh reads it: by its lower
-    triangle and real diagonal.  Returns `out`.
-
-    Both sides are float64 views: b.view(float64) flattened, and each output
-    entry as its real part then its imaginary part.  With b[l, k] = x + iy
-    for l > k, the upper entry b[k, l] is x - iy, so the pair adds
-    (s[:, (k,l)] + s[:, (l,k)]) x + i (s[:, (k,l)] - s[:, (l,k)]) y, and the
-    columns of the upper triangle and of the imaginary diagonal are zero.
-    Sums and gathers only, written into `out` by unbuffered ufuncs: no
-    temporary of its size.
-    """
-    blocks = s.reshape(-1, dim, dim)  # blocks[i, k, l] multiplies b[l, k]
-    swapped = blocks.swapaxes(1, 2)  # swapped[i, l, k] multiplies b[l, k]
-    m = out.reshape(-1, 2, dim, dim, 2)  # (output, re/im, l, k, x/y)
-    np.add(swapped.real, blocks.real, out=m[:, 0, :, :, 0])
-    np.subtract(blocks.imag, swapped.imag, out=m[:, 0, :, :, 1])
-    np.add(swapped.imag, blocks.imag, out=m[:, 1, :, :, 0])
-    np.subtract(swapped.real, blocks.real, out=m[:, 1, :, :, 1])
-    # on the diagonal the differences are x - x = +0, the imaginary
-    # diagonal's columns, and the sums twice the entry, replaced here
-    diagonal = np.arange(dim)
-    m[:, 0, diagonal, diagonal, 0] = blocks.real[:, diagonal, diagonal]
-    m[:, 1, diagonal, diagonal, 0] = blocks.imag[:, diagonal, diagonal]
-    m[:, :, ~np.tri(dim, dtype=bool)] = 0.0
-    return out
 
 
 def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -9,6 +9,8 @@ Every check runs on a random game.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import linalg, rng
@@ -108,8 +110,12 @@ def run_properties(
     """Run the named checks over (k, k)-qubit games for k up to max_qubits.
 
     One game per (dims, seed) is built and shared across all checks, then
-    dropped, so memory stays bounded at the largest single game.
+    dropped, so memory stays bounded at the largest single game.  Each count
+    must be an integer (a bool is not) and each name a distinct check.
     """
+    for key, count in (("max_qubits", max_qubits), ("n_seeds", n_seeds), ("samples", samples)):
+        if not linalg.is_number(count, numbers.Integral):
+            raise ValueError(f"{key} must be an integer")
     if max_qubits < 1:
         raise ValueError("max_qubits must be >= 1")
     if 2 * max_qubits > MAX_DEFAULTED_QUBITS:
@@ -119,11 +125,15 @@ def run_properties(
         )
     if n_seeds < 1 or samples < 1:
         raise ValueError("n_seeds and samples must be >= 1")
+    names = tuple(names)
     for name in names:
         if name not in PROPERTY_NAMES:
             raise ValueError(
                 f"unknown property {name!r}; expected one of {PROPERTY_NAMES}"
             )
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated property names {repeated}")
     worsts = {name: 0.0 if name != "lipschitz" else -np.inf for name in names}
     dims = [(k, k) for k in range(1, max_qubits + 1)]
     for n, m in dims:

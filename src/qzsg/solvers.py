@@ -197,7 +197,6 @@ class Stepper:
     """
 
     def __init__(self, game, reg, eta_fn, start: JointState, point: StackViews, optimistic=False):
-        self.game = game
         self.reg = reg
         self.eta_fn = eta_fn
         self.optimistic = optimistic
@@ -219,12 +218,12 @@ class Stepper:
         eta = self.eta_fn(t)
         calls = 1  # the fresh gradient at the extrapolated point
         if not self.stored:
-            self._scale(eta, payoff_gradient_into(self.game, self.played, self.feedback).stacks)
+            self._scale(eta, payoff_gradient_into(self.played, self.feedback).stacks)
             calls += 1
         reg, point = self.reg, self.point
         for s, step, p, c in zip(self.stacks, self.scaled, point.stacks, self.scratch):
             reg.play(reg.advance(s, step, p, c), p, c)
-        fresh = payoff_gradient_into(self.game, point, self.feedback)
+        fresh = payoff_gradient_into(point, self.feedback)
         self._scale(eta, fresh.stacks)
         for s, step, c in zip(self.stacks, self.scaled, self.scratch):
             reg.advance(s, step, s, c)
@@ -247,7 +246,7 @@ class DualAveragingStepper(Stepper):
     mirror(eta_t W), which is the public map of eta_t W bit for bit."""
 
     def step(self, t: int, psi: JointState) -> tuple[StackViews, int]:
-        grad = payoff_gradient_into(self.game, self.played, self.feedback)
+        grad = payoff_gradient_into(self.played, self.feedback)
         for s, g in zip(self.stacks, grad.stacks):
             s += g
         self._scale(self.eta_fn(t), self.stacks)
@@ -338,7 +337,7 @@ def run(
                         np.divide(s, done, out=c[..., 0, :, :])
                         c[..., 1, :, :] = x
                         linalg.hermitianize_in_place(c)
-                    gap_avg, gap_last = duality_gaps_into(game, exact, gap_buffers)
+                    gap_avg, gap_last = duality_gaps_into(exact, gap_buffers)
                 except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(
                         f"duality gap failed at iteration {done}: {exc}"

@@ -96,7 +96,7 @@ def test_generate_matches_the_library(tmp_path, capsys, n, m, outcomes):
 def test_generate_rejects_bad_outcomes(tmp_path, capsys):
     out = tmp_path / "g.json"
     assert run_cli("generate", "-n", "1", "-m", "1", "--outcomes", "1", "-o", str(out)) == 2
-    assert "outcomes must be ≥ 2" in capsys.readouterr().err
+    assert "outcomes must be >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -698,6 +698,26 @@ def test_an_outcome_count_too_large_to_allocate_is_out_of_memory(tmp_path, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_game_out_of_memory_stops_the_suite_and_compare_exits_3(
+        tmp_path, monkeypatch, capsys, workers):
+    # every game of a suite has one size, so the first game that does not fit
+    # ends the suite instead of becoming one failed cell per alias
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.00 PiB for an array")
+
+    monkeypatch.setattr(suite, "random_game", too_large)
+    monkeypatch.setattr(solvers, "run", _unexpected)
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, workers)
+    spec = suite.ExperimentSpec(1, 1, 2, 0, ("ommwu", "mmwu"), 5)
+    with pytest.raises(MemoryError, match="2.00 PiB"):
+        suite.run_suite(spec)
+    out = tmp_path / "cmp"
+    assert run_cli("compare", "-n", "1", "-m", "1", "--games", "2", "--iters", "5",
+                   "--algorithms", "ommwu,mmwu", "-o", str(out)) == 3
+    assert capsys.readouterr().err == "out of memory: Unable to allocate 2.00 PiB for an array\n"
+
+
 @pytest.mark.parametrize("below", [(), ("sub",)])
 def test_compare_rejects_an_output_file_before_any_game(
         tmp_path, monkeypatch, capsys, below):
@@ -893,6 +913,7 @@ def test_a_game_file_of_40_plus_40_qubits_fails_before_its_matrix_is_decoded(
          "gap_check_interval must be >= 1"),
         ((*COMPARE_1_1, "--iters", "30", "--schedule", "0,3"), None,
          "checkpoints must be integers >= 1, got 0"),
+        ((*COMPARE_1_1, "--iters", "30", "--schedule", ","), None, "invalid schedule ','"),
         ((*PENNIES, "--iters", "0"), None, "max_iters must be >= 1"),
         ((*PENNIES, "--check-interval", "0"), None, "gap_check_interval must be >= 1"),
         (("verify", "--dims", "0"), None, "max_qubits must be >= 1"),
@@ -902,8 +923,8 @@ def test_a_game_file_of_40_plus_40_qubits_fails_before_its_matrix_is_decoded(
         (("solve", "--game"), {"seed": 1.5}, "seed must be an integer"),
     ],
     ids=["n-0", "seed-minus-4", "games-0", "iters-0", "every-0", "checkpoint-0",
-         "solve-iters-0", "check-interval-0", "dims-0", "seeds-0", "samples-0",
-         "file-n-1.5", "file-seed-1.5"],
+         "schedule-no-points", "solve-iters-0", "check-interval-0", "dims-0", "seeds-0",
+         "samples-0", "file-n-1.5", "file-seed-1.5"],
 )
 def test_an_out_of_range_value_exits_2_before_any_work(
         tmp_path, monkeypatch, capsys, argv, document, message):

@@ -495,7 +495,7 @@ def test_workspace_feedback_kernels_equal_the_public_ones(case):
     finite = [all(np.isfinite(x).all() for x in p) for p in profiles]
     for p in profiles:  # the same buffers twice: nothing carries over
         hermitian = loop_profile(game, map(linalg.hermitianize, p))
-        got = payoff_gradient_into(game, hermitian, grad_buf)
+        got = payoff_gradient_into(hermitian, grad_buf)
         public = payoff_gradient(game, p)
         for g, want in zip(got, public):
             assert same_matrix(g, want)
@@ -512,7 +512,7 @@ def test_workspace_feedback_kernels_equal_the_public_ones(case):
         else:
             assert gap == gap_outcome(lambda: composed_gap(game, p))
     try:
-        fused = duality_gaps_into(game, hermitian_profiles(game, profiles), gap_buf)
+        fused = duality_gaps_into(hermitian_profiles(game, profiles), gap_buf)
     except (linalg.NumericalError, ValueError) as exc:
         assert f"{type(exc).__name__}: {exc}" in gaps
     else:
@@ -540,7 +540,7 @@ def test_feedback_maps_oracle_hermitian_bounded_and_equal_below_the_diagonal(n, 
                 assert np.array_equal(g, g.conj().T)
             assert within_rounding(game, state, public)
             if kind < 2:  # exactly Hermitian: the kernel reads the profile as it is
-                got = payoff_gradient_into(game, loop_profile(game, state), FeedbackBuffers(game))
+                got = payoff_gradient_into(loop_profile(game, state), FeedbackBuffers(game))
                 for g, want in zip(got, public):
                     assert np.tril(g).tobytes() == np.tril(want).tobytes()
 
@@ -569,7 +569,7 @@ for n, m in SIZES:
             for x in profile:
                 g = rng.complex_normal(gen, x.shape)
                 x[...] = g if k % 2 else linalg.hermitianize(g)
-            for f in payoff_gradient_into(game, profile, buf):
+            for f in payoff_gradient_into(profile, buf):
                 digest.update(f.tobytes())
                 hermitian &= np.array_equal(f, f.conj().swapaxes(-1, -2))
     print(n, m, digest.hexdigest(), hermitian)
@@ -606,10 +606,10 @@ def test_checkpoint_gaps_of_two_profiles_equal_one_profile_gaps(n, m):
     pair, one = FeedbackBuffers(game, 2), FeedbackBuffers(game, 1)
     for _ in range(60):
         profiles = [random_joint(game, gen) for _ in range(2)]
-        gaps = duality_gaps_into(game, hermitian_profiles(game, profiles), pair)
+        gaps = duality_gaps_into(hermitian_profiles(game, profiles), pair)
         products = [o.copy() for o in pair.out]
         for k, p in enumerate(profiles):
-            assert gaps[k] == duality_gaps_into(game, hermitian_profiles(game, [p]), one)[0]
+            assert gaps[k] == duality_gaps_into(hermitian_profiles(game, [p]), one)[0]
             for both, alone in zip(products, one.out):
                 assert both[..., k, :, :].tobytes() == alone[..., 0, :, :].tobytes()
 

@@ -44,6 +44,14 @@ def test_run_properties_subset_and_validation():
         run_properties(max_qubits=0)
     with pytest.raises(ValueError, match="n_seeds and samples"):
         run_properties(max_qubits=1, n_seeds=0)
+    # a count that is not an integer, a bool among them, is refused by name,
+    # as SolverConfig and ExperimentSpec refuse theirs
+    for key in ("max_qubits", "n_seeds", "samples"):
+        for bad in (1.5, True):
+            with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
+                run_properties(names=("monotonicity",), **{"max_qubits": 1, key: bad})
+    with pytest.raises(ValueError, match=r"^repeated property names \['linearity'\]$"):
+        run_properties(names=("linearity", "linearity"), max_qubits=1, n_seeds=1, samples=1)
 
 
 def test_run_properties_bounds_dims_before_any_game(monkeypatch):

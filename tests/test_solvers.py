@@ -729,8 +729,8 @@ def test_nan_gradient_raises_numerical_error_naming_its_iteration(monkeypatch, a
     real_gradient = solvers.payoff_gradient_into
     calls = {"n": 0}
 
-    def poisoned(game, state, buf):
-        g = real_gradient(game, state, buf)
+    def poisoned(state, buf):
+        g = real_gradient(state, buf)
         calls["n"] += 1
         if calls["n"] == before.gradient_calls + 1:  # the first gradient of iteration k
             g.alice[...] *= math.nan  # in place, so the profile the loop reads is poisoned
