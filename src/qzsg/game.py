@@ -34,11 +34,15 @@ S^(-1/2) (sum_w u(w) A_w) S^(-1/2), and no P_w is ever made.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
 import math
 import numbers
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,6 +56,13 @@ RANK_RIDGE = 1e-6
 # the most bytes of one (k, d, d) stack of raw POVM elements, a chunk, that
 # `random_game_with_bound` makes at a time
 CHUNK_BYTES = 256 * 1024
+# the fewest chunks for which `random_game_with_bound` draws each next chunk
+# on a second thread while this one sums the current one.  Over three runs of
+# 200 interleaved games each (2-vCPU Xeon VM, one BLAS thread), the thread
+# took 0.77-0.88 of the time at 8 chunks (2+2 with 512 outcomes; lower in
+# 149-181 of 200) but 0.93-0.99 at 4 (2+2; lower in 106-136 of 200), where
+# its start and wake-ups eat the overlap
+DRAW_AHEAD_CHUNKS = 8
 # the largest n + m with a defaulted outcome count: building 4^(n+m)
 # elements of side 2^(n+m) costs about 32^(n+m), seconds at 3+4 and
 # minutes at 4+4
@@ -400,6 +411,64 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
     np.add.reduce(stack, axis=0, out=total)
 
 
+def _povm_draws(generator: np.random.Generator, stacks: list, outcomes: int, per_chunk: int):
+    """Yield (start, a) for each chunk of a random game's POVM stream, in
+    order: a is the first k elements of stacks[i % len(stacks)] for chunk i,
+    whose float64 memory holds the chunk's `standard_normal((k, 2, d, d))`
+    draw, and is the caller's until it asks for the next chunk.
+
+    Given two stacks, a second thread draws chunk i + 1 while the caller
+    works on chunk i; both release the interpreter lock in numpy.  One
+    generator makes every draw in stream order either way, so the bits are
+    the same.  An exception of the drawing thread is raised here, in the
+    caller, and the thread is joined when the iterator ends or is closed.
+    """
+    dim = stacks[0].shape[-1]
+    starts = range(0, outcomes, per_chunk)
+
+    def draw(i: int) -> np.ndarray:
+        k = min(per_chunk, outcomes - starts[i])
+        a = stacks[i % len(stacks)][:k]
+        generator.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
+        return a
+
+    if len(stacks) == 1:
+        for i, start in enumerate(starts):
+            yield start, draw(i)
+        return
+    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def drawer() -> None:
+        while (i := requests.get()) is not None:
+            try:
+                results.put(draw(i))
+            except BaseException as exc:
+                results.put(exc)
+
+    thread = threading.Thread(target=drawer, name="qzsg-povm-draws", daemon=True)
+    thread.start()
+    try:
+        requests.put(0)
+        for i, start in enumerate(starts):
+            # poll, releasing the interpreter lock and the CPU, rather than
+            # block: a blocking wait idles the caller's vCPU once a chunk,
+            # and on a 2-vCPU KVM guest the solver loop after a 3+3 build
+            # then often ran about 1.6x slower for up to a second (its
+            # first 0.4 s above 60 us an iteration in 10 of 24 interleaved
+            # processes blocking, 2 of 24 polling, 2 of 24 without the thread)
+            while results.empty():
+                os.sched_yield()
+            a = results.get()
+            if isinstance(a, BaseException):
+                raise a
+            if i + 1 < len(starts):
+                requests.put(i + 1)
+            yield start, a
+    finally:
+        requests.put(None)
+        thread.join()
+
+
 def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
     """The outcome count of a random n+m-qubit game: `outcomes`, an integer
     from 2 to MAX_OUTCOMES, or 4^(n+m) without one; a ValueError for counts
@@ -443,7 +512,10 @@ def random_game_with_bound(
     chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
     block before its imaginary block as in one `rng.complex_normal` draw per
     element, and each chunk folds into S and V with the bits of k sequential
-    `+=`, so no bit of a game depends on the chunk size.
+    `+=`, so no bit of a game depends on the chunk size.  From
+    DRAW_AHEAD_CHUNKS chunks on, a second thread draws the next chunk while
+    this one sums the current one (`_povm_draws`), with the same bits; it
+    ends before this function returns or raises.
     """
     outcomes = default_outcomes(n, m, outcomes)
     dim = side(n, m)
@@ -453,23 +525,28 @@ def random_game_with_bound(
     ridge = RANK_RIDGE * np.eye(dim)
     per_chunk = min(outcomes, max(1, CHUNK_BYTES // (16 * dim * dim)))
     # every chunk reuses these stacks: made fresh per chunk, stacks this large
-    # go back to the system and fault in again each time.  One block of all
-    # three would lift glibc's mmap threshold and leave the process's peak
-    # RSS about 0.8 MB higher
-    raw, g, scratch = (np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(3))
+    # go back to the system and fault in again each time.  One block of them
+    # all would lift glibc's mmap threshold and leave the process's peak RSS
+    # about 0.8 MB higher.  A stream of DRAW_AHEAD_CHUNKS or more is drawn
+    # into two raw stacks in turn, the next while this one is summed
+    drawn_ahead = -(-outcomes // per_chunk) >= DRAW_AHEAD_CHUNKS
+    raw = [np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(1 + drawn_ahead)]
+    g, scratch = (np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(2))
     total, weighted = np.zeros((2, dim, dim), dtype=complex)
-    for start in range(0, outcomes, per_chunk):
-        k = min(per_chunk, outcomes - start)
-        a, g_k = raw[:k], g[:k]
-        # drawn into the memory of A_w, which is not written before G is built
-        z = gen_povm.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
-        z *= 1.0 / np.sqrt(2.0)  # the bits of a complex division by sqrt(2)
-        g_k.real, g_k.imag = z[:, 0], z[:, 1]
-        np.matmul(np.conjugate(g_k, out=scratch[:k]).swapaxes(-1, -2), g_k, out=a)
-        a += ridge
-        # u_w A_w first: folding A into S overwrites a[0]
-        _fold(weighted, np.multiply(utilities[start:start + k, None, None], a, out=g_k))
-        _fold(total, a)
+    with contextlib.closing(_povm_draws(gen_povm, raw, outcomes, per_chunk)) as draws:
+        # each chunk is drawn into the memory of its A_w, which is not
+        # written before G is built
+        for start, a in draws:
+            k = len(a)
+            g_k = g[:k]
+            z = a.view(np.float64).reshape(k, 2, dim, dim)
+            z *= 1.0 / np.sqrt(2.0)  # the bits of a complex division by sqrt(2)
+            g_k.real, g_k.imag = z[:, 0], z[:, 1]
+            np.matmul(np.conjugate(g_k, out=scratch[:k]).swapaxes(-1, -2), g_k, out=a)
+            a += ridge
+            # u_w A_w first: folding A into S overwrites a[0]
+            _fold(weighted, np.multiply(utilities[start:start + k, None, None], a, out=g_k))
+            _fold(total, a)
     spectrum = linalg.trusted_hermitian_eig(linalg.hermitianize(total))
     v = spectrum.eigenvectors
     inv_sqrt = linalg.hermitianize((v * spectrum.eigenvalues**-0.5) @ v.conj().T)

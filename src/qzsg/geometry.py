@@ -94,7 +94,8 @@ def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = 
     """Λ of a Hermitian matrix or of each matrix in a (k, d, d) stack, read by
     its lower triangle and real diagonal, written into `out` (which may be y)
     with the work arrays `s`, both fresh when not given; the errors and bits
-    of `linalg.trusted_hermitian_eig` followed by the shifted exponential.
+    of `linalg.trusted_hermitian_eig` followed by the shifted exponential,
+    under the caller's error state (see `Regularizer.trusted_mirror_map`).
     The result is V diag(e) V† / sum(e) as the product rounds it, Hermitian
     to rounding; `logit_map` is its Hermitian part."""
     out, s = _buffers(y, out, s)
@@ -117,8 +118,8 @@ def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None 
     eigenpairs are read backwards through views, then one pass over each row
     of the spectrum (`_clip_spectra`), then V diag(λ) V† as the product
     rounds it, Hermitian to rounding.  Trusted kernel, with the errors and
-    bits of `linalg.trusted_hermitian_eig` followed by the clip;
-    `orth_project_spectraplex` is its Hermitian part.
+    bits of `linalg.trusted_hermitian_eig` followed by the clip, under the
+    caller's error state; `orth_project_spectraplex` is its Hermitian part.
     """
     out, s = _buffers(y, out, s)
     w, v = linalg.eigh_ascending(y)
@@ -131,15 +132,21 @@ def logit_map(y) -> np.ndarray:
 
     The shift multiplies numerator and denominator by the same scalar, so the
     output is exact while every intermediate stays in [0, 1].  The result
-    is the Hermitian part of the trusted map's, exactly Hermitian.
+    is the Hermitian part of the trusted map's, made under
+    `linalg.lapack_errstate`, exactly Hermitian.
     """
-    return linalg.hermitianize(_logit(linalg.hermitianize(linalg.assert_hermitian(y))))
+    y = linalg.hermitianize(linalg.assert_hermitian(y))
+    with linalg.lapack_errstate():
+        return linalg.hermitianize(_logit(y))
 
 
 def orth_project_spectraplex(y) -> np.ndarray:
     """Euclidean projection onto the density-matrix set: project the spectrum.
-    The result is the Hermitian part of the trusted map's, exactly Hermitian."""
-    return linalg.hermitianize(_project(linalg.hermitianize(linalg.assert_hermitian(y))))
+    The result is the Hermitian part of the trusted map's, made under
+    `linalg.lapack_errstate`, exactly Hermitian."""
+    y = linalg.hermitianize(linalg.assert_hermitian(y))
+    with linalg.lapack_errstate():
+        return linalg.hermitianize(_project(y))
 
 
 @dataclass(frozen=True)
@@ -218,6 +225,9 @@ class Regularizer:
         its result is Hermitian to rounding, with no Hermitian pass.  On an
         exactly Hermitian Y, the Hermitian part of each result equals
         `logit_map` or `orth_project_spectraplex` of its matrix bit for bit.
+        It sets no error state: under `solvers.run`'s, a LAPACK failure
+        raises NumericalError (`linalg._lapack`); under one that does not
+        raise on invalid, it warns and leaves NaN.
         """
         kernel = _logit if self.kind == VN_ENTROPY_ID else _project
         return kernel(y, out, scratch)
@@ -241,7 +251,8 @@ class Regularizer:
 
     def play(self, state: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """The density matrix a stepper state stands for: Λ(D), written as
-        `trusted_mirror_map` writes it, or X itself."""
+        `trusted_mirror_map` writes it, under the caller's error state, or X
+        itself."""
         if self.kind == VN_ENTROPY_ID:
             return _logit(state, out, scratch)
         return state
@@ -257,7 +268,8 @@ class Regularizer:
         log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
         eta) without its input checks and its final Hermitian pass.  The sum
         is read by its lower triangle, and eta must be positive and finite,
-        as `solvers.run` makes it from a validated config.
+        as `solvers.run` makes it from a validated config.  The projection
+        runs under the caller's error state, as `trusted_mirror_map` does.
         """
         y = np.add(state, step, out=out)
         if self.kind == VN_ENTROPY_ID:

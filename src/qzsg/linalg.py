@@ -12,9 +12,11 @@ The trusted eigensolvers call the batched LAPACK gufuncs behind
 `numpy.linalg.eigh` and `eigvalsh` directly (`_lapack`), with their bits and
 without the wrappers' per-call dispatch.  Those gufuncs are private numpy
 API; tests/test_linalg.py pins them to the public functions byte for byte.
-Every eigensolver call of the package goes through `_lapack`, so a LAPACK
-failure anywhere, set-up included, raises NumericalError.  Every descending
-spectrum is LAPACK's ascending one read backwards, equal eigenvalues too.
+Every eigensolver call of the package goes through `_lapack` under an error
+state that raises on invalid, `lapack_errstate` or, in the solver loop,
+`solvers.run`'s, so a LAPACK failure anywhere, set-up included, raises
+NumericalError.  Every descending spectrum is LAPACK's ascending one read
+backwards, equal eigenvalues too.
 """
 
 from __future__ import annotations
@@ -111,11 +113,16 @@ def assert_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
-@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def lapack_errstate() -> np.errstate:
+    """The error state numpy's eigh wrapper sets, in which `_lapack` turns
+    a LAPACK failure into NumericalError without a warning."""
+    return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+
+
 def _lapack(gufunc, signature: str, h: np.ndarray):
-    """`gufunc(h)` under the error state numpy's eigh wrapper sets: the
-    gufunc flags a LAPACK failure as invalid, which raises NumericalError
-    here, in or outside an outer error state, without a warning."""
+    """`gufunc(h)` under the caller's error state.  The gufunc flags a LAPACK
+    failure as invalid; where that raises, as under `lapack_errstate` or
+    `solvers.run`'s state, it raises NumericalError here."""
     try:
         return gufunc(h, signature=signature)
     except FloatingPointError as exc:
@@ -128,9 +135,11 @@ def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
     of `numpy.linalg.eigvalsh`.
 
     Trusted kernel: nothing is checked.  A solver failure raises
-    NumericalError; non-finite input can give a non-finite spectrum.
+    NumericalError (under `lapack_errstate`); non-finite input can give a
+    non-finite spectrum.
     """
-    return _lapack(_EIGVALSH, "D->d", h)
+    with lapack_errstate():
+        return _lapack(_EIGVALSH, "D->d", h)
 
 
 def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,8 +149,9 @@ def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     real diagonal, so H need be Hermitian only there.
 
     Trusted kernel: nothing of H is checked but its finiteness.
-    Non-finite input, for which `eigh` can return finite eigenvalues, and a
-    solver failure raise NumericalError; the spectrum is not checked.
+    Non-finite input, for which `eigh` can return finite eigenvalues, raises
+    NumericalError, and so does a solver failure where the caller's error
+    state raises on invalid (`_lapack`); the spectrum is not checked.
     """
     if not all_finite(h):
         raise NumericalError("non-finite input gives a non-finite spectrum")
@@ -163,10 +173,12 @@ def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     (`eigh_ascending`) read backwards and copied, since numpy's complex
     kernels round differently on strides.
 
-    Trusted kernel with the preconditions and errors of `eigh_ascending`; a
-    non-finite spectrum raises NumericalError too (`assert_finite_spectrum`).
+    Trusted kernel with the preconditions and errors of `eigh_ascending`,
+    called under `lapack_errstate`; a non-finite spectrum raises
+    NumericalError too (`assert_finite_spectrum`).
     """
-    w, v = eigh_ascending(h)
+    with lapack_errstate():
+        w, v = eigh_ascending(h)
     assert_finite_spectrum(w)
     return Spectrum(w[..., ::-1].copy(), v[..., ::-1].copy())
 

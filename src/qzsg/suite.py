@@ -132,9 +132,11 @@ def execute_game(spec: ExperimentSpec, game_index: int) -> list:
 def worker_count() -> int:
     """The pool size: the QZSG_THREADS environment variable, else 1.
 
-    Threads overlap only the large matrix products of building a game, so
-    one worker is the default: two were slower than one on every suite
-    bound by its steps (see README, Determinism)."""
+    Threads overlap only the work of building a game, and a worker's
+    `random_game` already starts one drawing thread per game from
+    `game.DRAW_AHEAD_CHUNKS` chunks on, so one worker is the default: two
+    were slower than one on every suite bound by its steps (see README,
+    Determinism)."""
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not env:
         return 1

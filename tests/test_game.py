@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 import warnings
 
@@ -18,10 +20,12 @@ from reference_games import one_pass_observable, reference_outcomes
 from test_linalg import failing_gufunc
 
 import qzsg
+from qzsg import game as game_module
 from qzsg import linalg, rng
 from qzsg.properties import check_linearity, check_monotonicity
 from qzsg.game import (
     CHUNK_BYTES,
+    DRAW_AHEAD_CHUNKS,
     MAX_DEFAULTED_QUBITS,
     MAX_OUTCOMES,
     FeedbackBuffers,
@@ -553,6 +557,7 @@ def test_feedback_maps_oracle_hermitian_bounded_and_equal_below_the_diagonal(n, 
 KERNEL_BITS_CHILD = """
 import hashlib
 import numpy as np
+from qzsg import game as game_module
 from qzsg import linalg, rng
 from qzsg.game import FeedbackBuffers, QuantumGame, payoff_gradient_into, players, profile_stacks
 
@@ -811,12 +816,14 @@ def test_random_game_shapes_and_ranges():
     assert small.outcomes == len(reference_outcomes(1, 1, outcomes=2, seed=0)[1]) == 2
 
 
-# one chunk, full chunks, and a partial last chunk at two sizes
+# one chunk, full chunks, and a partial last chunk at two sizes, and at 3+3
+# (4 elements a chunk) a stream long enough for the drawing thread
 chunk_cases = pytest.mark.parametrize(
     "n, m, outcomes, seed, chunks",
     [(1, 1, 16, 4, "one"), (2, 2, 256, 1, "full"), (2, 3, 100, 7, "partial"),
-     (3, 3, 10, 2, "partial")],
-    ids=["1+1-one-chunk", "2+2-full-chunks", "2+3-partial-last", "3+3-partial-last"],
+     (3, 3, 10, 2, "partial"), (3, 3, 4 * DRAW_AHEAD_CHUNKS + 2, 3, "partial")],
+    ids=["1+1-one-chunk", "2+2-full-chunks", "2+3-partial-last", "3+3-partial-last",
+         "3+3-drawn-ahead-partial-last"],
 )
 
 
@@ -835,6 +842,105 @@ def test_chunked_generation_is_the_two_pass_sum_to_rounding(n, m, outcomes, seed
     # elements: equal in exact arithmetic, apart by rounding only
     u_obs = reference_outcomes(n, m, outcomes, seed)[0]
     assert np.max(np.abs(random_game(n, m, outcomes, seed).payoff_observable - u_obs)) <= 1e-15
+
+
+class _PovmStream:
+    """A game's POVM stream that records the thread of each
+    `standard_normal` draw and raises `fail` at draw `fail_at`."""
+
+    def __init__(self, gen, fail_at=None, fail=None):
+        self._gen, self.fail_at, self.fail, self.threads = gen, fail_at, fail, []
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_normal(self, *args, **kwargs):
+        if len(self.threads) == self.fail_at:
+            raise self.fail
+        self.threads.append(threading.current_thread())
+        return self._gen.standard_normal(*args, **kwargs)
+
+
+def _patch_povm_stream(monkeypatch, **kwargs) -> list:
+    """Make every game's POVM stream a `_PovmStream(**kwargs)`; returns the
+    list the streams are appended to."""
+    streams, stream = [], rng.stream
+
+    def patched(seed, purpose):
+        gen = stream(seed, purpose)
+        if purpose == rng.STREAM_POVM:
+            streams.append(_PovmStream(gen, **kwargs))
+            return streams[-1]
+        return gen
+
+    monkeypatch.setattr(rng, "stream", patched)
+    return streams
+
+
+def test_chunked_draws_take_a_second_thread_from_draw_ahead_chunks(monkeypatch):
+    # 2+2 holds 64 elements a chunk: its default 256 outcomes are 4 chunks,
+    # the benchmark's small game, and stay on the calling thread
+    streams = _patch_povm_stream(monkeypatch)
+    before = threading.active_count()
+    random_game(2, 2, seed=6)
+    assert streams[-1].threads == [threading.current_thread()] * 4
+    for chunks in (DRAW_AHEAD_CHUNKS - 1, DRAW_AHEAD_CHUNKS):
+        random_game(2, 2, 64 * chunks, seed=6)
+        threads = streams[-1].threads
+        assert len(threads) == chunks
+        assert {t is threading.current_thread() for t in threads} == {chunks < DRAW_AHEAD_CHUNKS}
+        assert threading.active_count() == before
+
+
+def test_chunked_generation_keeps_its_bits_under_concurrent_builds():
+    # more builders than cores, each with its drawing thread, switching often
+    workers = (os.cpu_count() or 1) + 2
+    cases = [(2, 2, 64 * DRAW_AHEAD_CHUNKS + 5, seed) for seed in range(workers)]
+    want = [one_pass_observable(*case).tobytes() for case in cases]
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            games = list(pool.map(lambda case: random_game(*case), cases, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [game.payoff_observable.tobytes() for game in games] == want
+    assert threading.active_count() == before
+
+
+class _Failed(Exception):
+    """Raised by a patched step of a random game's chunk loop."""
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)], ids=["2+2-one-thread", "2+3-drawn-ahead"])
+def test_chunked_generation_raises_a_failed_draw_and_leaves_no_thread(monkeypatch, n, m):
+    fail = _Failed("draw 3")
+    streams = _patch_povm_stream(monkeypatch, fail_at=3, fail=fail)
+    before = threading.active_count()
+    with pytest.raises(_Failed) as raised:
+        random_game(n, m, seed=1)
+    assert raised.value is fail
+    assert len(streams[-1].threads) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (2, 3)], ids=["2+2-one-thread", "2+3-drawn-ahead"])
+def test_chunked_generation_raises_a_failed_fold_and_leaves_no_thread(monkeypatch, n, m):
+    # two folds a chunk, V's then S's: chunk 3's first fold fails
+    fold, calls, fail = game_module._fold, [], _Failed("fold of chunk 3")
+
+    def failing_fold(total, stack):
+        calls.append(None)
+        if len(calls) == 2 * 3 + 1:
+            raise fail
+        fold(total, stack)
+
+    monkeypatch.setattr(game_module, "_fold", failing_fold)
+    before = threading.active_count()
+    with pytest.raises(_Failed) as raised:
+        random_game(n, m, seed=1)
+    assert raised.value is fail
+    assert threading.active_count() == before
 
 
 # sha256 of U's bytes and ||U||_inf, as one-pass generation makes them
