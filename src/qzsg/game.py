@@ -70,6 +70,10 @@ MAX_DEFAULTED_QUBITS = 7
 # the largest outcome count whose utility vector, one float each, an array
 # can hold: numpy refuses arrays of more than the largest intp bytes
 MAX_OUTCOMES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+# the byte boundary of the feedback maps: at 3+3 the feedback product took
+# 3.3-3.4 µs on maps at offset 0 or 32 of it and 4.3-4.5 µs at 16 or 48
+# (2-vCPU Xeon VM, one BLAS thread), and glibc's heap aligns to 16 only
+MAP_ALIGN = 64
 
 GAME_FORMAT_VERSION = 2
 
@@ -176,11 +180,17 @@ class QuantumGame:
         Alice's (2d_A², 2d_B²) map and Bob's (2d_B², 2d_A²) one.  R is the
         realignment of an exactly Hermitian U, so r[(c,a), (l,k)] =
         conj(r[(a,c), (k,l)]) bit for bit, for Rᵀ too: the rows of output
-        (c, a) repeat those of (a, c), the imaginary ones negated."""
+        (c, a) repeat those of (a, c), the imaginary ones negated.  Both
+        maps lie in one buffer, each at a MAP_ALIGN-byte boundary."""
         r, da, db = self.realigned, self.dim_alice, self.dim_bob
         rows, cols = 2 * da * da, 2 * db * db
-        maps = [np.empty((2, rows, cols))] if da == db else [
-            np.empty((rows, cols)), np.empty((cols, rows))]
+        # 4 d_A² d_B² floats, a multiple of 64, so Bob's map is aligned too
+        size = rows * cols
+        raw = np.empty(2 * size * 8 + MAP_ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % MAP_ALIGN
+        flat = raw[start:start + 2 * size * 8].view(np.float64)
+        maps = [flat.reshape(2, rows, cols)] if da == db else [
+            flat[:size].reshape(rows, cols), flat[size:].reshape(cols, rows)]
         alice, bob = players(maps)
         _lower_triangle_map(r, db, alice)
         np.negative(_lower_triangle_map(r.T, da, bob), out=bob)
@@ -311,13 +321,16 @@ def players(stacks) -> StackViews:
 class FeedbackBuffers:
     """The output arrays of the feedback kernels, in `profile_stacks(game,
     *lead)` layout: viewed per player as `views`, and as one float64 column
-    per matrix as `columns`.  `maps` views the game's feedback maps with one
-    broadcast axis per lead axis, so a stack of profiles makes one
-    matrix-vector product per matrix, with the bits of one profile at a time.
+    per matrix as `columns`, and the spectrum of each matrix, which
+    `duality_gaps_into` writes, as `spectra`.  `maps` views the game's
+    feedback maps with one broadcast axis per lead axis, so a stack of
+    profiles makes one matrix-vector product per matrix, with the bits of
+    one profile at a time.
     """
 
     def __init__(self, game: QuantumGame, *lead: int):
         self.out = profile_stacks(game, *lead)
+        self.spectra = [np.empty(o.shape[:-1]) for o in self.out]
         self.views = players(self.out)
         self.columns = [_columns(o) for o in self.out]
         self.maps = [m.reshape(*m.shape[:-2], *(1,) * len(lead), *m.shape[-2:])
@@ -347,10 +360,11 @@ def duality_gaps_into(state: StackViews, buf: FeedbackBuffers) -> float | list[f
     `payoff_gradient_into` reads it, through `buf`: a float for one profile
     and a `FeedbackBuffers(game)`, a list for k-profile stacks and a
     `FeedbackBuffers(game, k)`.  The feedback, then one `trusted_eigvalsh`
-    per stack: Alice's best reply is the top eigenvalue of F_alice(b') and
-    Bob's the top one of F_bob(a'), as u(a', b) = -<b, F_bob(a')>."""
+    per stack into `buf.spectra`: Alice's best reply is the top eigenvalue
+    of F_alice(b') and Bob's the top one of F_bob(a'), as
+    u(a', b) = -<b, F_bob(a')>."""
     out = payoff_gradient_into(state, buf).stacks
-    w = players([linalg.trusted_eigvalsh(s) for s in out])
+    w = players([linalg.trusted_eigvalsh(s, w) for s, w in zip(out, buf.spectra)])
     return (w.alice[..., -1] + w.bob[..., -1]).tolist()
 
 

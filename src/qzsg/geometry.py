@@ -20,12 +20,13 @@ VN_ENTROPY_ID = "vn-entropy"
 FROBENIUS_ID = "frobenius"
 
 
-def _clip_spectra(w: np.ndarray) -> np.ndarray:
-    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack.
+def _clip_spectra(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Simplex projection max(u - theta, 0) of each row u of a spectrum stack,
+    written into `out`, an array of w's shape, or a fresh one.
 
     Trusted kernel: each row must be sorted descending, as LAPACK's ascending
-    spectrum read backwards is; it is not re-sorted.  One pass over each row
-    as Python floats checks it for finiteness and clips it.
+    spectrum written through reversed views is; it is not re-sorted.  One
+    pass over each row as Python floats checks it for finiteness and clips it.
     Sort-and-threshold rule (Duchi et al., ICML 2008; Condat, Math. Prog.
     2016): with s_k the running sum, theta = t_k = (s_k - 1)/k at the last k
     with u_k > t_k.  The sum runs left to right as numpy's cumsum does, and
@@ -35,7 +36,7 @@ def _clip_spectra(w: np.ndarray) -> np.ndarray:
     -0.0, as numpy's maximum leaves it.  Raises NumericalError on a non-finite
     entry, and otherwise when a row loses its support.
     """
-    out, lost = [], None
+    clipped, lost = [], None
     for row in w.reshape(-1, w.shape[-1]).tolist():
         s, theta = 0.0, None
         for k, u in enumerate(row, 1):
@@ -50,23 +51,32 @@ def _clip_spectra(w: np.ndarray) -> np.ndarray:
             # exact arithmetic always keeps u[0]; rounding at a huge spread can drop it
             lost = row[0] if lost is None else lost
             continue
-        out += [u - theta if u > theta else 0.0 for u in row]
+        clipped += [u - theta if u > theta else 0.0 for u in row]
     if lost is not None:
         raise linalg.NumericalError(
             f"simplex projection lost its support to rounding (max entry {lost:.3e})"
         )
-    return np.array(out).reshape(w.shape)
+    if out is None:
+        out = np.empty(w.shape)
+    out.reshape(-1)[:] = clipped
+    return out
 
 
 class MapScratch:
     """Work arrays of the in-place mirror maps for a matrix or a (k, d, d)
-    stack of `shape`: the spectral weights and their row sums, V·diag(weights)
-    and conj(V), whose memory can also serve `linalg.hermitianize_in_place`
-    after a map."""
+    stack of `shape`: the eigenpairs, descending and contiguous (`w_desc`,
+    `v_desc`), with the reversed views LAPACK writes them through (`eig`) and
+    the mask of the input's finiteness test; the spectral weights (the
+    shifted exponentials or the clipped spectrum) and their row sums;
+    V·diag(weights) and conj(V), whose memory can also serve
+    `linalg.hermitianize_in_place` after a map."""
 
     def __init__(self, shape: tuple):
+        self.w_desc = np.empty(shape[:-1])
+        self.v_desc = np.empty(shape, dtype=complex)
+        self.eig = (self.w_desc[..., ::-1], self.v_desc[..., ::-1])
+        self.finite = np.empty(shape, dtype=bool)
         self.weights = np.empty(shape[:-1])
-        self.weights_desc = self.weights[..., ::-1]
         self.weight_rows = self.weights[..., None, :]
         totals = np.empty(shape[:-2])
         self.totals, self.total_blocks = totals, totals[..., None, None]
@@ -80,13 +90,12 @@ def _buffers(y: np.ndarray, out, s) -> tuple[np.ndarray, MapScratch]:
     return np.empty_like(y) if out is None else out, MapScratch(y.shape) if s is None else s
 
 
-def _synthesize(v: np.ndarray, weight_rows: np.ndarray, out: np.ndarray, s: MapScratch):
-    """out = V diag(w) V† for descending-order eigenvectors V, which may be a
-    reversed view of LAPACK's output: both operands of the product are
-    written contiguously first, since numpy's complex kernels round
-    differently on strides."""
-    np.multiply(v, weight_rows, out=s.scaled)
-    np.conjugate(v, out=s.conj)
+def _synthesize(out: np.ndarray, s: MapScratch):
+    """out = V diag(weights) V† for the descending eigenvectors `s.v_desc`
+    and `s.weights`, with both operands of the product contiguous, since
+    numpy's complex kernels round differently on strides."""
+    np.multiply(s.v_desc, s.weight_rows, out=s.scaled)
+    np.conjugate(s.v_desc, out=s.conj)
     return np.matmul(s.scaled, s.conj_t, out=out)
 
 
@@ -99,12 +108,11 @@ def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = 
     The result is V diag(e) V† / sum(e) as the product rounds it, Hermitian
     to rounding; `logit_map` is its Hermitian part."""
     out, s = _buffers(y, out, s)
-    w, v = linalg.eigh_ascending(y)
-    linalg.assert_finite_spectrum(w)
-    # the descending spectrum, shifted, lands in the weights' order
-    np.subtract(w, w[..., -1:], out=s.weights_desc)
+    linalg.eigh_ascending(y, s.eig, s.finite)
+    linalg.assert_finite_spectrum(s.w_desc)
+    np.subtract(s.w_desc, s.w_desc[..., :1], out=s.weights)
     np.exp(s.weights, out=s.weights)
-    _synthesize(v[..., ::-1], s.weight_rows, out, s)
+    _synthesize(out, s)
     np.add.reduce(s.weights, -1, None, s.totals)
     out /= s.total_blocks
     return out
@@ -115,16 +123,17 @@ def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None 
     or of each matrix in a (k, d, d) stack, read by its lower triangle and
     real diagonal, written into `out` (which may be y) with the work arrays
     `s`, both fresh when not given: one LAPACK call, whose ascending
-    eigenpairs are read backwards through views, then one pass over each row
-    of the spectrum (`_clip_spectra`), then V diag(λ) V† as the product
-    rounds it, Hermitian to rounding.  Trusted kernel, with the errors and
-    bits of `linalg.trusted_hermitian_eig` followed by the clip, under the
-    caller's error state; `orth_project_spectraplex` is its Hermitian part.
+    eigenpairs land descending in `s.w_desc` and `s.v_desc`, then one pass
+    over each row of the spectrum into `s.weights` (`_clip_spectra`), then
+    V diag(λ) V† as the product rounds it, Hermitian to rounding.  Trusted
+    kernel, with the errors and bits of `linalg.trusted_hermitian_eig`
+    followed by the clip, under the caller's error state;
+    `orth_project_spectraplex` is its Hermitian part.
     """
     out, s = _buffers(y, out, s)
-    w, v = linalg.eigh_ascending(y)
-    lam = _clip_spectra(w[..., ::-1])
-    return _synthesize(v[..., ::-1], lam[..., None, :], out, s)
+    linalg.eigh_ascending(y, s.eig, s.finite)
+    _clip_spectra(s.w_desc, s.weights)
+    return _synthesize(out, s)
 
 
 def logit_map(y) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Dense complex linear algebra for Hermitian matrices of dimension 2^k.
 
 All functions operate on square complex numpy arrays and return fresh arrays,
-except `hermitianize_in_place`.  Results that are Hermitian in exact
+except `hermitianize_in_place` and the eigensolvers given `out`, which write
+into the caller's arrays.  Results that are Hermitian in exact
 arithmetic are re-symmetrized through the (A + A†)/2 guard so that downstream
 tolerance checks stay sharp after long chains of floating-point arithmetic.
 The solver loop's trusted kernels are the exception: they read a Hermitian
@@ -16,7 +17,8 @@ Every eigensolver call of the package goes through `_lapack` under an error
 state that raises on invalid, `lapack_errstate` or, in the solver loop,
 `solvers.run`'s, so a LAPACK failure anywhere, set-up included, raises
 NumericalError.  Every descending spectrum is LAPACK's ascending one read
-backwards, equal eigenvalues too.
+backwards, equal eigenvalues too: the gufunc writes it through reversed views
+of contiguous arrays (`out`), so it lands descending and contiguous.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import _umath_linalg
 
 HERMITIAN_RTOL = 1e-10
@@ -65,9 +68,11 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of `a` is finite (without the wrapper of `.all()`)."""
-    return np.count_nonzero(np.isfinite(a)) == a.size
+def all_finite(a: np.ndarray, mask: np.ndarray | None = None) -> bool:
+    """Whether every entry of `a` is finite, tested into `mask`, a bool array
+    of a's shape, or a fresh one, and counted by numpy's C `count_nonzero`
+    (without the Python wrappers of `.all()` and `np.count_nonzero`)."""
+    return count_nonzero(np.isfinite(a, out=mask)) == a.size
 
 
 def assert_finite(m: np.ndarray, what: str = "matrix") -> None:
@@ -119,43 +124,53 @@ def lapack_errstate() -> np.errstate:
     return np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 
 
-def _lapack(gufunc, signature: str, h: np.ndarray):
-    """`gufunc(h)` under the caller's error state.  The gufunc flags a LAPACK
-    failure as invalid; where that raises, as under `lapack_errstate` or
-    `solvers.run`'s state, it raises NumericalError here."""
+def _lapack(gufunc, signature: str, h: np.ndarray, out=None):
+    """`gufunc(h)` under the caller's error state, written into `out` (the
+    gufunc's output array, or tuple of them, of any strides) or into fresh
+    arrays.  The gufunc flags a LAPACK failure as invalid; where that
+    raises, as under `lapack_errstate` or `solvers.run`'s state, it raises
+    NumericalError here."""
     try:
-        return gufunc(h, signature=signature)
+        # a gufunc of two outputs takes no out=None
+        if out is None:
+            return gufunc(h, signature=signature)
+        return gufunc(h, signature=signature, out=out)
     except FloatingPointError as exc:
         raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
 
 
-def trusted_eigvalsh(h: np.ndarray) -> np.ndarray:
+def trusted_eigvalsh(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Eigenvalues, ascending, of a Hermitian complex matrix or of each matrix
     in a stack, read by its lower triangle and real diagonal, with the bits
-    of `numpy.linalg.eigvalsh`.
+    of `numpy.linalg.eigvalsh`, written into `out` (of h's shape less its
+    last axis) or a fresh array.
 
     Trusted kernel: nothing is checked.  A solver failure raises
     NumericalError (under `lapack_errstate`); non-finite input can give a
     non-finite spectrum.
     """
     with lapack_errstate():
-        return _lapack(_EIGVALSH, "D->d", h)
+        return _lapack(_EIGVALSH, "D->d", h, out)
 
 
-def eigh_ascending(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_ascending(h: np.ndarray, out=None, mask: np.ndarray | None = None):
     """Eigenvalues, ascending, and eigenvectors of a Hermitian complex matrix
     or of each matrix in a stack, as the LAPACK gufunc behind
     `numpy.linalg.eigh` returns them: it reads H by its lower triangle and
-    real diagonal, so H need be Hermitian only there.
+    real diagonal, so H need be Hermitian only there.  They are written into
+    `out`, a pair of arrays of any strides, or fresh ones: given the reversed
+    views of contiguous arrays, the pairs land there descending and
+    contiguous, with the bits of a reversed copy.  H's finiteness is tested
+    into `mask` (`all_finite`).
 
     Trusted kernel: nothing of H is checked but its finiteness.
     Non-finite input, for which `eigh` can return finite eigenvalues, raises
     NumericalError, and so does a solver failure where the caller's error
     state raises on invalid (`_lapack`); the spectrum is not checked.
     """
-    if not all_finite(h):
+    if not all_finite(h, mask):
         raise NumericalError("non-finite input gives a non-finite spectrum")
-    return _lapack(_EIGH, "D->dD", h)
+    return _lapack(_EIGH, "D->dD", h, out)
 
 
 def assert_finite_spectrum(w: np.ndarray) -> None:
@@ -170,17 +185,19 @@ def assert_finite_spectrum(w: np.ndarray) -> None:
 def trusted_hermitian_eig(h: np.ndarray) -> Spectrum:
     """Eigendecomposition, eigenvalues descending, of a Hermitian complex
     matrix or of each matrix in a (k, d, d) stack: one LAPACK call
-    (`eigh_ascending`) read backwards and copied, since numpy's complex
+    (`eigh_ascending`) written through reversed views of fresh arrays, so
+    they hold the pairs descending and contiguous, since numpy's complex
     kernels round differently on strides.
 
     Trusted kernel with the preconditions and errors of `eigh_ascending`,
     called under `lapack_errstate`; a non-finite spectrum raises
     NumericalError too (`assert_finite_spectrum`).
     """
+    w, v = np.empty(h.shape[:-1]), np.empty(h.shape, dtype=complex)
     with lapack_errstate():
-        w, v = eigh_ascending(h)
+        eigh_ascending(h, (w[..., ::-1], v[..., ::-1]))
     assert_finite_spectrum(w)
-    return Spectrum(w[..., ::-1].copy(), v[..., ::-1].copy())
+    return Spectrum(w, v)
 
 
 def hermitian_eig(h) -> Spectrum:

@@ -189,7 +189,7 @@ class Stepper:
     fresh gradient at the extrapolated point.
 
     The stepper owns its run's workspace, made once, and every kernel of a
-    step writes its result into it; only LAPACK's outputs are fresh.  It
+    step writes its result into it, LAPACK too (`geometry.MapScratch`).  It
     reads each gradient at `played`: first `point`, psi0 as `make_stepper`
     makes it, then the point its last step returned, which the `psi` a step
     takes passes back.  That point is a view into the workspace, valid
@@ -312,10 +312,11 @@ def run(
     stepper = make_stepper(game, cfg, eta, psi)
     # the run's own arrays, beside the stepper's: the sum of the played
     # points, the checkpoint gaps' input (the average and the last iterate
-    # as profiles 0 and 1, each replaced by its Hermitian part) and their
-    # work arrays
+    # as profiles 0 and 1, each replaced by its Hermitian part, with the
+    # conjugates that takes) and their work arrays
     sums = [np.zeros_like(s) for s in psi.stacks]
     exact = players(profile_stacks(game, 2))
+    conj = profile_stacks(game, 2)
     gap_buffers = FeedbackBuffers(game, 2)
     rows: list[TraceRow] = []
     calls = done = 0
@@ -333,10 +334,10 @@ def run(
             done = t + 1
             if done == cfg.max_iters or done in due:
                 try:
-                    for c, s, x in zip(exact.stacks, sums, psi.stacks):
+                    for c, s, x, scratch in zip(exact.stacks, sums, psi.stacks, conj):
                         np.divide(s, done, out=c[..., 0, :, :])
                         c[..., 1, :, :] = x
-                        linalg.hermitianize_in_place(c)
+                        linalg.hermitianize_in_place(c, scratch)
                     gap_avg, gap_last = duality_gaps_into(exact, gap_buffers)
                 except _KERNEL_ERRORS as exc:
                     raise linalg.NumericalError(

@@ -602,6 +602,66 @@ def test_feedback_kernel_is_exactly_hermitian_and_equal_at_one_and_two_blas_thre
     assert outputs[0] == outputs[1]
 
 
+# Run in a child at a given BLAS thread count: for each size, whether the
+# game's feedback maps start at 64-byte boundaries, and whether the feedback
+# kernel on Hermitian and non-Hermitian profiles, one and two at a time,
+# gives the same bytes with copies of the maps at offsets 16, 32 and 48.
+ALIGNED_MAPS_CHILD = """
+import numpy as np
+from qzsg import linalg, rng
+from qzsg.game import FeedbackBuffers, payoff_gradient_into, players, profile_stacks, random_game
+
+
+def at_offset(m, offset):
+    raw = np.empty(m.nbytes + 64 + offset, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    copy = raw[start:start + m.nbytes].view(np.float64).reshape(m.shape)
+    copy[...] = m
+    return copy
+
+
+for n, m in SIZES:
+    game = random_game(n, m, 64, seed=80 + 10 * n + m)
+    maps = game.feedback_maps
+    aligned = all(x.ctypes.data % 64 == 0 for x in maps)
+    gen = np.random.default_rng(81)
+    profiles = []
+    for lead in ((), (2,)):
+        for k in range(2):
+            profile = players(profile_stacks(game, *lead))
+            for x in profile:
+                g = rng.complex_normal(gen, x.shape)
+                x[...] = g if k else linalg.hermitianize(g)
+            profiles.append((lead, profile))
+
+    def gradients():
+        return [f.tobytes() for lead, p in profiles
+                for f in payoff_gradient_into(p, FeedbackBuffers(game, *lead))]
+
+    want, equal = gradients(), True
+    for offset in (16, 32, 48):
+        vars(game)["feedback_maps"] = [at_offset(x, offset) for x in maps]
+        equal &= gradients() == want
+    print(n, m, aligned, equal)
+"""
+
+
+def test_feedback_maps_are_aligned_and_equal_to_unaligned_copies_at_one_and_two_blas_threads():
+    # the maps' 64-byte alignment is a speed matter only: the product's bytes
+    # must not depend on it, whichever way OpenBLAS splits the product
+    sizes = [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3), (3, 4), (4, 4)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qzsg.__file__)))
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        code = f"SIZES = {sizes!r}\n" + ALIGNED_MAPS_CHILD
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:-1] == [f"{n} {m} True True" for n, m in sizes]
+
+
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (3, 3), (1, 2), (2, 3)])
 def test_checkpoint_gaps_of_two_profiles_equal_one_profile_gaps(n, m):
     # profiles on a batch axis make one matrix-vector product each, so a

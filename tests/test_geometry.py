@@ -624,6 +624,29 @@ def test_buffered_maps_equal_the_fresh_maps_and_the_composed_references(y, eta):
             lambda: reference_logit(linalg.hermitian_eig(x)))
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2, 4, 8])).flatmap(
+        lambda kd: st.lists(
+            st.lists(hermitian_member(kd[1]), min_size=kd[0], max_size=kd[0]).map(np.array),
+            min_size=2, max_size=5,
+        )
+    )
+)
+def test_a_reused_scratch_maps_equal_a_fresh_scratch_and_the_public_maps(stacks):
+    # the loop maps every step with one MapScratch: nothing of one stack's
+    # eigenpairs or weights may reach the next stack's result
+    out, scratch = np.empty_like(stacks[0]), geometry.MapScratch(stacks[0].shape)
+    kernels = ((geometry._logit, logit_map), (geometry._project, orth_project_spectraplex))
+    with linalg.lapack_errstate():
+        for y in stacks:
+            for kernel, public in kernels:
+                got = kernel(y, out, scratch)
+                assert got.tobytes() == kernel(y).tobytes()
+                for g, m in zip(got, y):
+                    assert linalg.hermitianize(g).tobytes() == public(m).tobytes()
+
+
 # ---------------------------------------------------------------- registry
 
 

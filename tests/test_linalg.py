@@ -27,12 +27,20 @@ def random_hermitian(dim, rng):
     return hermitianize(g)
 
 
-def failing_gufunc(a, signature):
+def failing_gufunc(a, signature, out=None):
     """An eigensolver gufunc that fails as numpy's report a LAPACK failure:
-    it sets the invalid flag and returns NaN."""
+    it sets the invalid flag and returns NaN, written into `out` when given."""
     np.subtract(np.inf, np.inf)
     w = np.full(a.shape[:-1], np.nan)
-    return w if signature == "D->d" else (w, np.full(a.shape, np.nan, dtype=complex))
+    result = w if signature == "D->d" else (w, np.full(a.shape, np.nan, dtype=complex))
+    if out is None:
+        return result
+    if signature == "D->d":
+        out[...] = result
+        return out
+    for o, r in zip(out, result):
+        o[...] = r
+    return out
 
 
 def test_hermitianize_is_hermitian_part():

@@ -683,6 +683,38 @@ def test_run_results_own_their_memory_across_sequential_and_threaded_runs():
     assert [snapshot(res) for res in sequential] == want
 
 
+@pytest.mark.parametrize("n, m", [(2, 2), (1, 2)])
+@pytest.mark.parametrize("alias", sorted(ALIASES))
+def test_the_loop_eigensolvers_write_into_arrays_the_run_made_once(monkeypatch, alias, n, m):
+    # after make_stepper, every LAPACK call writes into the stepper's map
+    # scratch or the checkpoint's spectra: one set of outputs per stack each
+    game = random_game(n, m, seed=33)
+    outs = []
+    stepping = False
+
+    def recording(gufunc):
+        def call(a, signature, out=None):
+            if stepping:
+                outs.append(out)
+            return gufunc(a, signature=signature, **({} if out is None else {"out": out}))
+        return call
+
+    def make(*args):
+        nonlocal stepping
+        stepper = make_stepper(*args)
+        stepping = True
+        return stepper
+
+    monkeypatch.setattr(linalg, "_EIGH", recording(linalg._EIGH))
+    monkeypatch.setattr(linalg, "_EIGVALSH", recording(linalg._EIGVALSH))
+    monkeypatch.setattr(solvers, "make_stepper", make)
+    run(game, SolverConfig.from_alias(alias, max_iters=30, gap_check_interval=10))
+    assert len(outs) > 30
+    assert all(out is not None for out in outs)
+    stacks = 1 if n == m else 2
+    assert len({id(out) for out in outs}) == 2 * stacks
+
+
 # ---------------------------------------------------------------- failures
 
 
@@ -691,11 +723,11 @@ def test_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
     real_eigh = linalg._EIGH
     calls = {"n": 0}
 
-    def flaky(a, signature):
+    def flaky(a, signature, out=None):
         calls["n"] += 1
         if calls["n"] > 3:
-            return failing_gufunc(a, signature)
-        return real_eigh(a, signature=signature)
+            return failing_gufunc(a, signature, out)
+        return real_eigh(a, signature=signature, out=out)
 
     monkeypatch.setattr(linalg, "_EIGH", flaky)
     with pytest.raises(linalg.NumericalError, match="iteration"):
@@ -708,11 +740,11 @@ def test_projection_eigensolver_failure_is_wrapped_with_iteration(monkeypatch):
     real_eigh = linalg._EIGH
     calls = {"n": 0}
 
-    def flaky(a, signature):
+    def flaky(a, signature, out=None):
         calls["n"] += 1
         if calls["n"] > 3:
-            return failing_gufunc(a, signature)
-        return real_eigh(a, signature=signature)
+            return failing_gufunc(a, signature, out)
+        return real_eigh(a, signature=signature, out=out)
 
     monkeypatch.setattr(linalg, "_EIGH", flaky)
     with pytest.raises(linalg.NumericalError, match=r"iteration \d+: eigensolver failed"):
