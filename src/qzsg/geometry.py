@@ -1,23 +1,20 @@
 """Regularizer geometry over the set of density matrices.
 
-Two distance-generating functions are supported: the negative von Neumann
-entropy tr[X log X] (1-strongly convex w.r.t. the trace norm) and the squared
-Frobenius norm ||X||_F^2 / 2 (1-strongly convex w.r.t. the Frobenius norm).
-The entropy mirror map is the logit map exp(Y)/tr[exp(Y)]; the Frobenius
-mirror map is Euclidean projection onto the density-matrix set.
+Two distance-generating functions are supported, each a `Regularizer` class
+with one instance: `VN_ENTROPY`, the negative von Neumann entropy tr[X log X]
+(1-strongly convex w.r.t. the trace norm), whose mirror map is the logit map
+exp(Y)/tr[exp(Y)], and `FROBENIUS`, the squared Frobenius norm ||X||_F^2 / 2
+(1-strongly convex w.r.t. the Frobenius norm), whose mirror map is Euclidean
+projection onto the density-matrix set.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-
-VN_ENTROPY_ID = "vn-entropy"
-FROBENIUS_ID = "frobenius"
 
 
 def _clip_spectra(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -100,13 +97,10 @@ def _synthesize(out: np.ndarray, s: MapScratch):
 
 
 def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
-    """Λ of a Hermitian matrix or of each matrix in a (k, d, d) stack, read by
-    its lower triangle and real diagonal, written into `out` (which may be y)
-    with the work arrays `s`, both fresh when not given; the errors and bits
-    of `linalg.trusted_hermitian_eig` followed by the shifted exponential,
-    under the caller's error state (see `Regularizer.trusted_mirror_map`).
-    The result is V diag(e) V† / sum(e) as the product rounds it, Hermitian
-    to rounding; `logit_map` is its Hermitian part."""
+    """Λ of Y, a trusted map as `Regularizer` describes them: the errors and
+    bits of `linalg.trusted_hermitian_eig` followed by the shifted
+    exponential, then V diag(e) V† / sum(e) as the product rounds it;
+    `logit_map` is its Hermitian part."""
     out, s = _buffers(y, out, s)
     linalg.eigh_ascending(y, s.eig, s.finite)
     linalg.assert_finite_spectrum(s.w_desc)
@@ -119,51 +113,61 @@ def _logit(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = 
 
 
 def _project(y: np.ndarray, out: np.ndarray | None = None, s: MapScratch | None = None):
-    """Euclidean projection onto the density-matrix set of a Hermitian matrix
-    or of each matrix in a (k, d, d) stack, read by its lower triangle and
-    real diagonal, written into `out` (which may be y) with the work arrays
-    `s`, both fresh when not given: one LAPACK call, whose ascending
+    """Euclidean projection of Y onto the density-matrix set, a trusted map
+    as `Regularizer` describes them: one LAPACK call, whose ascending
     eigenpairs land descending in `s.w_desc` and `s.v_desc`, then one pass
     over each row of the spectrum into `s.weights` (`_clip_spectra`), then
-    V diag(λ) V† as the product rounds it, Hermitian to rounding.  Trusted
-    kernel, with the errors and bits of `linalg.trusted_hermitian_eig`
-    followed by the clip, under the caller's error state;
-    `orth_project_spectraplex` is its Hermitian part.
-    """
+    V diag(λ) V† as the product rounds it; `orth_project_spectraplex` is its
+    Hermitian part."""
     out, s = _buffers(y, out, s)
     linalg.eigh_ascending(y, s.eig, s.finite)
     _clip_spectra(s.w_desc, s.weights)
     return _synthesize(out, s)
 
 
-def logit_map(y) -> np.ndarray:
-    """Λ(Y) = exp(Y)/tr[exp(Y)] for Hermitian Y, stabilized by a λ_max shift.
-
-    The shift multiplies numerator and denominator by the same scalar, so the
-    output is exact while every intermediate stays in [0, 1].  The result
-    is the Hermitian part of the trusted map's, made under
-    `linalg.lapack_errstate`, exactly Hermitian.
-    """
+def _checked(kernel, y) -> np.ndarray:
+    """The Hermitian part of a trusted map of the checked Hermitian part of
+    Y, made under `linalg.lapack_errstate`: exactly Hermitian."""
     y = linalg.hermitianize(linalg.assert_hermitian(y))
     with linalg.lapack_errstate():
-        return linalg.hermitianize(_logit(y))
+        return linalg.hermitianize(kernel(y))
+
+
+def logit_map(y) -> np.ndarray:
+    """Λ(Y) = exp(Y)/tr[exp(Y)] for Hermitian Y, stabilized by a λ_max shift,
+    which multiplies numerator and denominator by the same scalar, so the
+    output is exact while every intermediate stays in [0, 1] (`_checked`)."""
+    return _checked(_logit, y)
 
 
 def orth_project_spectraplex(y) -> np.ndarray:
-    """Euclidean projection onto the density-matrix set: project the spectrum.
-    The result is the Hermitian part of the trusted map's, made under
-    `linalg.lapack_errstate`, exactly Hermitian."""
-    y = linalg.hermitianize(linalg.assert_hermitian(y))
-    with linalg.lapack_errstate():
-        return linalg.hermitianize(_project(y))
+    """Euclidean projection onto the density-matrix set: project the spectrum
+    (`_checked`)."""
+    return _checked(_project, y)
 
 
-@dataclass(frozen=True)
 class Regularizer:
-    """A distance-generating function together with its induced maps.
+    """A distance-generating function h together with its induced maps.
 
-    Both supported kinds are 1-strongly convex (μ = 1), each w.r.t. its own
-    norm: the trace norm for the entropy, the Frobenius norm otherwise.
+    `Entropy` and `Frobenius` are its two kinds, each 1-strongly convex
+    (μ = 1) w.r.t. its own norm.  This base checks the input of `dgf_value`,
+    `bregman` and `proximal_map`, which a kind computes from its terms
+    (`_value`, `_divergence`, `_dual`).  A kind also has its name `kind`
+    and the solver loop's trusted maps, which check nothing:
+    `trusted_mirror_map` of a matrix or of each matrix in a (k, d, d) stack;
+    `start`, the stepper state at a density matrix X, which
+    `solvers.make_stepper` checks and makes exactly Hermitian; `play`, the
+    density matrix a state stands for; and `advance`, the Bregman proximal
+    step of a state along the ascent direction G, given as step = eta G
+    with eta positive and finite.  A trusted map reads a matrix as LAPACK's
+    eigh does, by its lower triangle and real diagonal, and writes into
+    `out` (which may be its input) with the work arrays `scratch` (a
+    `MapScratch` of its shape), both fresh when not given.  Its output is
+    Hermitian to rounding, with no Hermitian pass, and on an exactly
+    Hermitian input its Hermitian part is the checked map's bit for bit.
+    It sets no error state: under `solvers.run`'s, a LAPACK failure raises
+    NumericalError (`linalg._lapack`); under one that does not raise on
+    invalid, it warns and leaves NaN.
     """
 
     kind: str
@@ -172,39 +176,19 @@ class Regularizer:
         """Value of the distance-generating function at a density matrix."""
         return self._value(linalg.assert_hermitian(x, "state"))
 
-    def _value(self, x: np.ndarray) -> float:
-        """`dgf_value` of an X that `linalg.assert_hermitian` has checked."""
-        if self.kind == VN_ENTROPY_ID:
-            w = linalg.trusted_hermitian_eig(linalg.hermitianize(x)).eigenvalues
-            w = w[w > 0.0]
-            return float(np.sum(w * np.log(w)))
-        return 0.5 * float(np.linalg.norm(x)) ** 2
-
     def bregman(self, x, y) -> float:
-        """Bregman divergence D_h(X || Y) of X from the reference point Y.
-
-        Entropy case is the quantum relative entropy tr[X (log X - log Y)]
-        and requires Y full rank; Frobenius case is ||X - Y||_F^2 / 2.
-        """
+        """Bregman divergence D_h(X || Y) of X from the reference point Y."""
         x = linalg.assert_hermitian(x, "state")
         y = linalg.assert_hermitian(y, "reference state")
         if x.shape != y.shape:
             raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-        if self.kind == VN_ENTROPY_ID:
-            spec = linalg.trusted_hermitian_eig(linalg.hermitianize(y))
-            if spec.eigenvalues[-1] <= linalg.LOG_EIG_FLOOR:
-                raise ValueError(f"reference state is singular (min eigenvalue "
-                                 f"{spec.eigenvalues[-1]:.3e}); entropy divergence is infinite")
-            cross = linalg.trace_inner(x, linalg.spectral_log(spec)).real
-            return self._value(x) - float(cross)
-        return 0.5 * float(np.linalg.norm(x - y)) ** 2
+        return self._divergence(x, y)
 
     def proximal_map(self, x, g, eta: float) -> np.ndarray:
-        """Bregman proximal step from X along the ascent direction G.
-
-        Entropy: Λ(log X + eta G).  Frobenius: project(X + eta G).  X and G
-        are checked once each, and so is the step log X + eta G or X + eta G,
-        which raises a ValueError if it overflows.
+        """Bregman proximal step from X along the ascent direction G: the
+        checked mirror map (`_checked`) of ∇h(X) + eta G, up to a multiple of
+        I, which the map ignores.  X and G are checked once each, and so is
+        the step, which raises a ValueError if it overflows.
         """
         if not (eta > 0.0 and math.isfinite(eta)):
             raise ValueError(f"eta must be positive and finite, got {eta!r}")
@@ -212,44 +196,47 @@ class Regularizer:
         g = linalg.assert_hermitian(g, "gradient")
         if x.shape != g.shape:
             raise ValueError(f"shape mismatch {x.shape} vs {g.shape}")
-        entropy = self.kind == VN_ENTROPY_ID
-        if entropy:
-            # log X from the X checked above, as herm_log would take it
-            x = linalg.spectral_log(linalg.trusted_hermitian_eig(linalg.hermitianize(x)))
+        x = self._dual(x)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 step = x + eta * g
         except FloatingPointError:
             raise ValueError(f"the proximal step at eta {eta!r} overflows") from None
-        return logit_map(step) if entropy else orth_project_spectraplex(step)
+        return _checked(self.trusted_mirror_map, step)
 
-    def trusted_mirror_map(self, y: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """The mirror map without input checks, for the solver loop: the logit
-        map for the entropy, the spectraplex projection otherwise.
 
-        Y is a matrix or a (k, d, d) stack of them, mapped in one pass into
-        `out` (which may be Y) with the work arrays `scratch` (a `MapScratch`
-        of Y's shape), both fresh when not given.  Each matrix is read as
-        LAPACK's eigh reads it, by its lower triangle and real diagonal, and
-        its result is Hermitian to rounding, with no Hermitian pass.  On an
-        exactly Hermitian Y, the Hermitian part of each result equals
-        `logit_map` or `orth_project_spectraplex` of its matrix bit for bit.
-        It sets no error state: under `solvers.run`'s, a LAPACK failure
-        raises NumericalError (`linalg._lapack`); under one that does not
-        raise on invalid, it warns and leaves NaN.
-        """
-        kernel = _logit if self.kind == VN_ENTROPY_ID else _project
-        return kernel(y, out, scratch)
+class Entropy(Regularizer):
+    """The negative von Neumann entropy tr[X log X], 1-strongly convex w.r.t.
+    the trace norm.  Its mirror map is the logit map, and a stepper's state
+    is the dual matrix D, which plays Λ(D), so no logarithm of a nearly
+    singular iterate is taken."""
+
+    kind = "vn-entropy"
+    trusted_mirror_map = play = staticmethod(_logit)
+
+    def _value(self, x: np.ndarray) -> float:
+        w = linalg.trusted_hermitian_eig(linalg.hermitianize(x)).eigenvalues
+        w = w[w > 0.0]
+        return float(np.sum(w * np.log(w)))
+
+    def _divergence(self, x: np.ndarray, y: np.ndarray) -> float:
+        """The quantum relative entropy tr[X (log X - log Y)], which requires
+        Y full rank."""
+        spec = linalg.trusted_hermitian_eig(linalg.hermitianize(y))
+        if spec.eigenvalues[-1] <= linalg.LOG_EIG_FLOOR:
+            raise ValueError(f"reference state is singular (min eigenvalue "
+                             f"{spec.eigenvalues[-1]:.3e}); entropy divergence is infinite")
+        cross = linalg.trace_inner(x, linalg.spectral_log(spec)).real
+        return self._value(x) - float(cross)
+
+    def _dual(self, x: np.ndarray) -> np.ndarray:
+        """log X, as herm_log would take the checked X."""
+        return linalg.spectral_log(linalg.trusted_hermitian_eig(linalg.hermitianize(x)))
 
     def start(self, x: np.ndarray) -> np.ndarray:
-        """Initial stepper state at the density matrix X, trusted as
-        `solvers.make_stepper` checks it and makes it exactly Hermitian.
-        Entropy: the dual matrix log X, which plays X, so X must be full rank
-        (a ValueError otherwise), or the zero matrix when X is exactly the
-        maximally mixed state, which plays it without a logarithm's
-        rounding.  Frobenius: X itself."""
-        if self.kind != VN_ENTROPY_ID:
-            return x
+        """log X, which plays X, so X must be full rank (a ValueError
+        otherwise), or the zero matrix when X is exactly the maximally mixed
+        state, which plays it without a logarithm's rounding."""
         if np.array_equal(x, np.eye(len(x)) / len(x)):
             return np.zeros_like(x)
         spec = linalg.trusted_hermitian_eig(x)
@@ -258,33 +245,42 @@ class Regularizer:
                              f"(min eigenvalue {spec.eigenvalues[-1]:.3e})")
         return linalg.spectral_log(spec)
 
+    def advance(self, state: np.ndarray, step: np.ndarray, out=None, scratch=None):
+        """D' = D + eta G in the dual (log) domain, so log X is never formed.
+        play(D') reproduces proximal_map(play(D), G, eta) because the logit
+        map is invariant to the trace-normalization shift hiding in log Λ(D).
+        """
+        return np.add(state, step, out=out)
+
+
+class Frobenius(Regularizer):
+    """The squared Frobenius norm ||X||_F^2 / 2, 1-strongly convex w.r.t. the
+    Frobenius norm.  Its mirror map is the Euclidean projection onto the
+    density-matrix set, and a stepper's state is the point X itself."""
+
+    kind = "frobenius"
+    trusted_mirror_map = staticmethod(_project)
+
+    def _value(self, x: np.ndarray) -> float:
+        return 0.5 * float(np.linalg.norm(x)) ** 2
+
+    def _divergence(self, x: np.ndarray, y: np.ndarray) -> float:
+        return self._value(x - y)
+
+    def start(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    _dual = start  # ∇h is the identity
+
     def play(self, state: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """The density matrix a stepper state stands for: Λ(D), written as
-        `trusted_mirror_map` writes it, under the caller's error state, or X
-        itself."""
-        if self.kind == VN_ENTROPY_ID:
-            return _logit(state, out, scratch)
         return state
 
     def advance(self, state: np.ndarray, step: np.ndarray, out=None, scratch=None):
-        """Bregman proximal step of a stepper state along the ascent direction
-        G, given scaled as step = eta G, written into `out` (which may be the
-        state) with the work arrays `scratch`, both fresh when not given.
-
-        Entropy: D' = D + eta G in the dual (log) domain, so log X is never
-        formed.  play(D') reproduces proximal_map(play(D), G, eta) because the
-        logit map is invariant to the trace-normalization shift hiding in
-        log Λ(D).  Frobenius: project(X + eta G), which is proximal_map(X, G,
-        eta) without its input checks and its final Hermitian pass.  The sum
-        is read by its lower triangle, and eta must be positive and finite,
-        as `solvers.run` makes it from a validated config.  The projection
-        runs under the caller's error state, as `trusted_mirror_map` does.
-        """
+        """project(X + eta G): proximal_map(X, G, eta) without its input
+        checks and its final Hermitian pass."""
         y = np.add(state, step, out=out)
-        if self.kind == VN_ENTROPY_ID:
-            return y
         return _project(y, y, scratch)
 
 
-VN_ENTROPY = Regularizer(VN_ENTROPY_ID)
-FROBENIUS = Regularizer(FROBENIUS_ID)
+VN_ENTROPY = Entropy()
+FROBENIUS = Frobenius()

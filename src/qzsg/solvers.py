@@ -17,10 +17,11 @@ driver:
 
 Mirror prox and its optimistic variant run on one step body (`Stepper`);
 dual averaging overrides only its step (`DualAveragingStepper`).  The state
-is the regularizer's (Regularizer.start/play/advance): for the entropy the
-accumulated dual matrix, played through the logit map, so no logarithm of a
-nearly singular iterate is taken; for Frobenius the primal point, advanced
-by projection.  Both players are stepped as one (2, d, d) stack when their
+is the regularizer's, which starts, plays and advances it its own way
+(`geometry.Entropy`, `geometry.Frobenius`): for the entropy the accumulated
+dual matrix, played through the logit map, so no logarithm of a nearly
+singular iterate is taken; for Frobenius the primal point, advanced by
+projection.  Both players are stepped as one (2, d, d) stack when their
 dimensions agree.  The loop uses the trusted kernels, which read a Hermitian
 matrix as LAPACK's eigh does, by its lower triangle and real diagonal: so no
 Hermitian pass runs inside it, and its mirror maps' outputs are Hermitian
@@ -188,12 +189,13 @@ class Stepper:
     the stored gradient when optimistic, then advance the state with one
     fresh gradient at the extrapolated point.
 
-    The stepper owns its run's workspace, made once, and every kernel of a
-    step writes its result into it, LAPACK too (`geometry.MapScratch`).  It
-    reads each gradient at `played`: first `point`, psi0 as `make_stepper`
-    makes it, then the point its last step returned, which the `psi` a step
-    takes passes back.  That point is a view into the workspace, valid
-    until the next step.
+    A step asks the regularizer `reg` to play and advance the state, never
+    which one it is.  The stepper owns its run's workspace, made once, and
+    every kernel of a step writes its result into it, LAPACK too
+    (`geometry.MapScratch`).  It reads each gradient at `played`: first
+    `point`, psi0 as `make_stepper` makes it, then the point its last step
+    returned, a view into the workspace, valid until the next step, which
+    the `psi` a step takes passes back.
     """
 
     def __init__(self, game, reg, eta_fn, start: JointState, point: StackViews, optimistic=False):
@@ -228,8 +230,10 @@ class Stepper:
         for s, step, c in zip(self.stacks, self.scaled, self.scratch):
             reg.advance(s, step, s, c)
         if not self.optimistic:
-            played = zip(self.stacks, point.stacks, self.scratch)
-            self.played = players([reg.play(s, p, c) for s, p, c in played])
+            corrected = zip(self.stacks, point.stacks, self.scratch)
+            played = [reg.play(s, p, c) for s, p, c in corrected]
+            if self.played is point:  # the same arrays every step: view them once
+                self.played = players(played)
             return self.played, calls
         # a non-finite gradient fails the eigendecomposition after it, but
         # ommwu adds this one to its state without one: check it here

@@ -145,7 +145,7 @@ def worker_count() -> int:
     except ValueError:
         raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if workers < 1:
-        raise ValueError("worker count must be >= 1")
+        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {env!r}")
     return workers
 
 

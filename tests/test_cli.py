@@ -621,6 +621,22 @@ def test_compare_bounds_a_defaulted_outcome_count_before_any_game(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads, message", [
+    ("0", "QZSG_THREADS must be >= 1, got '0'"),
+    ("x", "QZSG_THREADS must be an integer, got 'x'"),
+])
+def test_compare_rejects_a_bad_thread_count_before_any_game(
+        tmp_path, monkeypatch, capsys, threads, message):
+    monkeypatch.setattr(suite, "random_game", _unexpected)
+    monkeypatch.setenv(suite.THREADS_ENV_VAR, threads)
+    out = tmp_path / "cmp"
+    code = run_cli("compare", "-n", "1", "-m", "1", "--games", "2", "--iters", "5",
+                   "--algorithms", "ommwu", "-o", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["generate", "compare", "solve"])
 def test_a_seed_of_2_to_the_64_is_usage_error(tmp_path, monkeypatch, capsys, command):
     # it would replay seed 0 while recording 2^64, or, in solve, record a

@@ -86,11 +86,24 @@ def test_alias_table():
     assert ALIASES["mda-frobenius"] == ("mda", frobenius, "none")
 
 
+# the regularizer each alias names in `solve`'s output, as literal strings
+ALIAS_REGULARIZERS = {
+    "mmwu": "vn-entropy",
+    "mmwu-sd": "vn-entropy",
+    "mda-frobenius": "frobenius",
+    "mmp-entropy": "vn-entropy",
+    "mmp-frobenius": "frobenius",
+    "ommwu": "vn-entropy",
+    "omeg": "frobenius",
+}
+
+
 def test_from_alias_and_inverse():
+    assert sorted(ALIASES) == sorted(ALIAS_REGULARIZERS)
     for alias in ALIASES:
         cfg = SolverConfig.from_alias(alias, max_iters=5)
         assert cfg.algorithm == alias
-        assert cfg.regularizer == ALIASES[alias][1].kind
+        assert cfg.regularizer == ALIAS_REGULARIZERS[alias] == ALIASES[alias][1].kind
         assert cfg.step_decay == ALIASES[alias][2]
         assert cfg.max_iters == 5
     with pytest.raises(ValueError, match="unknown solver alias"):
@@ -503,6 +516,19 @@ def test_ommp_momentum_is_materialized_dual_state():
     )
     assert_density_matrix(mom.alice)
     assert_density_matrix(mom.bob)
+
+
+@pytest.mark.parametrize("alias", ["mmp-entropy", "mmp-frobenius"])
+def test_mirror_prox_plays_into_the_same_views_every_step(alias):
+    # so the feedback kernel's columns of them are made once, not per step
+    game = random_game(1, 1, seed=13)
+    psi = uniform_state(game)
+    stepper = make_stepper(game, SolverConfig(algorithm=alias), 0.3, psi)
+    psi, _ = stepper.step(0, psi)
+    sources = psi.sources
+    for t in range(1, 4):
+        played, _ = stepper.step(t, psi)
+        assert played is psi and played.sources is sources
 
 
 def test_ommp_frobenius_keeps_primal_momentum():
