@@ -41,8 +41,6 @@ import json
 import math
 import numbers
 import os
-import queue
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,8 +54,8 @@ RANK_RIDGE = 1e-6
 # the most bytes of one (k, d, d) stack of raw POVM elements, a chunk, that
 # `random_game_with_bound` makes at a time
 CHUNK_BYTES = 256 * 1024
-# the fewest chunks for which `random_game_with_bound` draws each next chunk
-# on a second thread while this one sums the current one.  Over three runs of
+# the fewest chunks for which `_povm_draws` draws each next chunk on a
+# second thread while the caller sums the current one.  Over three runs of
 # 200 interleaved games each (2-vCPU Xeon VM, one BLAS thread), the thread
 # took 0.77-0.88 of the time at 8 chunks (2+2 with 512 outcomes; lower in
 # 149-181 of 200) but 0.93-0.99 at 4 (2+2; lower in 106-136 of 200), where
@@ -205,9 +203,12 @@ class QuantumGame:
 
     @classmethod
     def from_observable(cls, n, m, u_obs, outcomes, seed=None) -> "QuantumGame":
-        """The one way U enters a game: checks its size, finiteness and
-        Hermiticity, and the seed (`rng.check_seed`), then stores the
-        realignment R of its Hermitian part, whose U equals its U†."""
+        """The one way U enters a game: checks the outcome count (an integer
+        >= 1, not a bool), U's size, finiteness and Hermiticity, and the seed
+        (`rng.check_seed`), then stores the realignment R of U's Hermitian
+        part, whose U equals its U†."""
+        if not linalg.is_number(outcomes, numbers.Integral) or outcomes < 1:
+            raise ValueError("outcomes must be a positive integer")
         u_obs = linalg.assert_hermitian(u_obs, "payoff observable")
         dim = side(n, m)
         if u_obs.shape != (dim, dim):
@@ -425,20 +426,26 @@ def _fold(total: np.ndarray, stack: np.ndarray) -> None:
     np.add.reduce(stack, axis=0, out=total)
 
 
-def _povm_draws(generator: np.random.Generator, stacks: list, outcomes: int, per_chunk: int):
+def _povm_draws(generator: np.random.Generator, outcomes: int, per_chunk: int, dim: int):
     """Yield (start, a) for each chunk of a random game's POVM stream, in
-    order: a is the first k elements of stacks[i % len(stacks)] for chunk i,
-    whose float64 memory holds the chunk's `standard_normal((k, 2, d, d))`
-    draw, and is the caller's until it asks for the next chunk.
+    order: a is the first k elements of a (per_chunk, dim, dim) raw stack of
+    this iterator's, whose float64 memory holds the chunk's
+    `standard_normal((k, 2, dim, dim))` draw, and is the caller's until it
+    asks for the next chunk.
 
-    Given two stacks, a second thread draws chunk i + 1 while the caller
-    works on chunk i; both release the interpreter lock in numpy.  One
-    generator makes every draw in stream order either way, so the bits are
-    the same.  An exception of the drawing thread is raised here, in the
-    caller, and the thread is joined when the iterator ends or is closed.
+    A stream of fewer than DRAW_AHEAD_CHUNKS chunks is drawn here, into one
+    stack.  A longer one is drawn into two stacks in turn by a one-thread
+    executor: chunk i + 1 is submitted before chunk i is waited for, into the
+    stack of chunk i - 1, which the caller is done with, so the drawer draws
+    back to back while the caller works on chunk i; both release the
+    interpreter lock in numpy.  One generator makes every draw in stream
+    order either way, so the bits are the same.  A failed draw raises here,
+    in the caller, and the executor's thread ends when the iterator ends or
+    is closed.
     """
-    dim = stacks[0].shape[-1]
     starts = range(0, outcomes, per_chunk)
+    drawn_ahead = len(starts) >= DRAW_AHEAD_CHUNKS
+    stacks = [np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(1 + drawn_ahead)]
 
     def draw(i: int) -> np.ndarray:
         k = min(per_chunk, outcomes - starts[i])
@@ -446,41 +453,31 @@ def _povm_draws(generator: np.random.Generator, stacks: list, outcomes: int, per
         generator.standard_normal(out=a.view(np.float64).reshape(k, 2, dim, dim))
         return a
 
-    if len(stacks) == 1:
+    if not drawn_ahead:
         for i, start in enumerate(starts):
             yield start, draw(i)
         return
-    requests, results = queue.SimpleQueue(), queue.SimpleQueue()
+    # concurrent.futures imports logging: only a drawn-ahead stream pays for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def drawer() -> None:
-        while (i := requests.get()) is not None:
-            try:
-                results.put(draw(i))
-            except BaseException as exc:
-                results.put(exc)
-
-    thread = threading.Thread(target=drawer, name="qzsg-povm-draws", daemon=True)
-    thread.start()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="qzsg-povm-draws")
     try:
-        requests.put(0)
+        future = pool.submit(draw, 0)
         for i, start in enumerate(starts):
+            current = future
+            if i + 1 < len(starts):
+                future = pool.submit(draw, i + 1)
             # poll, releasing the interpreter lock and the CPU, rather than
             # block: a blocking wait idles the caller's vCPU once a chunk,
             # and on a 2-vCPU KVM guest the solver loop after a 3+3 build
             # then often ran about 1.6x slower for up to a second (its
             # first 0.4 s above 60 us an iteration in 10 of 24 interleaved
             # processes blocking, 2 of 24 polling, 2 of 24 without the thread)
-            while results.empty():
+            while not current.done():
                 os.sched_yield()
-            a = results.get()
-            if isinstance(a, BaseException):
-                raise a
-            if i + 1 < len(starts):
-                requests.put(i + 1)
-            yield start, a
+            yield start, current.result()
     finally:
-        requests.put(None)
-        thread.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def default_outcomes(n: int, m: int, outcomes: int | None = None) -> int:
@@ -526,10 +523,11 @@ def random_game_with_bound(
     chunk is one `standard_normal((k, 2, d, d))` draw, each outcome's real
     block before its imaginary block as in one `rng.complex_normal` draw per
     element, and each chunk folds into S and V with the bits of k sequential
-    `+=`, so no bit of a game depends on the chunk size.  From
-    DRAW_AHEAD_CHUNKS chunks on, a second thread draws the next chunk while
-    this one sums the current one (`_povm_draws`), with the same bits; it
-    ends before this function returns or raises.
+    `+=`, so no bit of a game depends on the chunk size.  The chunks come
+    from `_povm_draws`, which owns the raw stacks: from DRAW_AHEAD_CHUNKS
+    chunks on, its one-thread executor draws the next chunk while this
+    function sums the current one, with the same bits, and the thread ends
+    before this function returns or raises.
     """
     outcomes = default_outcomes(n, m, outcomes)
     dim = side(n, m)
@@ -538,16 +536,13 @@ def random_game_with_bound(
     gen_povm = rng.stream(seed, rng.STREAM_POVM)
     ridge = RANK_RIDGE * np.eye(dim)
     per_chunk = min(outcomes, max(1, CHUNK_BYTES // (16 * dim * dim)))
-    # every chunk reuses these stacks: made fresh per chunk, stacks this large
-    # go back to the system and fault in again each time.  One block of them
-    # all would lift glibc's mmap threshold and leave the process's peak RSS
-    # about 0.8 MB higher.  A stream of DRAW_AHEAD_CHUNKS or more is drawn
-    # into two raw stacks in turn, the next while this one is summed
-    drawn_ahead = -(-outcomes // per_chunk) >= DRAW_AHEAD_CHUNKS
-    raw = [np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(1 + drawn_ahead)]
+    # every chunk reuses these stacks and `_povm_draws`'s raw ones: made fresh
+    # per chunk, stacks this large go back to the system and fault in again
+    # each time.  One block of them all would lift glibc's mmap threshold and
+    # leave the process's peak RSS about 0.8 MB higher
     g, scratch = (np.empty((per_chunk, dim, dim), dtype=complex) for _ in range(2))
     total, weighted = np.zeros((2, dim, dim), dtype=complex)
-    with contextlib.closing(_povm_draws(gen_povm, raw, outcomes, per_chunk)) as draws:
+    with contextlib.closing(_povm_draws(gen_povm, outcomes, per_chunk, dim)) as draws:
         # each chunk is drawn into the memory of its A_w, which is not
         # written before G is built
         for start, a in draws:
@@ -719,9 +714,6 @@ def game_from_json_dict(data: dict) -> QuantumGame:
             raise ValueError("povm and utilities must be lists")
         povm = [linalg.matrix_from_jsonable(p) for p in data["povm"]]
         return QuantumGame.from_povm(n, m, povm, data["utilities"], seed=seed)
-    outcomes = data["outcomes"]
-    if not linalg.is_number(outcomes, int) or outcomes < 1:
-        raise ValueError("outcomes must be a positive integer")
     u_obs = linalg.matrix_from_jsonable(data["payoff_observable"])
     too_large = "payoff observable has norm {} > 1; no POVM game with utilities in [-1, 1] has it"
     # -I <= U <= I for |u| <= 1; the slack covers a sum-to-identity defect of
@@ -732,7 +724,7 @@ def game_from_json_dict(data: dict) -> QuantumGame:
     largest = float(np.max(np.abs(u_obs.view(np.float64))))
     if largest > bound:
         raise ValueError(too_large.format(f"at least {largest!r}"))
-    game = QuantumGame.from_observable(n, m, u_obs, outcomes, seed)
+    game = QuantumGame.from_observable(n, m, u_obs, data["outcomes"], seed)
     if not game.u_inf_norm <= bound:
         raise ValueError(too_large.format(repr(game.u_inf_norm)))
     return game

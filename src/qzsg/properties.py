@@ -111,7 +111,8 @@ def run_properties(
 
     One game per (dims, seed) is built and shared across all checks, then
     dropped, so memory stays bounded at the largest single game.  Each count
-    must be an integer (a bool is not) and each name a distinct check.
+    must be an integer (a bool is not), and `names` a sequence (not a
+    string) of distinct check names.
     """
     for key, count in (("max_qubits", max_qubits), ("n_seeds", n_seeds), ("samples", samples)):
         if not linalg.is_number(count, numbers.Integral):
@@ -125,6 +126,8 @@ def run_properties(
         )
     if n_seeds < 1 or samples < 1:
         raise ValueError("n_seeds and samples must be >= 1")
+    if isinstance(names, str):
+        raise ValueError("names must be a sequence of property names, not a string")
     names = tuple(names)
     for name in names:
         if name not in PROPERTY_NAMES:

@@ -174,6 +174,21 @@ def test_from_observable_keeps_its_own_copy():
     assert expected_utility(game, state) == expected_utility(ref, state) != 0.0
 
 
+def test_from_observable_checks_the_outcome_count_a_file_checks(tmp_path):
+    # these were stored as int(outcomes): 1, 3, 1, -5 and 0, and save_game
+    # then wrote files with -5 and 0 that load_game refused
+    u = random_game(1, 1, seed=3).payoff_observable
+    for bad in (1.7, "3", True, -5, 0):
+        with pytest.raises(ValueError, match="^outcomes must be a positive integer$"):
+            QuantumGame.from_observable(1, 1, u, bad)
+    path = tmp_path / "game.json"
+    for outcomes in (1, np.int64(3)):
+        game = QuantumGame.from_observable(1, 1, u, outcomes)
+        assert type(game.outcomes) is int
+        save_game(game, path)
+        assert load_game(path).outcomes == outcomes
+
+
 def test_from_observable_stores_an_exactly_hermitian_u():
     u = random_game(1, 1, seed=3).payoff_observable.copy()
     u[0, 1] += 1e-13  # Hermitian within HERMITIAN_RTOL only

@@ -40,6 +40,9 @@ def test_run_properties_subset_and_validation():
     assert [r["property"] for r in report["properties"]] == ["linearity"]
     with pytest.raises(ValueError, match="unknown property"):
         run_properties(names=("entropy",), max_qubits=1, n_seeds=1, samples=1)
+    # a string is refused whole, not read as the names of its letters
+    with pytest.raises(ValueError, match="^names must be a sequence of property names, not a"):
+        run_properties(names="linearity", max_qubits=1, n_seeds=1, samples=1)
     with pytest.raises(ValueError, match="max_qubits"):
         run_properties(max_qubits=0)
     with pytest.raises(ValueError, match="n_seeds and samples"):
