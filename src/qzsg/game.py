@@ -229,7 +229,8 @@ class QuantumGame:
     @classmethod
     def from_povm(cls, n, m, povm, utilities, seed=None) -> "QuantumGame":
         """Check a POVM game's elements and utilities and sum them, in order,
-        into U = sum_w u(w) P_w; it keeps no element.
+        into U = sum_w u(w) P_w; it keeps no element.  It serves user POVM
+        lists and format-1 game files (the builtins are built from their U).
 
         Each element must be Hermitian, positive and of side 2^(n+m), each
         utility a number in [-1, 1], and the elements must be non-empty and
@@ -649,15 +650,13 @@ def _traceless_input_norm(m: np.ndarray, dim: int) -> float:
 
 
 def matching_pennies() -> QuantumGame:
-    """One qubit each, computational-basis POVM, payoff observable Z ⊗ Z."""
-    povm = [np.diag(row).astype(complex) for row in np.eye(4)]
-    return QuantumGame.from_povm(1, 1, povm, (1.0, -1.0, -1.0, 1.0))
+    """One qubit each, 4 outcomes, payoff observable Z ⊗ Z = diag(1, -1, -1, 1)."""
+    return QuantumGame.from_observable(1, 1, np.diag([1.0, -1.0, -1.0, 1.0]), 4)
 
 
 def zero_game() -> QuantumGame:
-    """One qubit each, computational-basis POVM, all utilities zero."""
-    povm = [np.diag(row).astype(complex) for row in np.eye(4)]
-    return QuantumGame.from_povm(1, 1, povm, (0.0, 0.0, 0.0, 0.0))
+    """One qubit each, 4 outcomes, payoff observable 0."""
+    return QuantumGame.from_observable(1, 1, np.zeros((4, 4)), 4)
 
 
 _BUILTINS = {"matching-pennies": matching_pennies, "zero": zero_game}

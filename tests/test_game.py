@@ -239,9 +239,10 @@ def test_from_povm_validates():
 def test_from_povm_eigensolver_failure_is_numerical(monkeypatch):
     # checking an element's eigenvalues goes through the one LAPACK seam, so a
     # failure there is numerical (exit 3), not a usage error
+    basis = [np.diag(row).astype(complex) for row in np.eye(4)]
     monkeypatch.setattr(linalg, "_EIGVALSH", failing_gufunc)
     with pytest.raises(linalg.NumericalError, match="failed to converge"):
-        matching_pennies()
+        QuantumGame.from_povm(1, 1, basis, (1.0, -1.0, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------- payoffs
@@ -1103,6 +1104,28 @@ def test_builtin_game_resolution():
     assert builtin_game("zero").u_inf_norm == 0.0
     with pytest.raises(ValueError, match="unknown builtin"):
         builtin_game("builtin:nope")
+
+
+@pytest.mark.parametrize("name, utilities", [
+    ("builtin:matching-pennies", (1.0, -1.0, -1.0, 1.0)),
+    ("zero", (0.0, 0.0, 0.0, 0.0)),
+])
+def test_builtins_equal_their_observables_without_from_povm(monkeypatch, name, utilities):
+    # a builtin is its diagonal observable; summing the computational-basis
+    # POVM, as a user list or a format-1 file would, gives the same bits
+    basis = [np.diag(row).astype(complex) for row in np.eye(4)]
+    references = [QuantumGame.from_observable(1, 1, np.diag(utilities), 4),
+                  QuantumGame.from_povm(1, 1, basis, utilities)]
+
+    def no_povm(*args, **kwargs):
+        raise AssertionError("a builtin went through from_povm")
+
+    monkeypatch.setattr(QuantumGame, "from_povm", no_povm)
+    game = builtin_game(name)
+    for ref in references:
+        assert game.realigned.tobytes() == ref.realigned.tobytes()
+        assert (game.u_inf_norm, game.outcomes, game.seed) == (ref.u_inf_norm, ref.outcomes, ref.seed)
+        assert game_to_json_dict(game) == game_to_json_dict(ref)
 
 
 # ---------------------------------------------------------------- (de)serialization
